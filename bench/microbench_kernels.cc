@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks of the core kernels: Morton
  * encoding, octree construction, OIS sampling, VEG gathering, the
  * brute-force baselines, the spatial-hash KNN index (src/knn) and
- * the blocked GEMM. These are the software costs behind Figs. 9-12
+ * the register-tiled GEMM. These are the software costs behind Figs. 9-12
  * and the host hot path (docs/PERFORMANCE.md); wall-clock per-kernel
  * numbers on the build machine.
  *
@@ -174,22 +174,25 @@ BENCHMARK(BM_SpatialHashKnnGather)
     ->Args({4096, 512})
     ->Args({16384, 4096});
 
-/** Blocked GEMM at the Pointnet++(s) SA0 shape (nn/tensor.cc). */
+/** The GEMM at the Pointnet++(s) SA0 shape, on the path the network
+ * runs: a Linear with weights packed once, through the register-
+ * tiled kernel with the fused bias + ReLU store (nn/tensor.cc). */
 void
 BM_BlockedMatmul(benchmark::State &state)
 {
     Rng rng(5);
-    Tensor a(32768, 32), b(32, 64);
-    a.randomize(rng, 0.5f);
-    a.reluInPlace(); // post-ReLU sparsity, like layer 2+ inputs
-    b.randomize(rng, 0.5f);
+    const Linear layer(32, 64, rng);
+    Tensor x(32768, 32);
+    x.randomize(rng, 0.5f);
+    x.reluInPlace(); // post-ReLU sparsity, like layer 2+ inputs
     Tensor out;
     for (auto _ : state) {
-        Tensor::matmulInto(a, b, out);
+        layer.forwardIntoUntraced(x, out, /*relu=*/true, /*threads=*/1);
         benchmark::DoNotOptimize(out.row(0));
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * a.rows() * a.cols() *
-                            b.cols());
+    state.SetItemsProcessed(state.iterations() * x.rows() * x.cols() *
+                            layer.weight.cols());
 }
 BENCHMARK(BM_BlockedMatmul);
 

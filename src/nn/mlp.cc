@@ -32,11 +32,13 @@ effectiveThreads(std::uint64_t macs, int threads)
 } // namespace
 
 Linear::Linear(std::size_t in, std::size_t out, Rng &rng)
-    : weight(in, out), bias(out, 0.0f)
+    : bias(out, 0.0f)
 {
     const float scale =
         std::sqrt(2.0f / static_cast<float>(in > 0 ? in : 1));
-    weight.randomize(rng, scale);
+    Tensor w(in, out);
+    w.randomize(rng, scale);
+    weight = PackedPanels(w);
     for (auto &b : bias)
         b = rng.uniform(-0.01f, 0.01f);
 }
@@ -72,10 +74,8 @@ Linear::forwardIntoUntraced(const Tensor &x, Tensor &out, bool relu,
     const int t = effectiveThreads(macs, threads);
     parallelFor(x.rows(), t,
                 [&](std::size_t begin, std::size_t end) {
-                    Tensor::matmulRowsInto(x, weight, out, begin, end);
-                    out.addRowBias(bias, begin, end);
-                    if (relu)
-                        out.reluRows(begin, end);
+                    Tensor::matmulRowsInto(x, weight, out, begin, end,
+                                           {bias.data(), relu});
                 });
 }
 

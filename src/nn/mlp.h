@@ -6,8 +6,10 @@
  * gathered neighborhood; on hardware this is one batched GEMM per
  * layer, which is what the trace records.
  *
- * The host execution path is the blocked GEMM kernel of
- * nn/tensor.cc. forwardArena() is the hot-path entry: activations
+ * The host execution path is the register-tiled GEMM kernel of
+ * nn/tensor.cc, against weights packed into its panel layout once at
+ * construction, with bias + ReLU fused into the tile's store.
+ * forwardArena() is the hot-path entry: activations
  * ping-pong between FrameWorkspace arena tensors (no per-frame heap
  * traffic once warm) and rows may be split across intra-op threads —
  * both bit-identical to the plain forward(), since rows are
@@ -33,7 +35,7 @@ class FrameWorkspace;
 /** One fully-connected layer with bias. */
 struct Linear
 {
-    Tensor weight; //!< [in, out]
+    PackedPanels weight; //!< [in, out], packed for the GEMM kernel
     std::vector<float> bias;
 
     /** Create with He-scaled random weights. */

@@ -20,6 +20,19 @@
 namespace hgpcn
 {
 
+class PackedPanels;
+
+/**
+ * What the GEMM applies to each output element as it stores it, in
+ * the order of the separate passes it replaces: add bias[j], then
+ * ReLU as v > 0 ? v : 0 (which maps -0 and NaN to +0).
+ */
+struct GemmEpilogue
+{
+    const float *bias = nullptr; //!< length out.cols(), or none
+    bool relu = false;
+};
+
 /** A row-major 2D float tensor. */
 class Tensor
 {
@@ -89,16 +102,27 @@ class Tensor
     static Tensor matmul(const Tensor &a, const Tensor &b);
 
     /**
-     * out = a * b into a preallocated tensor (resized in place, no
-     * heap traffic once warm). Row range [row_begin, row_end) of a
+     * out = a * b into a preallocated tensor (out must already be
+     * [a.rows(), b.cols()]). Row range [row_begin, row_end) of a
      * only — rows are independent, so disjoint ranges may run on
-     * different threads. Bit-identical to matmul(): every output
-     * element accumulates its K products in the same ascending-k
-     * order.
+     * different threads. Every output element is acc = 0, then
+     * acc += a[i][k] * b[k][j] for ascending k, each operation
+     * rounded separately: bit-identical to the naive triple loop
+     * at any row range. Packs @p b per call; callers that reuse a
+     * right-hand side pack it once (PackedPanels).
      */
     static void matmulRowsInto(const Tensor &a, const Tensor &b,
                                Tensor &out, std::size_t row_begin,
                                std::size_t row_end);
+
+    /**
+     * matmulRowsInto() against a pre-packed right-hand side, with
+     * @p epilogue applied to each element as its tile is stored.
+     */
+    static void matmulRowsInto(const Tensor &a, const PackedPanels &b,
+                               Tensor &out, std::size_t row_begin,
+                               std::size_t row_end,
+                               GemmEpilogue epilogue = {});
 
     /** out = a * b over all rows (out resized in place). */
     static void matmulInto(const Tensor &a, const Tensor &b,
@@ -106,13 +130,6 @@ class Tensor
 
     /** Add a length-cols() bias vector to every row. */
     void addRowBias(const std::vector<float> &bias);
-
-    /** addRowBias() over rows [row_begin, row_end) only. */
-    void addRowBias(const std::vector<float> &bias,
-                    std::size_t row_begin, std::size_t row_end);
-
-    /** reluInPlace() over rows [row_begin, row_end) only. */
-    void reluRows(std::size_t row_begin, std::size_t row_end);
 
     /**
      * Column-wise max over groups of @p group rows: input [G*group,
@@ -145,6 +162,39 @@ class Tensor
 
     /** @return index of the maximum element of row @p r. */
     std::size_t argmaxRow(std::size_t r) const;
+
+  private:
+    std::size_t n_rows = 0;
+    std::size_t n_cols = 0;
+    std::vector<float> store;
+};
+
+/**
+ * The right-hand side of a GEMM, [rows, cols], repacked for the
+ * register-tiled kernel: column panels of kPanelCols floats, panel p
+ * holding rows() x kPanelCols floats whose row k is columns
+ * [p * kPanelCols, (p + 1) * kPanelCols) of row k, zero past cols().
+ * The kernel streams one panel per output tile. Linear packs its
+ * weights once at construction.
+ */
+class PackedPanels
+{
+  public:
+    static constexpr std::size_t kPanelCols = 16;
+
+    PackedPanels() = default;
+
+    /** Pack @p b. */
+    explicit PackedPanels(const Tensor &b);
+
+    /** @return rows of the packed matrix (the GEMM's K). */
+    std::size_t rows() const { return n_rows; }
+
+    /** @return columns of the packed matrix (the GEMM's N). */
+    std::size_t cols() const { return n_cols; }
+
+    /** @return the panels, back to back. */
+    const float *data() const { return store.data(); }
 
   private:
     std::size_t n_rows = 0;

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <numeric>
 
 #include "common/rng.h"
 #include "nn/mlp.h"
 #include "nn/pointnet2.h"
 #include "core/frame_workspace.h"
+#include "nn/gemm_kernel.h"
 #include "nn/tensor.h"
 
 namespace hgpcn
@@ -474,25 +479,99 @@ TEST(PointNet2, FeatureCloudSupported)
     EXPECT_EQ(out.logits.cols(), 3u);
 }
 
-// ------------------------------------------- blocked kernels (perf PR)
+// ------------------------------------------------- GEMM kernel
+
+/** The scalar reference the GEMM kernel must match bit for bit:
+ * acc = 0, then acc += a[i][k] * b[k][j] for ascending k. */
+Tensor
+naiveMatmul(const Tensor &a, const Tensor &b)
+{
+    Tensor out(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            float acc = 0.0f;
+            for (std::size_t k = 0; k < a.cols(); ++k)
+                acc += a.at(i, k) * b.at(k, j);
+            out.at(i, j) = acc;
+        }
+    }
+    return out;
+}
+
+/** A [rows, cols] tensor of NaNs, so an element the kernel fails to
+ * write cannot pass for a computed one. */
+Tensor
+poisoned(std::size_t rows, std::size_t cols)
+{
+    Tensor t(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r)
+        std::fill(t.row(r), t.row(r) + cols, std::nanf(""));
+    return t;
+}
+
+/** Same bits everywhere, except that any two NaNs match: when two
+ * NaNs meet in an add, either payload may survive. */
+::testing::AssertionResult
+sameBits(const Tensor &got, const Tensor &expect)
+{
+    if (got.rows() != expect.rows() || got.cols() != expect.cols())
+        return ::testing::AssertionFailure() << "shape mismatch";
+    for (std::size_t i = 0; i < got.data().size(); ++i) {
+        const float g = got.data()[i];
+        const float e = expect.data()[i];
+        if (std::isnan(g) && std::isnan(e))
+            continue;
+        if (std::memcmp(&g, &e, sizeof g) != 0)
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": got " << g << ", expected "
+                   << e;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** The kernel variants this host can execute (always the
+ * baseline). */
+std::vector<gemm_kernel::Isa>
+runnableVariants()
+{
+    std::vector<gemm_kernel::Isa> variants;
+    for (const auto isa :
+         {gemm_kernel::Isa::Avx2, gemm_kernel::Isa::Baseline})
+        if (gemm_kernel::hostRuns(isa))
+            variants.push_back(isa);
+    return variants;
+}
 
 TEST(Tensor, MatmulIntoMatchesMatmulBitForBit)
 {
-    // The blocked kernel reorders memory access, never the
-    // floating-point sums: any (rows, k, n), including remainder
-    // rows outside the 4-row blocks, must reproduce matmul exactly.
+    // Register tiling reorders memory access, never the floating-
+    // point sums: every shape across the 3- and 6-row tile and
+    // 16-column panel edges must reproduce the scalar loop exactly,
+    // through the dispatched kernel and through each variant by
+    // name.
     Rng rng(3);
-    for (const std::size_t m : {1u, 3u, 4u, 7u, 64u}) {
-        for (const std::size_t k : {1u, 3u, 32u}) {
-            for (const std::size_t n : {1u, 5u, 33u}) {
+    for (const std::size_t m : {1u, 5u, 6u, 7u, 13u, 64u}) {
+        for (const std::size_t n : {1u, 8u, 15u, 16u, 17u, 33u, 130u}) {
+            for (const std::size_t k : {1u, 3u, 67u}) {
                 Tensor a(m, k), b(k, n);
                 a.randomize(rng, 1.0f);
                 b.randomize(rng, 1.0f);
-                const Tensor expect = Tensor::matmul(a, b);
-                Tensor got;
-                Tensor::matmulInto(a, b, got);
-                ASSERT_EQ(got.data(), expect.data())
+                const Tensor expect = naiveMatmul(a, b);
+                ASSERT_TRUE(sameBits(Tensor::matmul(a, b), expect))
                     << m << "x" << k << "x" << n;
+                Tensor got = poisoned(3, 3);
+                Tensor::matmulInto(a, b, got);
+                ASSERT_TRUE(sameBits(got, expect))
+                    << m << "x" << k << "x" << n;
+                const PackedPanels packed(b);
+                for (const auto isa : runnableVariants()) {
+                    Tensor out = poisoned(m, n);
+                    gemm_kernel::matmulRowsInto(isa, a, packed, out, 0,
+                                                m);
+                    ASSERT_TRUE(sameBits(out, expect))
+                        << m << "x" << k << "x" << n << " variant "
+                        << static_cast<int>(isa);
+                }
             }
         }
     }
@@ -500,16 +579,113 @@ TEST(Tensor, MatmulIntoMatchesMatmulBitForBit)
 
 TEST(Tensor, MatmulRowRangesComposeExactly)
 {
+    // Ranges that start and end mid-tile, as intra-op threads split
+    // them; rows outside a range are left untouched.
     Rng rng(5);
-    Tensor a(10, 8), b(8, 6);
+    Tensor a(20, 67), b(67, 33);
     a.randomize(rng, 1.0f);
     b.randomize(rng, 1.0f);
-    const Tensor whole = Tensor::matmul(a, b);
-    Tensor split(10, 6);
-    Tensor::matmulRowsInto(a, b, split, 0, 4);
-    Tensor::matmulRowsInto(a, b, split, 4, 9);
-    Tensor::matmulRowsInto(a, b, split, 9, 10);
-    EXPECT_EQ(split.data(), whole.data());
+    const Tensor whole = naiveMatmul(a, b);
+    const PackedPanels packed(b);
+    const std::size_t cuts[] = {0, 4, 9, 16, 17, 20};
+    Tensor split = poisoned(20, 33);
+    for (std::size_t c = 0; c + 1 < std::size(cuts); ++c)
+        Tensor::matmulRowsInto(a, b, split, cuts[c], cuts[c + 1]);
+    EXPECT_TRUE(sameBits(split, whole));
+    for (const auto isa : runnableVariants()) {
+        Tensor out = poisoned(20, 33);
+        for (std::size_t c = 0; c + 1 < std::size(cuts); ++c)
+            gemm_kernel::matmulRowsInto(isa, a, packed, out, cuts[c],
+                                        cuts[c + 1]);
+        EXPECT_TRUE(sameBits(out, whole)) << static_cast<int>(isa);
+
+        Tensor part = poisoned(20, 33);
+        gemm_kernel::matmulRowsInto(isa, a, packed, part, 7, 11);
+        for (std::size_t r = 0; r < 20; ++r)
+            for (std::size_t j = 0; j < 33; ++j)
+                EXPECT_EQ(std::isnan(part.at(r, j)), r < 7 || r >= 11)
+                    << r << "," << j;
+    }
+}
+
+TEST(Tensor, FusedBiasReluMatchesSeparatePasses)
+{
+    Rng rng(9);
+    for (const std::size_t n : {15u, 16u, 130u}) {
+        Tensor a(13, 67), b(67, n);
+        a.randomize(rng, 1.0f);
+        b.randomize(rng, 1.0f);
+        std::vector<float> bias(n);
+        for (float &v : bias)
+            v = rng.uniform(-1.0f, 1.0f);
+        Tensor biased = naiveMatmul(a, b);
+        biased.addRowBias(bias);
+        Tensor activated = biased;
+        activated.reluInPlace();
+        Tensor relu_only = naiveMatmul(a, b);
+        relu_only.reluInPlace();
+
+        const PackedPanels packed(b);
+        for (const auto isa : runnableVariants()) {
+            Tensor out = poisoned(13, n);
+            gemm_kernel::matmulRowsInto(isa, a, packed, out, 0, 13,
+                                        {bias.data(), false});
+            EXPECT_TRUE(sameBits(out, biased)) << n;
+            gemm_kernel::matmulRowsInto(isa, a, packed, out, 0, 13,
+                                        {bias.data(), true});
+            EXPECT_TRUE(sameBits(out, activated)) << n;
+            gemm_kernel::matmulRowsInto(isa, a, packed, out, 0, 13,
+                                        {nullptr, true});
+            EXPECT_TRUE(sameBits(out, relu_only)) << n;
+        }
+    }
+}
+
+TEST(Tensor, GemmSpecialValuesMatchReference)
+{
+    // +-0, NaN and +-Inf flow through the tile as through the scalar
+    // loop, and the fused ReLU maps NaN to +0 like reluInPlace().
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::nanf("");
+    const float specials[] = {0.0f, -0.0f, inf, -inf, nan, 1.5f, -2.0f};
+    Rng rng(11);
+    Tensor a(7, 5), b(5, 17);
+    for (std::size_t i = 0; i < 7; ++i)
+        for (std::size_t k = 0; k < 5; ++k)
+            a.at(i, k) = i < 2 ? rng.uniform(-1.0f, 1.0f)
+                               : specials[(i * 5 + k) % 7];
+    for (std::size_t k = 0; k < 5; ++k)
+        for (std::size_t j = 0; j < 17; ++j)
+            b.at(k, j) = (k + j) % 3 == 0 ? -0.0f
+                                          : rng.uniform(-1.0f, 1.0f);
+    b.at(0, 3) = inf;
+    b.at(2, 5) = nan;
+    std::vector<float> bias(17);
+    for (std::size_t j = 0; j < 17; ++j)
+        bias[j] = specials[j % 7];
+
+    const Tensor plain = naiveMatmul(a, b);
+    Tensor activated = plain;
+    activated.addRowBias(bias);
+    activated.reluInPlace();
+    const PackedPanels packed(b);
+    for (const auto isa : runnableVariants()) {
+        Tensor out = poisoned(7, 17);
+        gemm_kernel::matmulRowsInto(isa, a, packed, out, 0, 7);
+        EXPECT_TRUE(sameBits(out, plain)) << static_cast<int>(isa);
+        gemm_kernel::matmulRowsInto(isa, a, packed, out, 0, 7,
+                                    {bias.data(), true});
+        // No NaN survives ReLU, so this comparison is exact.
+        EXPECT_EQ(std::memcmp(out.data().data(),
+                              activated.data().data(),
+                              out.data().size() * sizeof(float)),
+                  0)
+            << static_cast<int>(isa);
+        for (const float v : out.data()) {
+            EXPECT_FALSE(std::isnan(v));
+            EXPECT_FALSE(std::signbit(v));
+        }
+    }
 }
 
 TEST(Tensor, MaxPoolGroupsIntoReusesBuffer)
@@ -576,6 +752,60 @@ TEST(PointNet2, WorkspaceAndThreadsDoNotChangeOutputs)
     EXPECT_EQ(a.logits.data(), b.logits.data());
     EXPECT_EQ(a.labels, b.labels);
     EXPECT_EQ(b.logits.data(), c.logits.data());
+}
+
+// ----------------------------------------------- fixed network outputs
+
+/** FNV-1a over the bytes of a logits tensor. */
+std::uint64_t
+logitsDigest(const Tensor &logits)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const float v : logits.data()) {
+        unsigned char bytes[sizeof v];
+        std::memcpy(bytes, &v, sizeof v);
+        for (const unsigned char b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+// Digests recorded from the scalar GEMM the register-tiled kernel
+// replaced. Every other check compares the kernel with itself (the
+// e2e oracle runs the same GEMM), so a kernel that is wrong the same
+// way everywhere would pass them; these pin the network to fixed
+// values in every build, including -march=x86-64-v3.
+TEST(NetworkDigest, SemanticSegmentationVeg)
+{
+    const PointNet2 net(PointNet2Spec::semanticSegmentation(), 42);
+    RunOptions opts;
+    opts.ds = DsMethod::Veg;
+    const RunOutput out = net.run(randomCloud(4096, 31), opts);
+    EXPECT_EQ(logitsDigest(out.logits), 0x216c000198577985ull);
+}
+
+TEST(NetworkDigest, EdgeClassifierSoloAndBatched)
+{
+    const PointNet2 net(PointNet2Spec::edgeClassification(), 42);
+    std::vector<PointCloud> clouds;
+    std::vector<const PointCloud *> ptrs;
+    for (std::uint64_t s = 0; s < 4; ++s)
+        clouds.push_back(randomCloud(256, 40 + s));
+    for (const PointCloud &c : clouds)
+        ptrs.push_back(&c);
+    const std::uint64_t expect[4] = {
+        0x211b689fe6038cc7ull, 0x680688019525bab2ull,
+        0x1481ba758e65e9c7ull, 0xa7513e733a6b698aull};
+    const std::vector<RunOutput> batch = net.runBatch(ptrs);
+    ASSERT_EQ(batch.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(logitsDigest(net.run(clouds[i]).logits), expect[i])
+            << "solo frame " << i;
+        EXPECT_EQ(logitsDigest(batch[i].logits), expect[i])
+            << "batched frame " << i;
+    }
 }
 
 } // namespace
