@@ -110,7 +110,10 @@ makeLidarSensorStream(const MultiSensorConfig &cfg)
         for (std::size_t f = 0; f < cfg.framesPerSensor; ++f) {
             Frame frame = lidar.generate(f);
             frame.timestamp += phase;
-            frame.name = "s" + std::to_string(s) + "." + frame.name;
+            frame.name = std::string("s")
+                             .append(std::to_string(s))
+                             .append(".")
+                             .append(frame.name);
             frames.push_back(std::move(frame));
         }
         per_sensor.push_back(std::move(frames));

@@ -169,8 +169,10 @@ TrafficGen::generate() const
         while (t < leave && t < cfg.durationSec) {
             Frame frame;
             frame.timestamp = t;
-            frame.name = "t" + std::to_string(s) + "." +
-                         std::to_string(index);
+            frame.name = std::string("t")
+                             .append(std::to_string(s))
+                             .append(".")
+                             .append(std::to_string(index));
             Rng cloud_rng = keyedRng(
                 cfg.seed, s * 0x100000001b3ull + index, kSaltCloud);
             frame.cloud.reserve(cfg.cloudPoints);

@@ -155,27 +155,23 @@ VegKnn::gatherAt(std::span<const Vec3> anchors, std::size_t k)
                 result.neighbors.push_back(scored[j].second);
         } else {
             // Stage 3 (VE): expand rings until cumulative count >= K.
-            std::size_t total = 0;
+            // The host gathers each ring once and counts what it got:
+            // a ring that reaches K is the last ring, any other is
+            // an inner ring (Stage 4, GP: gathered blind).
             int r = 0;
-            while (r <= max_ring) {
-                const std::uint32_t ring_count =
-                    grid.ringPointCount(seed_cell, r);
-                // Counting touches each in-grid ring cell once (the
-                // closed-form count: the host need not walk them).
+            for (;; ++r) {
+                HGPCN_ASSERT(r <= max_ring,
+                             "VEG expansion exhausted the grid below k");
+                // Counting touches each in-grid ring cell once.
                 trace.tableLookups += static_cast<std::uint32_t>(
                     grid.shellCellCount(seed_cell, r));
-                if (total + ring_count >= k) {
-                    // Stage 4 (GP): inner rings gathered blind.
-                    last_ring.clear();
-                    grid.gatherRingPoints(seed_cell, r, last_ring);
+                last_ring.clear();
+                grid.gatherRingPoints(seed_cell, r, last_ring);
+                if (inner.size() + last_ring.size() >= k)
                     break;
-                }
-                total += ring_count;
-                grid.gatherRingPoints(seed_cell, r, inner);
-                ++r;
+                inner.insert(inner.end(), last_ring.begin(),
+                             last_ring.end());
             }
-            HGPCN_ASSERT(inner.size() + last_ring.size() >= k,
-                         "VEG expansion exhausted the grid below k");
             trace.rings = static_cast<std::uint32_t>(r);
             trace.innerPoints =
                 static_cast<std::uint32_t>(inner.size());

@@ -41,15 +41,47 @@ VoxelGrid::inGrid(const GridCell &c) const
            c.z >= 0 && c.z < axis_cells;
 }
 
-morton::Code
-VoxelGrid::cellCode(const GridCell &c) const
+namespace
 {
-    HGPCN_ASSERT(inGrid(c), "cell outside grid");
-    if (lvl == 0)
-        return 0; // the single root cell
-    return morton::encode3(static_cast<morton::CellCoord>(c.x),
-                           static_cast<morton::CellCoord>(c.y),
-                           static_cast<morton::CellCoord>(c.z), lvl);
+
+/** Table key of a cell: 21 bits per axis (levels <= kMaxDepth3d). */
+inline std::uint64_t
+packCell(const GridCell &c)
+{
+    return static_cast<std::uint64_t>(c.x) |
+           static_cast<std::uint64_t>(c.y) << 21 |
+           static_cast<std::uint64_t>(c.z) << 42;
+}
+
+/** Fibonacci hash of @p key onto a table of 2^(64 - shift) slots. */
+inline std::size_t
+slotOf(std::uint64_t key, int shift)
+{
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                    shift);
+}
+
+} // namespace
+
+void
+VoxelGrid::buildTable() const
+{
+    const std::vector<OccupiedCell> &cells = occupiedCells();
+    std::size_t size = 2;
+    table_shift = 63;
+    while (size < 2 * cells.size()) {
+        size *= 2;
+        --table_shift;
+    }
+    table.assign(size, Slot{kFree, 0, 0});
+    const std::size_t mask = size - 1;
+    for (const OccupiedCell &c : cells) {
+        const std::uint64_t key = packCell(c.cell);
+        std::size_t i = slotOf(key, table_shift);
+        while (table[i].key != kFree)
+            i = (i + 1) & mask;
+        table[i] = {key, c.first, c.last};
+    }
 }
 
 std::pair<PointIndex, PointIndex>
@@ -57,11 +89,17 @@ VoxelGrid::cellRange(const GridCell &c) const
 {
     if (!inGrid(c))
         return {0, 0};
-    if (lvl == 0) {
-        return {0,
-                static_cast<PointIndex>(octree.pointCodes().size())};
+    if (table.empty())
+        buildTable();
+    const std::uint64_t key = packCell(c);
+    const std::size_t mask = table.size() - 1;
+    for (std::size_t i = slotOf(key, table_shift);; i = (i + 1) & mask) {
+        const Slot &s = table[i];
+        if (s.key == key)
+            return {s.first, s.last};
+        if (s.key == kFree)
+            return {0, 0};
     }
-    return octree.voxelRange(cellCode(c), lvl);
 }
 
 std::uint32_t
@@ -69,42 +107,6 @@ VoxelGrid::cellCount(const GridCell &c) const
 {
     const auto [first, last] = cellRange(c);
     return last - first;
-}
-
-std::size_t
-VoxelGrid::forEachRingCell(
-    const GridCell &center, int ring,
-    const std::function<void(const GridCell &)> &fn) const
-{
-    HGPCN_ASSERT(ring >= 0, "negative ring");
-    std::size_t visited = 0;
-    if (ring == 0) {
-        if (inGrid(center)) {
-            fn(center);
-            ++visited;
-        }
-        return visited;
-    }
-    // The shell is the set of cells whose Chebyshev distance to the
-    // center is exactly `ring`: at least one axis offset is +/-ring.
-    for (std::int32_t dx = -ring; dx <= ring; ++dx) {
-        for (std::int32_t dy = -ring; dy <= ring; ++dy) {
-            for (std::int32_t dz = -ring; dz <= ring; ++dz) {
-                const bool on_shell = dx == ring || dx == -ring ||
-                                      dy == ring || dy == -ring ||
-                                      dz == ring || dz == -ring;
-                if (!on_shell)
-                    continue;
-                const GridCell c{center.x + dx, center.y + dy,
-                                 center.z + dz};
-                if (!inGrid(c))
-                    continue;
-                fn(c);
-                ++visited;
-            }
-        }
-    }
-    return visited;
 }
 
 std::size_t
@@ -296,7 +298,7 @@ chebDist(const GridCell &a, const GridCell &b)
 
 /*
  * Ring serving is hybrid: small shells walk their cells (one
- * Octree-Table range lookup per cell, cheap when r is small); large
+ * occupied-cell table probe per cell, cheap when r is small); large
  * shells — deep levels over sparse or clustered clouds, where
  * almost every shell cell is empty — scan the occupied-cell list
  * instead, touching only cells that can contribute points. Both

@@ -7,16 +7,19 @@
  * touching the seed voxel, ring 2 the next shell, and so on (Fig. 8).
  * Because the reordered point array is sorted by full-depth m-code,
  * the points of *any* voxel at *any* level form a contiguous range,
- * so each ring cell costs one Octree-Table range lookup.
+ * so each ring cell costs one Octree-Table range lookup. On the host
+ * that lookup is one probe of a hash table over the level's occupied
+ * cells.
  */
 
 #ifndef HGPCN_OCTREE_VOXEL_GRID_H
 #define HGPCN_OCTREE_VOXEL_GRID_H
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "common/logging.h"
 #include "geometry/point_delta.h"
 #include "octree/octree.h"
 
@@ -79,12 +82,10 @@ class VoxelGrid
     /** @return true when @p c lies inside the grid. */
     bool inGrid(const GridCell &c) const;
 
-    /** @return m-code of cell @p c at this level. */
-    morton::Code cellCode(const GridCell &c) const;
-
     /**
      * @return [first, last) of reordered point indices inside cell
-     * @p c (empty for out-of-grid cells).
+     * @p c ({0, 0} for out-of-grid and unoccupied cells): one probe
+     * of the occupied-cell table, built lazily from occupiedCells().
      */
     std::pair<PointIndex, PointIndex> cellRange(const GridCell &c) const;
 
@@ -93,13 +94,16 @@ class VoxelGrid
 
     /**
      * Visit every in-grid cell of the Chebyshev shell at distance
-     * @p ring from @p center (ring 0 = the center cell itself).
+     * @p ring from @p center (ring 0 = the center cell itself), in
+     * (x, y, z) order. Rows where x or y lies on the shell are
+     * visited whole; every other row contributes only its two
+     * z-faces, so no cell of the enclosed box is tested and skipped.
      *
      * @return number of cells visited.
      */
-    std::size_t forEachRingCell(
-        const GridCell &center, int ring,
-        const std::function<void(const GridCell &)> &fn) const;
+    template <typename Fn>
+    std::size_t forEachRingCell(const GridCell &center, int ring,
+                                Fn &&fn) const;
 
     /** @return total points in the Chebyshev shell at @p ring. */
     std::uint32_t ringPointCount(const GridCell &center, int ring) const;
@@ -140,10 +144,22 @@ class VoxelGrid
     static int autoLevel(std::size_t n_points, int max_level);
 
   private:
+    /** One slot of the occupied-cell table; empty when key == kFree. */
+    struct Slot
+    {
+        std::uint64_t key;
+        PointIndex first;
+        PointIndex last;
+    };
+    static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+
     /** @return in-grid cells within Chebyshev distance @p radius of
      * @p center (clipped box volume); 0 when radius < 0. */
     std::size_t boxCellCount(const GridCell &center,
                              std::int32_t radius) const;
+
+    /** Fill the occupied-cell table from occupiedCells(). */
+    void buildTable() const;
 
     const Octree &octree;
     int lvl;
@@ -154,7 +170,54 @@ class VoxelGrid
      * gatherers that own grid views). */
     mutable std::vector<OccupiedCell> occ;
     mutable bool occ_built = false;
+    /** Lazy open-addressed (linear probing) table: packed cell
+     * x | y << 21 | z << 42 -> [first, last); power-of-two size at
+     * most half full. */
+    mutable std::vector<Slot> table;
+    mutable int table_shift = 64; //!< 64 - log2(table.size())
 };
+
+template <typename Fn>
+std::size_t
+VoxelGrid::forEachRingCell(const GridCell &center, int ring,
+                           Fn &&fn) const
+{
+    HGPCN_ASSERT(ring >= 0, "negative ring");
+    const std::int32_t x0 = std::max(center.x - ring, 0);
+    const std::int32_t x1 = std::min(center.x + ring, axis_cells - 1);
+    const std::int32_t y0 = std::max(center.y - ring, 0);
+    const std::int32_t y1 = std::min(center.y + ring, axis_cells - 1);
+    const std::int32_t z0 = std::max(center.z - ring, 0);
+    const std::int32_t z1 = std::min(center.z + ring, axis_cells - 1);
+    if (x0 > x1 || y0 > y1 || z0 > z1)
+        return 0;
+    // With the z range non-empty, a z-face lies in the grid iff it
+    // was not clipped. Ring 0 never reaches the face branch: its
+    // only x is on the shell.
+    const bool z_lo_face = center.z - ring == z0;
+    const bool z_hi_face = center.z + ring == z1;
+    std::size_t visited = 0;
+    for (std::int32_t x = x0; x <= x1; ++x) {
+        const bool x_on = x == center.x - ring || x == center.x + ring;
+        for (std::int32_t y = y0; y <= y1; ++y) {
+            if (x_on || y == center.y - ring || y == center.y + ring) {
+                for (std::int32_t z = z0; z <= z1; ++z)
+                    fn(GridCell{x, y, z});
+                visited += static_cast<std::size_t>(z1 - z0 + 1);
+                continue;
+            }
+            if (z_lo_face) {
+                fn(GridCell{x, y, z0});
+                ++visited;
+            }
+            if (z_hi_face) {
+                fn(GridCell{x, y, z1});
+                ++visited;
+            }
+        }
+    }
+    return visited;
+}
 
 /**
  * Compute the occupied cells of @p level over @p tree into @p out —

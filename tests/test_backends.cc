@@ -401,7 +401,7 @@ TEST(Placement, LeastLoadedHonorsPerShardServiceTimes)
     stream.sensorCount = 1;
     for (std::size_t i = 0; i < 6; ++i) {
         Frame frame;
-        frame.name = "f" + std::to_string(i);
+        frame.name = std::string("f").append(std::to_string(i));
         frame.timestamp = 0.05 * static_cast<double>(i);
         stream.frames.push_back(std::move(frame));
         stream.sensors.push_back(0);

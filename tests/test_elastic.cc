@@ -312,7 +312,7 @@ TEST(EpochMerge, HandComputedArithmetic)
     const std::size_t tags[] = {0, 1, 0, 1, 0};
     for (std::size_t i = 0; i < 5; ++i) {
         Frame frame;
-        frame.name = "f" + std::to_string(i);
+        frame.name = std::string("f").append(std::to_string(i));
         frame.timestamp = stamps[i];
         stream.frames.push_back(std::move(frame));
         stream.sensors.push_back(tags[i]);

@@ -51,7 +51,7 @@ tinyFrame(double stamp, std::uint64_t seed)
 {
     Frame frame;
     frame.timestamp = stamp;
-    frame.name = "f" + std::to_string(seed);
+    frame.name = std::string("f").append(std::to_string(seed));
     Rng rng(seed);
     frame.cloud.reserve(300);
     for (std::size_t p = 0; p < 300; ++p) {

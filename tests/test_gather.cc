@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
@@ -447,6 +448,154 @@ TEST(VegBallQuery, FarFewerDistanceComputationsThanBrute)
     const auto rb = brute_bq.gather(centrals, 32);
     EXPECT_LT(rv.stats.get("gather.distance_computations") * 4,
               rb.stats.get("gather.distance_computations"));
+}
+
+
+// ------------------------------------------------ fixed VEG outputs
+
+/** FNV-1a accumulator over the bytes of plain values. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    bytes(const void *data, std::size_t size)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    template <typename T>
+    void
+    value(const T &v)
+    {
+        unsigned char raw[sizeof v];
+        std::memcpy(raw, &v, sizeof v);
+        bytes(raw, sizeof raw);
+    }
+};
+
+/** Fold neighbours, per-centroid traces and stats into @p fnv. */
+void
+hashResult(Fnv1a &fnv, const GatherResult &r)
+{
+    fnv.value(r.k);
+    for (const PointIndex i : r.neighbors)
+        fnv.value(i);
+    for (const VegTrace &t : r.traces) {
+        fnv.value(t.rings);
+        fnv.value(t.innerPoints);
+        fnv.value(t.lastRingPoints);
+        fnv.value(t.tableLookups);
+    }
+    for (const auto &[name, v] : r.stats.all()) {
+        fnv.bytes(name.data(), name.size());
+        fnv.value(v);
+    }
+}
+
+/** 2 tight clusters over a sparse background (LiDAR-like). */
+PointCloud
+clusteredCloud(std::size_t n, std::uint64_t seed)
+{
+    PointCloud cloud;
+    cloud.reserve(n);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i % 4 == 0) {
+            cloud.add({rng.uniform(0.0f, 1.0f), rng.uniform(0.0f, 1.0f),
+                       rng.uniform(0.0f, 1.0f)});
+        } else {
+            const float c = i % 8 < 4 ? 0.1f : 0.9f;
+            cloud.add({c + rng.uniform(-0.005f, 0.005f),
+                       c + rng.uniform(-0.005f, 0.005f),
+                       c + rng.uniform(-0.005f, 0.005f)});
+        }
+    }
+    return cloud;
+}
+
+/** Every position repeated ~12 times (coincident sensor returns). */
+PointCloud
+duplicateCloud(std::size_t n, std::uint64_t seed)
+{
+    const PointCloud base = randomCloud(n / 12 + 1, seed);
+    PointCloud cloud;
+    cloud.reserve(n);
+    Rng rng(seed + 1);
+    for (std::size_t i = 0; i < n; ++i)
+        cloud.add(base.position(rng.below(base.size())));
+    return cloud;
+}
+
+/**
+ * Digest of every VEG flavour over @p cloud: VegKnn in all three
+ * modes through gather() and gatherAt() (queries include the grid's
+ * corners), at the per-centroid adaptive level and at forced shallow
+ * and deep levels, plus VegBallQuery.
+ */
+std::uint64_t
+vegDigest(const PointCloud &cloud)
+{
+    const Octree tree = makeTree(cloud);
+    const auto centrals = someCentrals(cloud.size(), 48, 7);
+    std::vector<Vec3> queries = {{0.0f, 0.0f, 0.0f},
+                                 {1.0f, 1.0f, 1.0f},
+                                 {0.0f, 1.0f, 0.5f},
+                                 {0.5f, 0.5f, 0.5f}};
+    Rng rng(8);
+    for (int i = 0; i < 28; ++i)
+        queries.push_back({rng.uniform(0.0f, 1.0f),
+                           rng.uniform(0.0f, 1.0f),
+                           rng.uniform(0.0f, 1.0f)});
+
+    Fnv1a fnv;
+    for (const VegMode mode :
+         {VegMode::Paper, VegMode::Strict, VegMode::SemiApprox}) {
+        for (const int level : {-1, 2, tree.config().maxDepth}) {
+            VegKnn::Config cfg;
+            cfg.mode = mode;
+            cfg.gridLevel = level;
+            cfg.seed = 5;
+            VegKnn veg(tree, cfg);
+            for (const std::size_t k : {1u, 16u, 64u}) {
+                hashResult(fnv, veg.gather(centrals, k));
+                hashResult(fnv, veg.gatherAt(queries, k));
+            }
+        }
+    }
+    for (const float radius : {0.05f, 0.2f}) {
+        VegBallQuery::Config cfg;
+        cfg.radius = radius;
+        VegBallQuery bq(tree, cfg);
+        hashResult(fnv, bq.gather(centrals, 32));
+    }
+    return fnv.h;
+}
+
+// Recorded from the per-cell binary-search ring walk (Octree
+// voxelRange per shell cell) that the occupied-cell table replaced.
+// NetworkDigest cannot see a reordered SA neighbour set (max-pool is
+// order-blind); these pin order, traces and stats exactly.
+TEST(VegDigest, RandomCloud)
+{
+    EXPECT_EQ(vegDigest(randomCloud(3000, 101)),
+              0x050eff0e86953eacull);
+}
+
+TEST(VegDigest, ClusteredCloud)
+{
+    EXPECT_EQ(vegDigest(clusteredCloud(3000, 102)),
+              0x455fc26bd25a0b53ull);
+}
+
+TEST(VegDigest, DuplicateHeavyCloud)
+{
+    EXPECT_EQ(vegDigest(duplicateCloud(3000, 103)),
+              0xb27b8c14bfd4d2a2ull);
 }
 
 } // namespace

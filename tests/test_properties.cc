@@ -735,7 +735,7 @@ class FaultSweep
             Frame frame;
             frame.timestamp =
                 static_cast<double>(i) / 24.0;
-            frame.name = "p" + std::to_string(i);
+            frame.name = std::string("p").append(std::to_string(i));
             frame.cloud.reserve(300);
             for (std::size_t p = 0; p < 300; ++p) {
                 frame.cloud.add({rng.uniform(0.0f, 10.0f),

@@ -61,7 +61,7 @@ stampedStream(const std::vector<double> &stamps,
     stream.sensorCount = sensor_count;
     for (std::size_t i = 0; i < stamps.size(); ++i) {
         Frame frame;
-        frame.name = "f" + std::to_string(i);
+        frame.name = std::string("f").append(std::to_string(i));
         frame.timestamp = stamps[i];
         stream.frames.push_back(std::move(frame));
         stream.sensors.push_back(tags[i]);
@@ -123,8 +123,10 @@ TEST(SensorStream, MergeRejectsSharedTimestamps)
     for (std::size_t s = 0; s < 2; ++s) {
         for (std::size_t f = 0; f < 2; ++f) {
             Frame frame;
-            frame.name = "s" + std::to_string(s) + ".f" +
-                         std::to_string(f);
+            frame.name = std::string("s")
+                             .append(std::to_string(s))
+                             .append(".f")
+                             .append(std::to_string(f));
             frame.timestamp = 0.1 * static_cast<double>(f);
             per_sensor[s].push_back(std::move(frame));
         }
@@ -167,7 +169,7 @@ TEST(SensorStream, SingleSensorMergeIsIdentity)
     std::vector<std::vector<Frame>> per_sensor(1);
     for (std::size_t f = 0; f < 3; ++f) {
         Frame frame;
-        frame.name = "f" + std::to_string(f);
+        frame.name = std::string("f").append(std::to_string(f));
         frame.timestamp = 0.1 * static_cast<double>(f);
         per_sensor[0].push_back(std::move(frame));
     }
@@ -178,7 +180,7 @@ TEST(SensorStream, SingleSensorMergeIsIdentity)
     for (std::size_t i = 0; i < stream.size(); ++i) {
         EXPECT_EQ(stream.sensors[i], 0u);
         EXPECT_EQ(stream.frames[i].name,
-                  "f" + std::to_string(i));
+                  std::string("f").append(std::to_string(i)));
     }
     EXPECT_NEAR(sensorGenerationFps(stream, 0), 10.0, 1e-9);
 }
@@ -191,7 +193,8 @@ TEST(SensorStream, DuplicateTimestampWithinSensorIsRejected)
     std::vector<std::vector<Frame>> per_sensor(1);
     for (const double t : {0.0, 0.1, 0.1, 0.2}) {
         Frame frame;
-        frame.name = "f" + std::to_string(per_sensor[0].size());
+        frame.name =
+            std::string("f").append(std::to_string(per_sensor[0].size()));
         frame.timestamp = t;
         per_sensor[0].push_back(std::move(frame));
     }
@@ -226,7 +229,7 @@ TEST(SensorStream, UnstampedSensorKeepsOnlyItsFirstFrame)
     std::vector<std::vector<Frame>> per_sensor(1);
     for (std::size_t f = 0; f < 3; ++f) {
         Frame frame;
-        frame.name = "f" + std::to_string(f);
+        frame.name = std::string("f").append(std::to_string(f));
         frame.timestamp = 0.0;
         per_sensor[0].push_back(std::move(frame));
     }
