@@ -258,45 +258,6 @@ TEST(ExecutionBackend, ServiceEstimateIsDeterministicAndCached)
 
 // -------------------------------------- Backend-parameterized runner
 
-TEST(StreamRunner, HgpcnBackendReproducesEngineRunnerBitForBit)
-{
-    // Acceptance: a StreamRunner handed an HgpcnBackend must be
-    // indistinguishable from the legacy engine-owning runner —
-    // same schedule, same latencies, same labels.
-    const SensorStream stream = tinyLidarStream(1, 4);
-    const std::vector<Frame> frames = stream.framesOfSensor(0);
-
-    const PreprocessingEngine pre;
-    const InferenceEngine engine;
-    const PointNet2 net(tinyClassifier());
-
-    StreamRunner::Config rc;
-    rc.inputPoints = 256;
-    rc.buildWorkers = 2;
-
-    StreamRunner legacy(pre, engine, net, rc); // compat ctor
-    const HgpcnBackend backend(engine, net);
-    StreamRunner lifted(pre, backend, rc);
-
-    const RuntimeResult a = legacy.run(frames);
-    const RuntimeResult b = lifted.run(frames);
-
-    ASSERT_EQ(a.frames.size(), b.frames.size());
-    EXPECT_DOUBLE_EQ(a.report.sustainedFps, b.report.sustainedFps);
-    EXPECT_DOUBLE_EQ(a.report.makespanSec, b.report.makespanSec);
-    EXPECT_DOUBLE_EQ(a.report.p99LatencySec, b.report.p99LatencySec);
-    EXPECT_DOUBLE_EQ(a.report.meanLatencySec,
-                     b.report.meanLatencySec);
-    for (std::size_t i = 0; i < a.frames.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.frames[i].latencySec,
-                         b.frames[i].latencySec);
-        EXPECT_EQ(a.frames[i].result.inference.output.labels,
-                  b.frames[i].result.inference.output.labels);
-        EXPECT_DOUBLE_EQ(a.frames[i].result.totalSec(),
-                         b.frames[i].result.totalSec());
-    }
-}
-
 TEST(StreamRunner, NonFpgaBackendFreesTheFpgaForDownSampling)
 {
     // A GPU backend occupies its own device, so the "fpga" resource

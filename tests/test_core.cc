@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.h"
@@ -185,91 +186,90 @@ TEST(HgPcnSystem, PreprocessingDominatedByBuildNotSampling)
               result.preprocess.dsu.descentSec);
 }
 
-TEST(HgPcnSystem, StreamReportRealTimeCheck)
+/** @return @p n small frames of a 10 Hz KITTI-like stream. */
+std::vector<Frame>
+smallKittiStream(std::size_t n)
 {
     KittiLike::Config lidar_cfg;
     lidar_cfg.azimuthSteps = 250; // small frames for test speed
     const KittiLike lidar(lidar_cfg);
     std::vector<Frame> frames;
-    for (std::size_t f = 0; f < 3; ++f)
+    for (std::size_t f = 0; f < n; ++f)
         frames.push_back(lidar.generate(f));
+    return frames;
+}
 
-    PointNet2Spec spec = tinyClassifier();
+TEST(HgPcnSystem, RuntimeReportRealTimeCheck)
+{
+    const std::vector<Frame> frames = smallKittiStream(3);
     HgPcnSystem::Config cfg;
-    const HgPcnSystem system(cfg, spec);
-    const StreamReport report = system.processStream(frames);
-    EXPECT_EQ(report.frames, 3u);
+    const HgPcnSystem system(cfg, tinyClassifier());
+    const RuntimeResult rt =
+        system.runStream(frames, StreamRunner::Config{});
+    const RuntimeReport &report = rt.report;
+    EXPECT_EQ(report.framesProcessed, 3u);
     EXPECT_GT(report.meanLatencySec, 0.0);
     EXPECT_GE(report.maxLatencySec, report.meanLatencySec);
     EXPECT_NEAR(report.generationFps, 10.0, 0.5);
     EXPECT_EQ(report.realTime,
-              report.meanFps >= report.generationFps
+              report.sustainedFps >= report.generationFps
                   ? RealTimeVerdict::Yes
                   : RealTimeVerdict::No);
 }
 
-TEST(HgPcnSystem, UnstampedStreamHasNoGenerationRate)
+/**
+ * An unpaced single-worker runner (the default config with batch
+ * admission) must follow the two-stage recurrence frame by frame,
+ * bit for bit:
+ * the CPU builds frame i+1's octree while the one FPGA down-samples
+ * and infers frame i, so frame i completes at
+ *   fpga_i = max(fpga_{i-1}, build_0 + ... + build_i) + dsu_i + inf_i.
+ */
+void
+expectTwoStageRecurrence(std::size_t n_frames)
 {
-    // Non-LiDAR generators leave timestamps at 0.0: no sensor rate
-    // is derivable, so the real-time verdicts are NotApplicable —
-    // not the seed's vacuous YES, and not a fatal "non-monotonic
-    // stream" error.
-    KittiLike::Config lidar_cfg;
-    lidar_cfg.azimuthSteps = 250;
-    const KittiLike lidar(lidar_cfg);
-    std::vector<Frame> frames;
-    for (std::size_t f = 0; f < 2; ++f) {
-        frames.push_back(lidar.generate(f));
-        frames.back().timestamp = 0.0;
-    }
+    const std::vector<Frame> frames = smallKittiStream(n_frames);
     HgPcnSystem::Config cfg;
     const HgPcnSystem system(cfg, tinyClassifier());
-    const StreamReport report = system.processStream(frames);
-    EXPECT_DOUBLE_EQ(report.generationFps, 0.0);
-    EXPECT_EQ(report.realTime, RealTimeVerdict::NotApplicable);
-    EXPECT_EQ(report.pipelinedRealTime,
-              RealTimeVerdict::NotApplicable);
-}
 
-TEST(HgPcnSystem, PipelinedFpsMatchesSingleWorkerRunner)
-{
-    // The legacy analytical two-stage recurrence (CPU builds frame
-    // i+1 while the FPGA down-samples + infers frame i) must be
-    // reproduced by a single-worker StreamRunner schedule. 5% is
-    // the acceptance tolerance; the schedules should in fact agree
-    // to rounding.
-    KittiLike::Config lidar_cfg;
-    lidar_cfg.azimuthSteps = 250;
-    const KittiLike lidar(lidar_cfg);
-    std::vector<Frame> frames;
-    for (std::size_t f = 0; f < 4; ++f)
-        frames.push_back(lidar.generate(f));
-
-    HgPcnSystem::Config cfg;
-    const HgPcnSystem system(cfg, tinyClassifier());
+    StreamRunner::Config rc;
+    rc.paceBySensor = false;
+    const RuntimeResult rt = system.runStream(frames, rc);
+    ASSERT_EQ(rt.frames.size(), frames.size());
 
     double cpu_free = 0.0, fpga_done = 0.0;
-    for (const Frame &frame : frames) {
-        const E2eResult r = system.processFrame(frame.cloud);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        const E2eResult r = system.processFrame(frames[i].cloud);
         cpu_free += r.preprocess.octreeBuildSec;
         fpga_done = std::max(fpga_done, cpu_free) +
                     r.preprocess.dsu.totalSec() +
                     r.inference.totalSec();
+        EXPECT_EQ(rt.frames[i].index, i);
+        // Batch admission: every frame arrives at t = 0, so its
+        // latency is its completion time.
+        EXPECT_EQ(rt.frames[i].doneSec, fpga_done)
+            << "frame " << i << " of " << n_frames;
+        EXPECT_EQ(rt.frames[i].latencySec, fpga_done)
+            << "frame " << i << " of " << n_frames;
     }
     const double analytic =
         static_cast<double>(frames.size()) / fpga_done;
-
-    const StreamReport report = system.processStream(frames);
-    EXPECT_NEAR(report.pipelinedFps, analytic, analytic * 0.05);
-    EXPECT_NEAR(report.pipelinedFps, analytic, analytic * 1e-9);
-
-    // Same number through the runner API directly.
-    StreamRunner runner(
-        system.preprocessor(), system.inferencer(), system.model(),
-        StreamRunner::compat(frames.size(),
-                             system.config().inputPoints));
-    const RuntimeResult rt = runner.run(frames);
     EXPECT_NEAR(rt.report.sustainedFps, analytic, analytic * 1e-9);
+    EXPECT_EQ(rt.report.realTime, RealTimeVerdict::NotApplicable);
+}
+
+TEST(HgPcnSystem, UnpacedRunnerFollowsTwoStageRecurrence)
+{
+    expectTwoStageRecurrence(4);
+}
+
+TEST(HgPcnSystem, TwoStageRecurrenceHoldsPastQueueCapacity)
+{
+    // Longer than the default queueCapacity (8): the build stage
+    // runs ahead of the FPGA until its output queue fills, which
+    // must not move any completion.
+    ASSERT_GT(12u, StreamRunner::Config{}.queueCapacity);
+    expectTwoStageRecurrence(12);
 }
 
 TEST(HgPcnSystem, LargerFramesCostMorePreprocessing)

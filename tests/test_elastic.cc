@@ -26,6 +26,8 @@
 #include "serving/serving_report.h"
 #include "serving/sharded_runner.h"
 
+#include "report_digest.h"
+
 namespace hgpcn
 {
 namespace
@@ -764,6 +766,34 @@ TEST(ElasticRunner, AdmissionShedsExactLowestPrioritySet)
     EXPECT_EQ(rep.framesIn,
               rep.framesProcessed + rep.framesDropped +
                   rep.framesAbandoned + rep.framesShed);
+}
+
+TEST(ElasticRunner, SheddingServeDigest)
+{
+    // A mixed-backend elastic serve that sheds, scales and batches:
+    // FNV-1a over every report field and every served frame
+    // (tests/report_digest.h), recorded before the epoch merge was
+    // folded onto shared slice helpers.
+    HgPcnSystem::Config system;
+    const PointNet2Spec spec = tinyClassifier();
+    ElasticRunner probe(system, spec, tinyElasticConfig(1.0, 1));
+    const double svc =
+        probe.fleet().shardBackend(0).estimateServiceSec();
+    ASSERT_GT(svc, 0.0);
+    const double epoch_sec = 24.0 * svc;
+    const SensorStream stream =
+        phasedStream(3, epoch_sec, {24, 24, 1, 1, 1, 1});
+
+    ElasticRunner::Config cfg = tinyElasticConfig(epoch_sec, 2);
+    cfg.admission.enabled = true;
+    cfg.fleet.backends = {"hgpcn", "mesorasi"};
+    cfg.fleet.runner.maxBatch = 2;
+    ElasticRunner elastic(system, spec, cfg);
+    const ElasticResult result = elastic.serve(stream, {2, 0, 1});
+
+    ASSERT_GT(result.serving.report.framesShed, 0u);
+    ASSERT_FALSE(result.events.empty());
+    EXPECT_EQ(digest::servingDigest(result.serving), 0x3b180af5450f99f9ull);
 }
 
 } // namespace

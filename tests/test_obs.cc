@@ -347,8 +347,9 @@ TEST(ObsRuntime, ReportCountsComeFromMetrics)
     const std::vector<Frame> frames = smallKittiStream(4);
     HgPcnSystem::Config cfg;
     const HgPcnSystem system(cfg, tinyClassifier());
-    const RuntimeResult rt =
-        system.runStream(frames, StreamRunner::compat(4, 0));
+    StreamRunner::Config rc;
+    rc.paceBySensor = false;
+    const RuntimeResult rt = system.runStream(frames, rc);
 
     EXPECT_EQ(rt.metrics.countOf("frames.in"), rt.report.framesIn);
     EXPECT_EQ(rt.metrics.countOf("frames.processed"),

@@ -673,8 +673,9 @@ TEST_P(DriveSweep, TemporalCacheEndToEndMatchesOracle)
     sys_cfg.inputPoints = spec.inputPoints;
     const HgPcnSystem system(sys_cfg, spec);
 
-    StreamRunner::Config rc =
-        StreamRunner::compat(frames.size(), spec.inputPoints);
+    StreamRunner::Config rc;
+    rc.inputPoints = spec.inputPoints;
+    rc.paceBySensor = false;
     rc.temporalCache = true;
     const RuntimeResult cached = system.runStream(frames, rc);
     rc.temporalCache = false;

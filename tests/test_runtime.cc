@@ -603,7 +603,8 @@ TEST(StreamRunner, SteadyStateIsArenaAllocationFree)
     const std::vector<Frame> frames = smallKittiStream(3);
     HgPcnSystem::Config cfg;
     const HgPcnSystem system(cfg, tinyClassifier());
-    StreamRunner::Config rc = StreamRunner::compat(frames.size(), 0);
+    StreamRunner::Config rc;
+    rc.paceBySensor = false;
     rc.inputPoints = system.config().inputPoints;
     StreamRunner runner(system.preprocessor(), system.backend(), rc);
 

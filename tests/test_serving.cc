@@ -20,6 +20,9 @@
 #include "serving/placement.h"
 #include "serving/serving_report.h"
 #include "serving/sharded_runner.h"
+#include "sim/fault_plan.h"
+
+#include "report_digest.h"
 
 namespace hgpcn
 {
@@ -514,6 +517,86 @@ TEST(ShardedRunner, EmptyStreamYieldsEmptyReport)
     EXPECT_EQ(served.report.framesIn, 0u);
     EXPECT_TRUE(served.frames.empty());
     EXPECT_EQ(served.report.shardReports.size(), 2u);
+}
+
+// ------------------------------------------------ full-report digests
+
+// Every field of each report and every served frame's placement and
+// schedule, FNV-1a over the bits (tests/report_digest.h). Recorded
+// before the two serving merges were folded onto shared slice
+// helpers; a merge refactor must leave every one unchanged.
+
+TEST(ServingDigest, HashBySensorServe)
+{
+    HgPcnSystem::Config cfg;
+    ShardedRunner::Config sc;
+    sc.shards = 2;
+    sc.placement = PlacementPolicy::HashBySensor;
+    ShardedRunner runner(cfg, tinyClassifier(), sc);
+    const ServingResult served = runner.serve(tinyLidarStream(3, 4));
+    ASSERT_EQ(served.report.framesProcessed, 12u);
+    EXPECT_EQ(digest::servingDigest(served), 0x915d2c71381e9d89ull);
+}
+
+TEST(ServingDigest, LeastLoadedMixedFleetServe)
+{
+    HgPcnSystem::Config cfg;
+    ShardedRunner::Config sc;
+    sc.shards = 2;
+    sc.placement = PlacementPolicy::LeastLoaded;
+    sc.backends = {"hgpcn", "mesorasi"};
+    sc.runner.maxBatch = 2;
+    ShardedRunner runner(cfg, tinyClassifier(), sc);
+    const ServingResult served =
+        runner.serve(tinyLidarStream(4, 3, /*rate=*/1000.0));
+    ASSERT_EQ(served.report.backends.size(), 2u);
+    ASSERT_GT(served.report.backends[1].framesDone, 0u);
+    EXPECT_EQ(digest::servingDigest(served), 0xc00fbcfa17e6901dull);
+}
+
+TEST(ServingDigest, FaultedServe)
+{
+    FaultPlan::Config plan_cfg;
+    plan_cfg.seed = 5;
+    plan_cfg.crashes.push_back({1, 0.1, 0.3});
+    plan_cfg.errors.push_back({"", 0.45, 0.0, 1e9});
+    const FaultPlan plan(plan_cfg);
+
+    HgPcnSystem::Config cfg;
+    ShardedRunner::Config sc;
+    sc.shards = 2;
+    sc.placement = PlacementPolicy::HashBySensor;
+    sc.faultPlan = &plan;
+    sc.faultTolerance.maxAttempts = 2;
+    sc.faultTolerance.breaker.failureThreshold = 1000;
+    ShardedRunner runner(cfg, tinyClassifier(), sc);
+    const ServingResult served = runner.serve(tinyLidarStream(4, 6));
+    ASSERT_GT(served.report.framesFailed, 0u);
+    ASSERT_GT(served.report.framesRetried, 0u);
+    EXPECT_EQ(digest::servingDigest(served), 0x656ddcf31560162cull);
+}
+
+TEST(RuntimeDigest, BatchRun)
+{
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+    StreamRunner::Config rc;
+    rc.paceBySensor = false;
+    const RuntimeResult rt = system.runStream(
+        tinyLidarStream(1, 12).framesOfSensor(0), rc);
+    ASSERT_EQ(rt.report.framesProcessed, 12u);
+    EXPECT_EQ(digest::runtimeDigest(rt), 0x6c474ab9914fc313ull);
+}
+
+TEST(RuntimeDigest, PacedRun)
+{
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+    const RuntimeResult rt = system.runStream(
+        tinyLidarStream(1, 6, /*rate=*/200.0).framesOfSensor(0),
+        StreamRunner::Config{});
+    ASSERT_TRUE(rt.report.paced);
+    EXPECT_EQ(digest::runtimeDigest(rt), 0xe419bfcd0c286ffbull);
 }
 
 } // namespace
