@@ -1,8 +1,7 @@
 /**
  * @file
  * The Section VII-E real-time verdict, shared by every report that
- * states it (core/StreamReport, runtime/RuntimeReport,
- * serving/ServingReport).
+ * states it (runtime/RuntimeReport, serving/ServingReport).
  *
  * The criterion is "sustained processing rate >= sensor generation
  * rate". A run with no derivable generation rate — batch admission,

@@ -94,4 +94,21 @@ percentileNearestRank(const std::vector<double> &sorted, double q)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
+LatencySummary
+summarizeLatencies(std::vector<double> samples)
+{
+    LatencySummary s;
+    if (samples.empty())
+        return s;
+    for (const double x : samples)
+        s.mean += x;
+    s.mean /= static_cast<double>(samples.size());
+    std::sort(samples.begin(), samples.end());
+    s.p50 = percentileNearestRank(samples, 0.50);
+    s.p95 = percentileNearestRank(samples, 0.95);
+    s.p99 = percentileNearestRank(samples, 0.99);
+    s.max = samples.back();
+    return s;
+}
+
 } // namespace hgpcn

@@ -103,6 +103,24 @@ class ConcurrentStatSet
 double percentileNearestRank(const std::vector<double> &sorted,
                              double q);
 
+/** Mean, nearest-rank percentiles and maximum of a latency sample. */
+struct LatencySummary
+{
+    double mean = 0;
+    double p50 = 0;
+    double p95 = 0;
+    double p99 = 0;
+    double max = 0;
+};
+
+/**
+ * Summarize @p samples: the mean is summed in the order given, then
+ * the sample is sorted for the percentiles (percentileNearestRank)
+ * and the maximum. All zeros for an empty sample. The one latency
+ * summary behind RuntimeReport and every ServingReport slice.
+ */
+LatencySummary summarizeLatencies(std::vector<double> samples);
+
 } // namespace hgpcn
 
 #endif // HGPCN_COMMON_STATS_H

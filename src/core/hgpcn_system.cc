@@ -1,9 +1,5 @@
 #include "core/hgpcn_system.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
-
 namespace hgpcn
 {
 
@@ -45,46 +41,6 @@ HgPcnSystem::runStream(const std::vector<Frame> &frames,
         runner_cfg.inputPoints = cfg.inputPoints;
     StreamRunner runner(preproc, *be, runner_cfg);
     return runner.run(frames);
-}
-
-StreamReport
-HgPcnSystem::processStream(const std::vector<Frame> &frames) const
-{
-    HGPCN_ASSERT(!frames.empty(), "empty stream");
-    StreamReport report;
-    report.frames = frames.size();
-
-    // Single-worker, batch-admission runner: one CPU builds octrees
-    // back to back while the one FPGA down-samples and infers —
-    // its virtual schedule is exactly the historical two-stage
-    // pipeline recurrence.
-    const RuntimeResult rt = runStream(
-        frames, StreamRunner::compat(frames.size(), cfg.inputPoints));
-    HGPCN_ASSERT(rt.frames.size() == frames.size(),
-                 "compat runner must process every frame");
-
-    double total = 0.0;
-    for (const ProcessedFrame &pf : rt.frames) {
-        const double t = pf.result.totalSec();
-        total += t;
-        report.maxLatencySec = std::max(report.maxLatencySec, t);
-    }
-    report.meanLatencySec = total / static_cast<double>(frames.size());
-    report.meanFps = report.meanLatencySec > 0.0
-                         ? 1.0 / report.meanLatencySec
-                         : 0.0;
-    report.pipelinedFps = rt.report.sustainedFps;
-
-    // Sensor rate from the shared derivation (fatal on
-    // non-monotonic stamps, 0.0 for unstamped or single-frame
-    // streams — the verdicts below are then NotApplicable, not a
-    // vacuous YES).
-    report.generationFps = streamGenerationFps(frames);
-    report.realTime =
-        evaluateRealTime(report.meanFps, report.generationFps);
-    report.pipelinedRealTime =
-        evaluateRealTime(report.pipelinedFps, report.generationFps);
-    return report;
 }
 
 } // namespace hgpcn

@@ -10,9 +10,7 @@
  * must meet or exceed the sensor's generation rate.
  *
  * Streams run on the concurrent stage-pipeline runtime (src/runtime,
- * docs/RUNTIME.md) via runStream(); processStream() is the legacy
- * serial-shaped wrapper whose numbers are reproduced by a
- * single-worker runner.
+ * docs/RUNTIME.md) via runStream(), which reports a RuntimeReport.
  */
 
 #ifndef HGPCN_CORE_HGPCN_SYSTEM_H
@@ -30,34 +28,6 @@
 
 namespace hgpcn
 {
-
-/**
- * Aggregate statistics over a frame stream (legacy shape).
- *
- * Kept for the serial benches; RuntimeReport (runtime/stream_runner.h)
- * supersedes it with measured-schedule numbers — percentiles, queue
- * occupancy, utilization and drops.
- */
-struct StreamReport
-{
-    std::size_t frames = 0;
-    double meanLatencySec = 0.0;
-    double maxLatencySec = 0.0;
-    double meanFps = 0.0;       //!< 1 / meanLatencySec
-    double generationFps = 0.0; //!< sensor rate derived from stamps
-
-    /** Offline capability verdict: meanFps >= generationFps.
-     * NotApplicable when the stream carries no derivable rate —
-     * never a vacuous YES (common/real_time.h). */
-    RealTimeVerdict realTime = RealTimeVerdict::NotApplicable;
-
-    /** Throughput when the CPU's octree build of frame i+1 overlaps
-     * the FPGA's down-sampling + inference of frame i (the two
-     * engines live on different devices, Fig. 4). Produced by a
-     * single-worker StreamRunner in batch mode. */
-    double pipelinedFps = 0.0;
-    RealTimeVerdict pipelinedRealTime = RealTimeVerdict::NotApplicable;
-};
 
 /** The complete HgPCN platform. */
 class HgPcnSystem
@@ -81,16 +51,6 @@ class HgPcnSystem
 
     /** Process one raw frame end to end. */
     E2eResult processFrame(const PointCloud &raw) const;
-
-    /**
-     * Process a frame stream and evaluate the real-time criterion
-     * against the generation rate implied by frame timestamps.
-     *
-     * Compatibility wrapper: delegates to a single-worker
-     * StreamRunner (batch admission, one shared FPGA), whose
-     * schedule reproduces the historical analytical pipelinedFps.
-     */
-    StreamReport processStream(const std::vector<Frame> &frames) const;
 
     /**
      * Process a frame stream on the concurrent runtime with

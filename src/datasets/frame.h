@@ -36,8 +36,8 @@ struct Frame
 /**
  * Sensor generation rate implied by a stream's timestamps — the
  * yardstick of the Section VII-E real-time criterion. The single
- * authoritative derivation, shared by HgPcnSystem::processStream,
- * the streaming runtime's RuntimeReport and the sec7e bench.
+ * authoritative derivation, shared by the streaming runtime's
+ * RuntimeReport, the per-sensor serving rates and the sec7e bench.
  *
  * Stamped streams must be strictly increasing; a non-monotonic
  * ordering is a user error (fatal), not a silent negative-FPS

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "backends/hgpcn_backend.h"
 #include "common/logging.h"
 #include "core/temporal_preprocess.h"
 #include "obs/trace.h"
@@ -288,21 +287,14 @@ RuntimeReport::toString() const
 }
 
 StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
-                           std::unique_ptr<ExecutionBackend>
-                               owned_backend,
-                           const ExecutionBackend *borrowed_backend,
+                           const ExecutionBackend &backend,
                            const Config &config)
-    : cfg(config), owned(std::move(owned_backend)),
-      carry(makeCarry(preprocess, config)),
+    : cfg(config), carry(makeCarry(preprocess, config)),
       build(preprocess, "cpu", carry.get()),
       sample(preprocess, config.inputPoints,
-             sampleResource(owned ? *owned : *borrowed_backend,
-                            config),
-             &streamWorkload),
-      infer(owned ? *owned : *borrowed_backend,
-            inferResource(owned ? *owned : *borrowed_backend,
-                          config),
-            &workspacePool, config.intraOpThreads),
+             sampleResource(backend, config), &streamWorkload),
+      infer(backend, inferResource(backend, config), &workspacePool,
+            config.intraOpThreads),
       batchPolicy{config.maxBatch, config.batchTimeoutVirtualSec},
       pipeline(makeSpecs(build, sample, infer, batchPolicy, config),
                pipelineConfig(config))
@@ -317,38 +309,6 @@ StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
                  "batchTimeoutVirtualSec must be >= 0");
     if (carry)
         carry->setObservability(&metricsReg, cfg.traceShard);
-}
-
-StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
-                           const ExecutionBackend &backend,
-                           const Config &config)
-    : StreamRunner(preprocess, nullptr, &backend, config)
-{
-}
-
-StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
-                           const InferenceEngine &inference,
-                           const PointNet2 &model,
-                           const Config &config)
-    : StreamRunner(preprocess,
-                   std::make_unique<HgpcnBackend>(inference, model),
-                   nullptr, config)
-{
-}
-
-StreamRunner::Config
-StreamRunner::compat(std::size_t n_frames, std::size_t input_points)
-{
-    Config c;
-    c.inputPoints = input_points;
-    c.buildWorkers = 1;
-    c.fpgaUnits = 1;
-    c.shareFpga = true;
-    c.queueCapacity = std::max<std::size_t>(n_frames, 1);
-    c.maxInFlight = 0;
-    c.policy = OverloadPolicy::Block;
-    c.paceBySensor = false;
-    return c;
 }
 
 RuntimeResult
@@ -630,19 +590,14 @@ StreamRunner::run(const std::vector<Frame> &frames,
         pf.doneSec = tf.doneSec;
         pf.result = std::move(completed[j]->result);
         latencies.push_back(tf.latencySec);
-        rep.maxLatencySec = std::max(rep.maxLatencySec,
-                                     tf.latencySec);
-        rep.meanLatencySec += tf.latencySec;
         out.frames.push_back(std::move(pf));
     }
-    if (!latencies.empty()) {
-        rep.meanLatencySec /=
-            static_cast<double>(latencies.size());
-        std::sort(latencies.begin(), latencies.end());
-        rep.p50LatencySec = percentileNearestRank(latencies, 0.50);
-        rep.p95LatencySec = percentileNearestRank(latencies, 0.95);
-        rep.p99LatencySec = percentileNearestRank(latencies, 0.99);
-    }
+    const LatencySummary lat = summarizeLatencies(std::move(latencies));
+    rep.meanLatencySec = lat.mean;
+    rep.p50LatencySec = lat.p50;
+    rep.p95LatencySec = lat.p95;
+    rep.p99LatencySec = lat.p99;
+    rep.maxLatencySec = lat.max;
 
     // Temporal-cache attribution, read back from the registry the
     // carry wrote into during the functional run.

@@ -10,9 +10,9 @@
  * schedules the recorded cycle-model costs on the virtual timeline
  * and reports sustained throughput, tail latency, per-stage
  * occupancy/utilization, drops and the Section VII-E real-time
- * verdict. This RuntimeReport supersedes StreamReport's
- * single-number pipelinedFps estimate; HgPcnSystem::processStream
- * remains as a compatibility wrapper over a single-worker runner.
+ * verdict. The default Config with paceBySensor = false is the
+ * serial-shaped system of Fig. 4: one CPU builds frame i+1's octree
+ * while the one FPGA down-samples and infers frame i.
  *
  * Device mapping: a backend on the HgPCN fabric (resource "fpga",
  * i.e. HgpcnBackend) follows the shareFpga semantics — inference
@@ -39,8 +39,6 @@
 
 namespace hgpcn
 {
-
-class InferenceEngine; // compat constructor only (core/)
 
 /** One frame that completed the pipeline (not dropped). */
 struct ProcessedFrame
@@ -164,8 +162,7 @@ class StreamRunner
         std::size_t fpgaUnits = 1;
 
         /** true: down-sampling and inference contend for the same
-         * FPGA (the Fig. 4 platform; matches the legacy two-stage
-         * pipelinedFps model). false: independent devices. */
+         * FPGA (the Fig. 4 platform). false: independent devices. */
         bool shareFpga = true;
 
         /** Capacity of each inter-stage queue (>= 1). */
@@ -230,15 +227,6 @@ class StreamRunner
                  const Config &config);
 
     /**
-     * Compatibility constructor: wrap @p inference and @p model in
-     * an owned HgpcnBackend — byte-identical schedule and outputs
-     * to the pre-backend engine-owning runner.
-     */
-    StreamRunner(const PreprocessingEngine &preprocess,
-                 const InferenceEngine &inference,
-                 const PointNet2 &model, const Config &config);
-
-    /**
      * Process @p frames end to end (blocking).
      *
      * Runners are reusable: run() starts fresh even after a
@@ -272,14 +260,6 @@ class StreamRunner
      * No-op against an idle runner; a later run() starts fresh. */
     void requestStop();
 
-    /**
-     * Configuration reproducing the legacy analytical pipelinedFps:
-     * batch admission, one worker per stage, one shared FPGA and
-     * queues deep enough (@p n_frames) to never stall the build.
-     */
-    static Config compat(std::size_t n_frames,
-                         std::size_t input_points);
-
     /** @return runner parameters. */
     const Config &config() const { return cfg; }
 
@@ -287,19 +267,10 @@ class StreamRunner
     const ExecutionBackend &backend() const { return infer.backend(); }
 
   private:
-    /** Shared delegate of the two public constructors. */
-    StreamRunner(const PreprocessingEngine &preprocess,
-                 std::unique_ptr<ExecutionBackend> owned_backend,
-                 const ExecutionBackend *borrowed_backend,
-                 const Config &config);
-
     Config cfg;
     /** Per-run metrics registry (cleared at each run() start;
      * frozen into RuntimeResult::metrics at the end). */
     MetricsRegistry metricsReg;
-    /** Set only by the compatibility constructor (declared before
-     * the stages so the InferenceStage can reference it). */
-    std::unique_ptr<ExecutionBackend> owned;
     /** Cross-frame workload aggregate, merged into by down-sample
      * workers concurrently; snapshot into RuntimeResult::workload. */
     ConcurrentStatSet streamWorkload;

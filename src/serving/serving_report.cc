@@ -24,6 +24,177 @@ generationFpsOf(const std::vector<double> &stamps)
     return static_cast<double>(stamps.size() - 1) / span;
 }
 
+/** Completed / (first offer -> last completion); 0 on an empty
+ * span. */
+double
+sustainedFpsOf(std::size_t done, double first_offer, double last_done)
+{
+    const double span = last_done - first_offer;
+    return span > 0.0 ? static_cast<double>(done) / span : 0.0;
+}
+
+/** Copy @p lat onto a report or slice; slices without a mean field
+ * take the percentiles and the maximum only. */
+template <typename Slice>
+void
+setLatency(Slice &slice, const LatencySummary &lat)
+{
+    if constexpr (requires { slice.meanLatencySec; })
+        slice.meanLatencySec = lat.mean;
+    slice.p50LatencySec = lat.p50;
+    slice.p95LatencySec = lat.p95;
+    slice.p99LatencySec = lat.p99;
+    slice.maxLatencySec = lat.max;
+}
+
+/** Position of every frame within its own sensor's sequence. */
+std::vector<std::size_t>
+sensorPositions(const SensorStream &stream)
+{
+    std::vector<std::size_t> position(stream.size(), 0);
+    std::vector<std::size_t> seen(stream.sensorCount, 0);
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        position[i] = seen[stream.sensors[i]]++;
+    return position;
+}
+
+/** Aggregate makespan, sustained FPS and latency distribution over
+ * the completions; rep.paced and rep.framesProcessed must be set. */
+void
+summarizeAggregate(ServingReport &rep, const SensorStream &stream,
+                   const std::vector<ServedFrame> &frames)
+{
+    if (frames.empty())
+        return;
+    const double global_start =
+        rep.paced && !stream.frames.empty()
+            ? stream.frames.front().timestamp
+            : 0.0;
+    std::vector<double> latencies;
+    latencies.reserve(frames.size());
+    double max_done = global_start;
+    for (const ServedFrame &sf : frames) {
+        latencies.push_back(sf.latencySec);
+        max_done = std::max(max_done, sf.doneSec);
+    }
+    setLatency(rep, summarizeLatencies(std::move(latencies)));
+    rep.makespanSec = max_done - global_start;
+    rep.sustainedFps =
+        sustainedFpsOf(rep.framesProcessed, global_start, max_done);
+}
+
+/**
+ * Per-sensor slices from the full stream (offered counts, capture
+ * stamps) and the completions: spread, generation and sustained
+ * rates, latency distribution and the Section VII-E verdict. Shed
+ * and fault attribution is the caller's.
+ */
+void
+summarizeSensors(ServingReport &rep, const SensorStream &stream,
+                 const std::vector<ServedFrame> &frames)
+{
+    const std::size_t n = stream.sensorCount;
+    rep.sensors.resize(n);
+    std::vector<std::vector<double>> lat(n);
+    std::vector<std::set<std::size_t>> shards(n);
+    std::vector<std::vector<double>> stamps(n);
+    std::vector<double> last_done(
+        n, -std::numeric_limits<double>::infinity());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        rep.sensors[stream.sensors[i]].framesIn++;
+        stamps[stream.sensors[i]].push_back(stream.frames[i].timestamp);
+    }
+    for (const ServedFrame &sf : frames) {
+        rep.sensors[sf.sensor].framesDone++;
+        lat[sf.sensor].push_back(sf.latencySec);
+        shards[sf.sensor].insert(sf.shard);
+        last_done[sf.sensor] = std::max(last_done[sf.sensor], sf.doneSec);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+        SensorServingReport &sr = rep.sensors[k];
+        sr.sensor = k;
+        sr.framesMissed = sr.framesIn - sr.framesDone;
+        sr.shardSpread = shards[k].size();
+        sr.generationFps = generationFpsOf(stamps[k]);
+        if (sr.framesDone > 0) {
+            sr.sustainedFps = sustainedFpsOf(
+                sr.framesDone, rep.paced ? stamps[k].front() : 0.0,
+                last_done[k]);
+            setLatency(sr, summarizeLatencies(std::move(lat[k])));
+        }
+        // The fixed Section VII-E semantics: a batch serve races no
+        // sensor, so the verdict is n/a, never a vacuous YES.
+        sr.realTime = evaluateRealTime(
+            sr.sustainedFps, rep.paced ? sr.generationFps : 0.0);
+    }
+}
+
+/** groupBackends() index of a shard with no attributed backend. */
+constexpr std::size_t kNoBackend = std::numeric_limits<std::size_t>::max();
+
+/** Group shards by rep.shardBackends name into rep.backends (first-
+ * shard order, shards counted); @return each shard's slice index,
+ * kNoBackend for unnamed shards. */
+std::vector<std::size_t>
+groupBackends(ServingReport &rep)
+{
+    std::vector<std::size_t> backend_of(rep.shardBackends.size(),
+                                        kNoBackend);
+    for (std::size_t s = 0; s < rep.shardBackends.size(); ++s) {
+        const std::string &name = rep.shardBackends[s];
+        if (name.empty())
+            continue;
+        std::size_t b = 0;
+        while (b < rep.backends.size() &&
+               rep.backends[b].backend != name)
+            ++b;
+        if (b == rep.backends.size()) {
+            BackendServingReport br;
+            br.backend = name;
+            rep.backends.push_back(std::move(br));
+        }
+        backend_of[s] = b;
+        rep.backends[b].shards++;
+    }
+    return backend_of;
+}
+
+/**
+ * Finish the per-backend slices from the completions: done/missed
+ * counts, sustained rate from @p first_offer[b] to the slice's last
+ * completion, latency distribution and the Section VII-E verdict
+ * against the routed traffic. framesIn and offeredFps must be set.
+ */
+void
+finishBackends(ServingReport &rep, const std::vector<ServedFrame> &frames,
+               const std::vector<std::size_t> &backend_of,
+               const std::vector<double> &first_offer)
+{
+    const std::size_t n = rep.backends.size();
+    std::vector<std::vector<double>> lat(n);
+    std::vector<double> last_done(
+        n, -std::numeric_limits<double>::infinity());
+    for (const ServedFrame &sf : frames) {
+        const std::size_t b = backend_of[sf.shard];
+        if (b == kNoBackend)
+            continue;
+        rep.backends[b].framesDone++;
+        lat[b].push_back(sf.latencySec);
+        last_done[b] = std::max(last_done[b], sf.doneSec);
+    }
+    for (std::size_t b = 0; b < n; ++b) {
+        BackendServingReport &br = rep.backends[b];
+        br.framesMissed = br.framesIn - br.framesDone;
+        if (br.framesDone > 0) {
+            br.sustainedFps = sustainedFpsOf(
+                br.framesDone, first_offer[b], last_done[b]);
+            setLatency(br, summarizeLatencies(std::move(lat[b])));
+        }
+        br.realTime = evaluateRealTime(
+            br.sustainedFps, rep.paced ? br.offeredFps : 0.0);
+    }
+}
+
 } // namespace
 
 std::string
@@ -139,12 +310,7 @@ mergeShardOutcomes(const SensorStream &stream,
     rep.shardCount = outcomes.size();
     rep.sensorCount = stream.sensorCount;
     rep.framesIn = stream.size();
-
-    // Position of every frame within its own sensor's sequence.
-    std::vector<std::size_t> sensor_index(stream.size(), 0);
-    std::vector<std::size_t> seen(stream.sensorCount, 0);
-    for (std::size_t i = 0; i < stream.size(); ++i)
-        sensor_index[i] = seen[stream.sensors[i]]++;
+    const std::vector<std::size_t> sensor_index = sensorPositions(stream);
 
     rep.paced = true;
     for (const ShardOutcome &oc : outcomes) {
@@ -189,116 +355,15 @@ mergeShardOutcomes(const SensorStream &stream,
                   return a.globalIndex < b.globalIndex;
               });
 
-    // Aggregate makespan + latency distribution.
-    const double global_start =
-        rep.paced && !stream.frames.empty()
-            ? stream.frames.front().timestamp
-            : 0.0;
-    std::vector<double> latencies;
-    latencies.reserve(out.frames.size());
-    double max_done = global_start;
-    for (const ServedFrame &sf : out.frames) {
-        latencies.push_back(sf.latencySec);
-        max_done = std::max(max_done, sf.doneSec);
-        rep.maxLatencySec = std::max(rep.maxLatencySec,
-                                     sf.latencySec);
-        rep.meanLatencySec += sf.latencySec;
-    }
-    if (!latencies.empty()) {
-        rep.meanLatencySec /= static_cast<double>(latencies.size());
-        std::sort(latencies.begin(), latencies.end());
-        rep.p50LatencySec = percentileNearestRank(latencies, 0.50);
-        rep.p95LatencySec = percentileNearestRank(latencies, 0.95);
-        rep.p99LatencySec = percentileNearestRank(latencies, 0.99);
-        rep.makespanSec = max_done - global_start;
-        rep.sustainedFps =
-            rep.makespanSec > 0.0
-                ? static_cast<double>(rep.framesProcessed) /
-                      rep.makespanSec
-                : 0.0;
-    }
-
-    // Per-sensor slices.
-    rep.sensors.resize(stream.sensorCount);
-    std::vector<std::vector<double>> sensor_lat(stream.sensorCount);
-    std::vector<std::set<std::size_t>> sensor_shards(
-        stream.sensorCount);
-    std::vector<std::vector<double>> sensor_stamps(
-        stream.sensorCount);
-    std::vector<double> sensor_done(
-        stream.sensorCount, -std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        rep.sensors[stream.sensors[i]].framesIn++;
-        sensor_stamps[stream.sensors[i]].push_back(
-            stream.frames[i].timestamp);
-    }
-    for (const ServedFrame &sf : out.frames) {
-        SensorServingReport &sr = rep.sensors[sf.sensor];
-        sr.framesDone++;
-        sr.maxLatencySec = std::max(sr.maxLatencySec, sf.latencySec);
-        sensor_lat[sf.sensor].push_back(sf.latencySec);
-        sensor_shards[sf.sensor].insert(sf.shard);
-        sensor_done[sf.sensor] =
-            std::max(sensor_done[sf.sensor], sf.doneSec);
-    }
-    for (std::size_t k = 0; k < stream.sensorCount; ++k) {
-        SensorServingReport &sr = rep.sensors[k];
-        sr.sensor = k;
-        sr.framesMissed = sr.framesIn - sr.framesDone;
-        sr.shardSpread = sensor_shards[k].size();
-        sr.generationFps = generationFpsOf(sensor_stamps[k]);
-        if (sr.framesDone > 0) {
-            const double first_offer =
-                rep.paced ? sensor_stamps[k].front() : 0.0;
-            const double span = sensor_done[k] - first_offer;
-            sr.sustainedFps =
-                span > 0.0
-                    ? static_cast<double>(sr.framesDone) / span
-                    : 0.0;
-            std::sort(sensor_lat[k].begin(), sensor_lat[k].end());
-            sr.p50LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.50);
-            sr.p95LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.95);
-            sr.p99LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.99);
-        }
-        // The fixed Section VII-E semantics: a batch serve races no
-        // sensor, so the verdict is n/a, never a vacuous YES.
-        sr.realTime = evaluateRealTime(
-            sr.sustainedFps, rep.paced ? sr.generationFps : 0.0);
-    }
-
-    // Per-backend slices: group shards by attributed backend name
-    // (first-shard order) and aggregate each group the same way a
-    // sensor slice is — dispatched stamps give the offered rate,
-    // completions the sustained rate and the latency distribution.
-    std::vector<std::size_t> backend_of(outcomes.size(), 0);
-    for (std::size_t s = 0; s < outcomes.size(); ++s) {
-        const std::string &name = outcomes[s].backend;
-        if (name.empty()) {
-            backend_of[s] = rep.backends.size(); // sentinel: none
-            continue;
-        }
-        std::size_t b = 0;
-        while (b < rep.backends.size() &&
-               rep.backends[b].backend != name)
-            ++b;
-        if (b == rep.backends.size()) {
-            BackendServingReport br;
-            br.backend = name;
-            rep.backends.push_back(std::move(br));
-        }
-        backend_of[s] = b;
-        rep.backends[b].shards++;
-    }
+    summarizeAggregate(rep, stream, out.frames);
+    summarizeSensors(rep, stream, out.frames);
+    const std::vector<std::size_t> backend_of = groupBackends(rep);
 
     // Fault attribution: every shard reports its failed/retried/
     // degraded frames as shard-local indices; the globalIndex
     // mapping pins each to its sensor (and the shard's backend).
     for (std::size_t s = 0; s < outcomes.size(); ++s) {
         const ShardOutcome &oc = outcomes[s];
-        const bool attributed = !oc.backend.empty();
         const auto attribute =
             [&](const std::vector<std::size_t> &indices,
                 std::size_t SensorServingReport::*sensor_field,
@@ -310,7 +375,7 @@ mergeShardOutcomes(const SensorStream &stream,
                     const std::size_t g = oc.globalIndex[idx];
                     rep.sensors[stream.sensors[g]].*sensor_field +=
                         1;
-                    if (attributed)
+                    if (backend_of[s] != kNoBackend)
                         rep.backends[backend_of[s]].*backend_field +=
                             1;
                 }
@@ -326,60 +391,27 @@ mergeShardOutcomes(const SensorStream &stream,
                   &BackendServingReport::framesDegraded);
     }
 
-    if (!rep.backends.empty()) {
-        const std::size_t n_backends = rep.backends.size();
-        std::vector<std::vector<double>> offered(n_backends);
-        std::vector<std::vector<double>> lat(n_backends);
-        std::vector<double> last_done(
-            n_backends, -std::numeric_limits<double>::infinity());
-        for (std::size_t s = 0; s < outcomes.size(); ++s) {
-            if (outcomes[s].backend.empty())
-                continue;
-            BackendServingReport &br =
-                rep.backends[backend_of[s]];
-            br.framesIn += outcomes[s].globalIndex.size();
-            for (const std::size_t g : outcomes[s].globalIndex)
-                offered[backend_of[s]].push_back(
-                    stream.frames[g].timestamp);
-        }
-        for (const ServedFrame &sf : out.frames) {
-            if (outcomes[sf.shard].backend.empty())
-                continue;
-            const std::size_t b = backend_of[sf.shard];
-            BackendServingReport &br = rep.backends[b];
-            br.framesDone++;
-            br.maxLatencySec =
-                std::max(br.maxLatencySec, sf.latencySec);
-            lat[b].push_back(sf.latencySec);
-            last_done[b] = std::max(last_done[b], sf.doneSec);
-        }
-        for (std::size_t b = 0; b < n_backends; ++b) {
-            BackendServingReport &br = rep.backends[b];
-            br.framesMissed = br.framesIn - br.framesDone;
-            std::sort(offered[b].begin(), offered[b].end());
-            br.offeredFps = generationFpsOf(offered[b]);
-            if (br.framesDone > 0) {
-                const double first_offer =
-                    rep.paced && !offered[b].empty()
-                        ? offered[b].front()
-                        : 0.0;
-                const double span = last_done[b] - first_offer;
-                br.sustainedFps =
-                    span > 0.0
-                        ? static_cast<double>(br.framesDone) / span
-                        : 0.0;
-                std::sort(lat[b].begin(), lat[b].end());
-                br.p50LatencySec =
-                    percentileNearestRank(lat[b], 0.50);
-                br.p95LatencySec =
-                    percentileNearestRank(lat[b], 0.95);
-                br.p99LatencySec =
-                    percentileNearestRank(lat[b], 0.99);
-            }
-            br.realTime = evaluateRealTime(
-                br.sustainedFps, rep.paced ? br.offeredFps : 0.0);
-        }
+    // Per-backend slices, aggregated the way a sensor slice is: the
+    // stamps of the frames dispatched to a backend's shards give its
+    // offered rate and the start of its sustained window.
+    const std::size_t n_backends = rep.backends.size();
+    std::vector<std::vector<double>> offered(n_backends);
+    for (std::size_t s = 0; s < outcomes.size(); ++s) {
+        if (backend_of[s] == kNoBackend)
+            continue;
+        rep.backends[backend_of[s]].framesIn +=
+            outcomes[s].globalIndex.size();
+        for (const std::size_t g : outcomes[s].globalIndex)
+            offered[backend_of[s]].push_back(stream.frames[g].timestamp);
     }
+    std::vector<double> first_offer(n_backends, 0.0);
+    for (std::size_t b = 0; b < n_backends; ++b) {
+        std::sort(offered[b].begin(), offered[b].end());
+        rep.backends[b].offeredFps = generationFpsOf(offered[b]);
+        if (rep.paced && !offered[b].empty())
+            first_offer[b] = offered[b].front();
+    }
+    finishBackends(rep, out.frames, backend_of, first_offer);
     return out;
 }
 
@@ -407,12 +439,7 @@ mergeEpochResults(const SensorStream &stream,
         peak = std::max(peak, ep.result.report.shardReports.size());
     }
     rep.shardCount = peak;
-
-    // Position of every frame within its own sensor's sequence.
-    std::vector<std::size_t> sensor_index(stream.size(), 0);
-    std::vector<std::size_t> seen(stream.sensorCount, 0);
-    for (std::size_t i = 0; i < stream.size(); ++i)
-        sensor_index[i] = seen[stream.sensors[i]]++;
+    const std::vector<std::size_t> sensor_index = sensorPositions(stream);
 
     // Counts, pacing, shed accounting.
     rep.paced = true;
@@ -495,34 +522,7 @@ mergeEpochResults(const SensorStream &stream,
                   return a.globalIndex < b.globalIndex;
               });
 
-    // Aggregate makespan + latency distribution.
-    const double global_start =
-        rep.paced && !stream.frames.empty()
-            ? stream.frames.front().timestamp
-            : 0.0;
-    std::vector<double> latencies;
-    latencies.reserve(out.frames.size());
-    double max_done = global_start;
-    for (const ServedFrame &sf : out.frames) {
-        latencies.push_back(sf.latencySec);
-        max_done = std::max(max_done, sf.doneSec);
-        rep.maxLatencySec = std::max(rep.maxLatencySec,
-                                     sf.latencySec);
-        rep.meanLatencySec += sf.latencySec;
-    }
-    if (!latencies.empty()) {
-        rep.meanLatencySec /= static_cast<double>(latencies.size());
-        std::sort(latencies.begin(), latencies.end());
-        rep.p50LatencySec = percentileNearestRank(latencies, 0.50);
-        rep.p95LatencySec = percentileNearestRank(latencies, 0.95);
-        rep.p99LatencySec = percentileNearestRank(latencies, 0.99);
-        rep.makespanSec = max_done - global_start;
-        rep.sustainedFps =
-            rep.makespanSec > 0.0
-                ? static_cast<double>(rep.framesProcessed) /
-                      rep.makespanSec
-                : 0.0;
-    }
+    summarizeAggregate(rep, stream, out.frames);
 
     // Per-shard views: shard s aggregated across every epoch it was
     // active in. Counts sum; busy time re-normalizes over the
@@ -620,75 +620,21 @@ mergeEpochResults(const SensorStream &stream,
                                           shard_span[s]
                                     : 0.0;
         }
-        if (!shard_lat[s].empty()) {
-            std::sort(shard_lat[s].begin(), shard_lat[s].end());
-            agg.p50LatencySec =
-                percentileNearestRank(shard_lat[s], 0.50);
-            agg.p95LatencySec =
-                percentileNearestRank(shard_lat[s], 0.95);
-            agg.p99LatencySec =
-                percentileNearestRank(shard_lat[s], 0.99);
-            agg.maxLatencySec = shard_lat[s].back();
-            for (const double l : shard_lat[s])
-                agg.meanLatencySec += l;
-            agg.meanLatencySec /=
-                static_cast<double>(shard_lat[s].size());
-        }
+        // Sorted first, so the shard mean sums in ascending order.
+        std::sort(shard_lat[s].begin(), shard_lat[s].end());
+        setLatency(agg, summarizeLatencies(std::move(shard_lat[s])));
         agg.realTime = RealTimeVerdict::NotApplicable;
     }
 
-    // Per-sensor slices, from the full stream (offered, stamps,
-    // shed) and the clamped completions.
-    rep.sensors.resize(stream.sensorCount);
-    std::vector<std::vector<double>> sensor_lat(stream.sensorCount);
-    std::vector<std::set<std::size_t>> sensor_shards(
-        stream.sensorCount);
-    std::vector<std::vector<double>> sensor_stamps(
-        stream.sensorCount);
-    std::vector<double> sensor_done(
-        stream.sensorCount, -std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        rep.sensors[stream.sensors[i]].framesIn++;
-        sensor_stamps[stream.sensors[i]].push_back(
-            stream.frames[i].timestamp);
-    }
-    for (const ServedFrame &sf : out.frames) {
-        SensorServingReport &sr = rep.sensors[sf.sensor];
-        sr.framesDone++;
-        sr.maxLatencySec = std::max(sr.maxLatencySec, sf.latencySec);
-        sensor_lat[sf.sensor].push_back(sf.latencySec);
-        sensor_shards[sf.sensor].insert(sf.shard);
-        sensor_done[sf.sensor] =
-            std::max(sensor_done[sf.sensor], sf.doneSec);
-    }
+    // Per-sensor slices from the clamped completions, plus the
+    // shed and fault attribution the epochs recorded.
+    summarizeSensors(rep, stream, out.frames);
     for (std::size_t k = 0; k < stream.sensorCount; ++k) {
         SensorServingReport &sr = rep.sensors[k];
-        sr.sensor = k;
-        sr.framesMissed = sr.framesIn - sr.framesDone;
         sr.framesShed = sensor_shed[k];
         sr.framesFailed = sensor_faults[k].framesFailed;
         sr.framesRetried = sensor_faults[k].framesRetried;
         sr.framesDegraded = sensor_faults[k].framesDegraded;
-        sr.shardSpread = sensor_shards[k].size();
-        sr.generationFps = generationFpsOf(sensor_stamps[k]);
-        if (sr.framesDone > 0) {
-            const double first_offer =
-                rep.paced ? sensor_stamps[k].front() : 0.0;
-            const double span = sensor_done[k] - first_offer;
-            sr.sustainedFps =
-                span > 0.0
-                    ? static_cast<double>(sr.framesDone) / span
-                    : 0.0;
-            std::sort(sensor_lat[k].begin(), sensor_lat[k].end());
-            sr.p50LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.50);
-            sr.p95LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.95);
-            sr.p99LatencySec =
-                percentileNearestRank(sensor_lat[k], 0.99);
-        }
-        sr.realTime = evaluateRealTime(
-            sr.sustainedFps, rep.paced ? sr.generationFps : 0.0);
     }
 
     // Per-backend slices. Shard index -> backend is stable across
@@ -699,90 +645,38 @@ mergeEpochResults(const SensorStream &stream,
     // elastic per-backend offered rate is dispatched / active
     // window rather than a stamp-span rate — closed-form from the
     // epoch logs either way.
-    std::vector<std::size_t> backend_of(peak, peak);
-    for (std::size_t s = 0; s < peak; ++s) {
-        const std::string &name = rep.shardBackends[s];
-        if (name.empty())
-            continue;
-        std::size_t b = 0;
-        while (b < rep.backends.size() &&
-               rep.backends[b].backend != name)
-            ++b;
-        if (b == rep.backends.size()) {
-            BackendServingReport br;
-            br.backend = name;
-            rep.backends.push_back(std::move(br));
-        }
-        backend_of[s] = b;
-        rep.backends[b].shards++;
-    }
-    if (!rep.backends.empty()) {
-        const std::size_t n_backends = rep.backends.size();
-        std::vector<std::vector<double>> lat(n_backends);
-        std::vector<double> active_sec(n_backends, 0.0);
-        std::vector<double> first_active(
-            n_backends, std::numeric_limits<double>::infinity());
-        std::vector<double> last_done(
-            n_backends, -std::numeric_limits<double>::infinity());
-        for (const EpochOutcome &ep : outcomes) {
-            const std::vector<RuntimeReport> &ers =
-                ep.result.report.shardReports;
-            std::vector<bool> seen_backend(n_backends, false);
-            for (std::size_t s = 0; s < ers.size(); ++s) {
-                if (backend_of[s] >= n_backends)
-                    continue;
-                const std::size_t b = backend_of[s];
-                rep.backends[b].framesIn += ers[s].framesIn;
-                rep.backends[b].framesFailed += ers[s].framesFailed;
-                rep.backends[b].framesRetried +=
-                    ers[s].framesRetried;
-                rep.backends[b].framesDegraded +=
-                    ers[s].framesDegraded;
-                if (!seen_backend[b]) {
-                    seen_backend[b] = true;
-                    active_sec[b] += ep.endSec - ep.startSec;
-                    first_active[b] =
-                        std::min(first_active[b], ep.startSec);
-                }
-            }
-        }
-        for (const ServedFrame &sf : out.frames) {
-            if (backend_of[sf.shard] >= n_backends)
+    const std::vector<std::size_t> backend_of = groupBackends(rep);
+    const std::size_t n_backends = rep.backends.size();
+    std::vector<double> active_sec(n_backends, 0.0);
+    std::vector<double> first_active(
+        n_backends, std::numeric_limits<double>::infinity());
+    for (const EpochOutcome &ep : outcomes) {
+        const std::vector<RuntimeReport> &ers =
+            ep.result.report.shardReports;
+        std::vector<bool> seen_backend(n_backends, false);
+        for (std::size_t s = 0; s < ers.size(); ++s) {
+            const std::size_t b = backend_of[s];
+            if (b == kNoBackend)
                 continue;
-            const std::size_t b = backend_of[sf.shard];
-            BackendServingReport &br = rep.backends[b];
-            br.framesDone++;
-            br.maxLatencySec =
-                std::max(br.maxLatencySec, sf.latencySec);
-            lat[b].push_back(sf.latencySec);
-            last_done[b] = std::max(last_done[b], sf.doneSec);
-        }
-        for (std::size_t b = 0; b < n_backends; ++b) {
-            BackendServingReport &br = rep.backends[b];
-            br.framesMissed = br.framesIn - br.framesDone;
-            br.offeredFps =
-                active_sec[b] > 0.0
-                    ? static_cast<double>(br.framesIn) /
-                          active_sec[b]
-                    : 0.0;
-            if (br.framesDone > 0) {
-                const double span = last_done[b] - first_active[b];
-                br.sustainedFps =
-                    span > 0.0
-                        ? static_cast<double>(br.framesDone) / span
-                        : 0.0;
-                std::sort(lat[b].begin(), lat[b].end());
-                br.p50LatencySec =
-                    percentileNearestRank(lat[b], 0.50);
-                br.p95LatencySec =
-                    percentileNearestRank(lat[b], 0.95);
-                br.p99LatencySec =
-                    percentileNearestRank(lat[b], 0.99);
+            rep.backends[b].framesIn += ers[s].framesIn;
+            rep.backends[b].framesFailed += ers[s].framesFailed;
+            rep.backends[b].framesRetried += ers[s].framesRetried;
+            rep.backends[b].framesDegraded += ers[s].framesDegraded;
+            if (!seen_backend[b]) {
+                seen_backend[b] = true;
+                active_sec[b] += ep.endSec - ep.startSec;
+                first_active[b] = std::min(first_active[b], ep.startSec);
             }
-            br.realTime = evaluateRealTime(
-                br.sustainedFps, rep.paced ? br.offeredFps : 0.0);
         }
     }
+    for (std::size_t b = 0; b < n_backends; ++b) {
+        BackendServingReport &br = rep.backends[b];
+        br.offeredFps = active_sec[b] > 0.0
+                            ? static_cast<double>(br.framesIn) /
+                                  active_sec[b]
+                            : 0.0;
+    }
+    finishBackends(rep, out.frames, backend_of, first_active);
     return out;
 }
 

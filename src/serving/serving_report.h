@@ -2,13 +2,11 @@
  * @file
  * Aggregate reporting for the sharded serving layer.
  *
- * Every shard produces an ordinary RuntimeResult on its own virtual
- * clock (anchored at its first admitted frame). The merge re-anchors
- * all shard clocks onto one global timeline and derives:
+ * A ServingReport has four views:
  *
  *  - the aggregate view: global sustained FPS over the union
  *    makespan, merged latency percentiles, total drops/abandons;
- *  - the per-shard view: each shard's RuntimeReport, unchanged;
+ *  - the per-shard view: each shard's RuntimeReport;
  *  - the per-sensor view: offered/processed counts, the sensor's
  *    own generation rate and a Section VII-E verdict computed with
  *    the tri-state semantics (common/real_time.h) — NotApplicable
@@ -18,22 +16,45 @@
  *    FPS, latency percentiles and its own Section VII-E verdict
  *    against the rate of the traffic routed to it.
  *
- * mergeShardOutcomes is a pure function of the shard outcomes so
- * the arithmetic is unit-testable without running a fleet.
+ * Two pure functions build it, so the arithmetic is unit-testable
+ * without running a fleet. mergeShardOutcomes merges one fleet
+ * serve: every shard produced an ordinary RuntimeResult on its own
+ * virtual clock (anchored at its first admitted frame). The elastic
+ * layer (serving/autoscaler.h) serves a stream as a sequence of
+ * control epochs, each an ordinary fleet serve at that epoch's
+ * shard count with admission control shedding frames before
+ * dispatch; mergeEpochResults merges those epochs across fleet
+ * reconfigurations.
  *
- * The elastic layer (serving/autoscaler.h) serves a stream as a
- * sequence of control epochs, each an ordinary fleet serve at that
- * epoch's shard count, with admission control shedding frames
- * before dispatch. mergeEpochResults re-anchors those per-epoch
- * results across fleet reconfigurations into one ServingResult:
- * per-shard views aggregate each shard index across every epoch it
- * was active in, per-sensor/per-backend views are recomputed over
- * the union of completions, shed frames are accounted
- * (framesIn == processed + dropped + abandoned + shed), and
- * completions are clamped to in-order delivery per sensor — a
- * frame handed off across an epoch boundary cannot be delivered
- * before its predecessor finishes. It is equally a pure function,
- * unit-tested against hand-built epochs in tests/test_elastic.cc.
+ * What the two merges share, written once in serving_report.cc:
+ * the aggregate view, the per-sensor slices, the grouping of shards
+ * into backends by name and each backend's done/missed counts,
+ * sustained rate, latency distribution and verdict. Every latency
+ * summary is summarizeLatencies (common/stats.h).
+ *
+ * Where they differ:
+ *
+ *  - Completion times. mergeShardOutcomes re-anchors each shard
+ *    clock onto the global one. mergeEpochResults receives global
+ *    times already, then clamps completions to in-order delivery
+ *    per sensor: a frame handed off across an epoch boundary cannot
+ *    be delivered before its predecessor finishes, and the wait is
+ *    charged to its latency. The clamp can move latencies under
+ *    LeastLoaded placement even within one epoch, so a fleet serve
+ *    is not a one-epoch elastic serve.
+ *  - Shard views. A fleet serve keeps each shard's report as it
+ *    is; an elastic serve aggregates each shard index across every
+ *    epoch it was active in (counts summed, busy time re-normalized
+ *    over the summed epoch makespans, latencies from its clamped
+ *    completions).
+ *  - Backend offered rate. A fleet serve takes the (n-1)/span rate
+ *    of the stamps dispatched to the backend and starts its
+ *    sustained window at the first of them. An elastic serve knows
+ *    dispatch identities only per epoch, so it divides dispatched
+ *    frames by the backend's active window and starts the sustained
+ *    window at the first epoch the backend was active in.
+ *  - Conservation. An elastic serve also counts shed frames:
+ *    framesIn == processed + dropped + abandoned + shed + failed.
  */
 
 #ifndef HGPCN_SERVING_SERVING_REPORT_H

@@ -577,8 +577,7 @@ TEST(StreamRunner, RunAfterStopProcessesFullStream)
     const HgPcnSystem system(cfg, tinyClassifier());
     StreamRunner::Config rc;
     rc.inputPoints = system.config().inputPoints;
-    StreamRunner runner(system.preprocessor(), system.inferencer(),
-                        system.model(), rc);
+    StreamRunner runner(system.preprocessor(), system.backend(), rc);
 
     const RuntimeResult first =
         runner.run(frames, [&](const FrameTask &) {
