@@ -12,7 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
+#include <deque>
+#include <map>
 
 #include "common/rng.h"
 #include "core/frame_workspace.h"
@@ -24,6 +28,7 @@
 #include "octree/incremental_octree.h"
 #include "octree/octree.h"
 #include "octree/voxel_grid.h"
+#include "report_digest.h"
 
 namespace hgpcn
 {
@@ -344,6 +349,147 @@ TEST(CachedIndices, PatchedOccupancyMatchesFreshOracle)
     }
 }
 
+/** Patch @p prev_occ through @p delta at @p level and require the
+ *  result to equal buildOccupiedCells() on @p next, entry by entry. */
+void
+expectPatchMatchesFresh(const Octree &prev, const Octree &next,
+                        const PointDelta &delta, int level)
+{
+    std::vector<OccupiedCell> prev_occ;
+    buildOccupiedCells(prev, level, prev_occ);
+    std::vector<OccupiedCell> patched;
+    ASSERT_TRUE(patchOccupiedCells(next, level, prev, prev_occ, delta,
+                                   patched))
+        << "level " << level;
+    std::vector<OccupiedCell> fresh;
+    buildOccupiedCells(next, level, fresh);
+    ASSERT_EQ(patched.size(), fresh.size()) << "level " << level;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(patched[i].cell, fresh[i].cell)
+            << "level " << level << " cell " << i;
+        EXPECT_EQ(patched[i].first, fresh[i].first)
+            << "level " << level << " cell " << i;
+        EXPECT_EQ(patched[i].last, fresh[i].last)
+            << "level " << level << " cell " << i;
+    }
+}
+
+/**
+ * Unit-cube frame whose extreme (x, y, z) cells can be emptied and
+ * refilled without moving the bounds: two fixed bound-pinning
+ * points, a random interior in [0.3, 0.7]^3, and optional
+ * singletons next to the first and last cells in (x, y, z) order.
+ */
+PointCloud
+edgeCellFrame(bool first_cell, bool last_cell, std::uint64_t seed)
+{
+    PointCloud cloud;
+    cloud.add({0.0f, 1.0f, 1.0f}); // min x, max y and z
+    cloud.add({1.0f, 0.0f, 0.0f}); // max x, min y and z
+    Rng rng(seed);
+    for (int i = 0; i < 400; ++i)
+        cloud.add({rng.uniform(0.3f, 0.7f), rng.uniform(0.3f, 0.7f),
+                   rng.uniform(0.3f, 0.7f)});
+    if (first_cell)
+        cloud.add({0.01f, 0.01f, 0.01f});
+    if (last_cell)
+        cloud.add({0.99f, 0.99f, 0.99f});
+    return cloud;
+}
+
+TEST(CachedIndices, PatchedOccupancyEdgeCellsMatchFreshOracle)
+{
+    const Octree::Config ocfg = octreeConfig(10, 8);
+    // Emptied, then re-created, at both ends of the list; the
+    // interior also churns (a new seed) so middle cells are dirty.
+    const PointCloud frames[] = {edgeCellFrame(true, true, 1),
+                                 edgeCellFrame(false, false, 2),
+                                 edgeCellFrame(true, false, 3),
+                                 edgeCellFrame(false, true, 4),
+                                 edgeCellFrame(true, true, 5)};
+    Octree prev;
+    prev.rebuild(frames[0], ocfg);
+    IncrementalOctreeBuilder builder;
+    for (std::size_t t = 1; t < std::size(frames); ++t) {
+        Octree next;
+        ASSERT_TRUE(builder.update(frames[t], &prev, ocfg, next))
+            << "frame " << t;
+        for (int level = 1; level <= 5; ++level)
+            expectPatchMatchesFresh(prev, next, builder.delta(), level);
+        // The singletons own the extreme cells at level 3: the list
+        // really gains or loses its first and last entries.
+        std::vector<OccupiedCell> before, after;
+        buildOccupiedCells(prev, 3, before);
+        buildOccupiedCells(next, 3, after);
+        const bool first_moved = !(before.front().cell ==
+                                   after.front().cell);
+        const bool last_moved = !(before.back().cell ==
+                                  after.back().cell);
+        EXPECT_TRUE(first_moved || last_moved) << "frame " << t;
+        prev = std::move(next);
+    }
+}
+
+TEST(CachedIndices, PatchedOccupancyWithNoDirtyCell)
+{
+    const Octree::Config ocfg = octreeConfig(10, 8);
+    const PointCloud cloud = edgeCellFrame(true, true, 6);
+    Octree prev;
+    prev.rebuild(cloud, ocfg);
+    IncrementalOctreeBuilder builder;
+    Octree next;
+    ASSERT_TRUE(builder.update(cloud, &prev, ocfg, next));
+    EXPECT_TRUE(builder.delta().insertedNew.empty());
+    EXPECT_TRUE(builder.delta().evictedOld.empty());
+    for (int level = 1; level <= 6; ++level)
+        expectPatchMatchesFresh(prev, next, builder.delta(), level);
+}
+
+TEST(CachedIndices, PatchedOccupancyWithEveryCellDirty)
+{
+    const Octree::Config ocfg = octreeConfig(10, 8);
+    const PointCloud a = edgeCellFrame(true, true, 7);
+    // Keep only the two bound-pinning points; replace everything
+    // else and drop a fresh point next to each kept one, so every
+    // cell of both lists holds an insertion or an eviction.
+    PointCloud b = edgeCellFrame(true, false, 8);
+    b.position(2 + 400) = {0.02f, 0.02f, 0.02f};
+    b.add({0.98f, 0.98f, 0.98f});
+    b.add({0.001f, 0.999f, 0.999f});
+    b.add({0.999f, 0.001f, 0.001f});
+    Octree prev;
+    prev.rebuild(a, ocfg);
+    IncrementalOctreeBuilder builder;
+    Octree next;
+    ASSERT_TRUE(builder.update(b, &prev, ocfg, next));
+    const PointDelta &delta = builder.delta();
+    EXPECT_EQ(delta.retained(), 2u);
+    for (int level = 1; level <= 3; ++level) {
+        std::vector<OccupiedCell> prev_occ, fresh;
+        buildOccupiedCells(prev, level, prev_occ);
+        buildOccupiedCells(next, level, fresh);
+        for (const OccupiedCell &c : fresh)
+            EXPECT_TRUE(delta.rangeDirty(c.first, c.last))
+                << "level " << level;
+        // An old cell is dirty through an eviction, or else it
+        // survives into the new list, which saw an insertion there.
+        for (const OccupiedCell &c : prev_occ) {
+            const auto it = std::lower_bound(delta.evictedOld.begin(),
+                                             delta.evictedOld.end(),
+                                             c.first);
+            const bool evicted =
+                it != delta.evictedOld.end() && *it < c.last;
+            const bool survives =
+                std::any_of(fresh.begin(), fresh.end(),
+                            [&c](const OccupiedCell &f) {
+                                return f.cell == c.cell;
+                            });
+            EXPECT_TRUE(evicted || survives) << "level " << level;
+        }
+        expectPatchMatchesFresh(prev, next, delta, level);
+    }
+}
+
 // ------------------------------------------- carried state / pool
 
 TEST(TemporalState, CarriedFramesMatchCarrylessEngine)
@@ -517,6 +663,292 @@ TEST(IncrementalOctree, TinyFramesStillBitIdentical)
         expectTreesIdentical(next, Octree::build(frame.cloud, ocfg));
         prev = std::move(next);
     }
+}
+
+// ---------------------------------------------------- delta digests
+
+/** Bit pattern of a position: the matcher's notion of "same point". */
+std::array<std::uint32_t, 3>
+positionBits(const Vec3 &p)
+{
+    std::array<std::uint32_t, 3> b{};
+    std::memcpy(&b[0], &p.x, sizeof(float));
+    std::memcpy(&b[1], &p.y, sizeof(float));
+    std::memcpy(&b[2], &p.z, sizeof(float));
+    return b;
+}
+
+/**
+ * The delta the hash join defines, computed independently of the
+ * builder: new input i, in ascending order, takes the lowest old
+ * slot not yet taken whose position has its exact bit pattern;
+ * every other new point is an insertion. Slots are placed through
+ * the scratch build @p fresh of the new frame, which the
+ * incremental path reproduces whenever it engages.
+ */
+PointDelta
+joinOracle(const Octree &prev, const PointCloud &cloud,
+           const Octree &fresh)
+{
+    const std::size_t n_old = prev.pointCodes().size();
+    std::map<std::array<std::uint32_t, 3>, std::deque<PointIndex>> slots;
+    for (std::size_t s = 0; s < n_old; ++s) {
+        slots[positionBits(prev.reorderedCloud().position(
+                  static_cast<PointIndex>(s)))]
+            .push_back(static_cast<PointIndex>(s));
+    }
+    std::vector<PointIndex> old_of_new(cloud.size(), kNoPoint);
+    for (std::size_t i = 0; i < cloud.size(); ++i) {
+        const auto it = slots.find(
+            positionBits(cloud.position(static_cast<PointIndex>(i))));
+        if (it != slots.end() && !it->second.empty()) {
+            old_of_new[i] = it->second.front();
+            it->second.pop_front();
+        }
+    }
+    PointDelta d;
+    d.newFromOld.assign(n_old, kNoPoint);
+    for (std::size_t w = 0; w < cloud.size(); ++w) {
+        const PointIndex old = old_of_new[fresh.permutation()[w]];
+        if (old != kNoPoint)
+            d.newFromOld[old] = static_cast<PointIndex>(w);
+        else
+            d.insertedNew.push_back(static_cast<PointIndex>(w));
+    }
+    for (std::size_t s = 0; s < n_old; ++s) {
+        if (d.newFromOld[s] == kNoPoint)
+            d.evictedOld.push_back(static_cast<PointIndex>(s));
+    }
+    return d;
+}
+
+void
+hashIndices(digest::Fnv1a &fnv, const std::vector<PointIndex> &v)
+{
+    fnv.value(v.size());
+    fnv.bytes(v.data(), v.size() * sizeof(PointIndex));
+}
+
+/**
+ * FNV-1a digest of an incremental drive over @p frames: each frame's
+ * update() verdict, delta (when incremental) and node counts, then
+ * the cumulative TemporalPreprocessState::Stats of the same frames.
+ * Along the way every tree must equal its scratch build and every
+ * delta the join oracle's.
+ */
+std::uint64_t
+deltaDigest(const std::vector<PointCloud> &frames,
+            const Octree::Config &ocfg)
+{
+    digest::Fnv1a fnv;
+    IncrementalOctreeBuilder builder;
+    Octree prev;
+    Octree next;
+    prev.rebuild(frames.front(), ocfg);
+    for (std::size_t t = 1; t < frames.size(); ++t) {
+        const bool incremental =
+            builder.update(frames[t], &prev, ocfg, next);
+        const Octree fresh = Octree::build(frames[t], ocfg);
+        expectTreesIdentical(next, fresh);
+        fnv.value(incremental);
+        if (incremental) {
+            const PointDelta &delta = builder.delta();
+            const PointDelta oracle = joinOracle(prev, frames[t], fresh);
+            EXPECT_EQ(delta.newFromOld, oracle.newFromOld)
+                << "frame " << t;
+            EXPECT_EQ(delta.insertedNew, oracle.insertedNew)
+                << "frame " << t;
+            EXPECT_EQ(delta.evictedOld, oracle.evictedOld)
+                << "frame " << t;
+            hashIndices(fnv, delta.newFromOld);
+            hashIndices(fnv, delta.insertedNew);
+            hashIndices(fnv, delta.evictedOld);
+        }
+        fnv.value(builder.nodesReused());
+        fnv.value(builder.nodesErected());
+        std::swap(prev, next);
+    }
+
+    TemporalPreprocessState::Config tc;
+    tc.octree = ocfg;
+    TemporalPreprocessState carry(tc);
+    for (const PointCloud &frame : frames)
+        carry.processFrame(frame);
+    const TemporalPreprocessState::Stats st = carry.stats();
+    for (const std::uint64_t v :
+         {st.frames, st.octreeHits, st.octreeMisses, st.retainedPoints,
+          st.insertedPoints, st.evictedPoints, st.nodesReused,
+          st.nodesErected, st.knnIncremental, st.knnScratch,
+          st.occIncremental, st.occScratch})
+        fnv.value(v);
+    return fnv.h;
+}
+
+/** Unit-cube corners first, so edits inside keep the root bounds. */
+PointCloud
+anchoredCloud(std::size_t n, std::uint64_t seed)
+{
+    PointCloud cloud;
+    for (int c = 0; c < 8; ++c) {
+        cloud.add({static_cast<float>(c & 1),
+                   static_cast<float>((c >> 1) & 1),
+                   static_cast<float>((c >> 2) & 1)});
+    }
+    const PointCloud inner = randomCloud(n, seed);
+    for (PointIndex i = 0; i < inner.size(); ++i)
+        cloud.add(inner.position(i));
+    return cloud;
+}
+
+/** Move @p count points of @p cloud, from @p first on, to fresh
+ *  random positions (a localized churn step). */
+void
+churn(PointCloud &cloud, std::size_t first, std::size_t count,
+      std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (std::size_t i = first; i < first + count; ++i) {
+        cloud.position(static_cast<PointIndex>(i)) = {
+            rng.uniform(0.0f, 1.0f), rng.uniform(0.0f, 1.0f),
+            rng.uniform(0.0f, 1.0f)};
+    }
+}
+
+// Digests recorded from the hash-join matcher; the slot-order match
+// must reproduce every verdict, delta and counter of it.
+
+TEST(DeltaDigest, CoherentDriveChurnSweep)
+{
+    const struct
+    {
+        double churn;
+        std::uint64_t digest;
+    } cases[] = {{0.0, 0x2ce8f926c54c4b13ull},
+                 {0.01, 0x485582ef8d6058f0ull},
+                 {0.1, 0x29b7a0758596abe6ull},
+                 {0.5, 0x551b917c7db80576ull},
+                 {1.0, 0xd4e68fcc6e49c696ull}};
+    for (const auto &c : cases) {
+        CoherentDrive::Config dc;
+        dc.points = 3000;
+        dc.churnFraction = c.churn;
+        dc.seed = 17;
+        const CoherentDrive drive(dc);
+        std::vector<PointCloud> frames;
+        for (std::size_t t = 0; t < 6; ++t)
+            frames.push_back(drive.generate(t).cloud);
+        EXPECT_EQ(deltaDigest(frames, octreeConfig(10, 8)), c.digest)
+            << "churn " << c.churn;
+    }
+}
+
+TEST(DeltaDigest, BitTwinDuplicates)
+{
+    std::vector<PointCloud> frames;
+    PointCloud f = anchoredCloud(600, 31);
+    // Twins within one frame: slot 20's position again at 608 and
+    // slot 40's three more times.
+    f.add(f.position(20));
+    for (int i = 0; i < 3; ++i)
+        f.add(f.position(40));
+    frames.push_back(f);
+    churn(f, 100, 30, 32); // twins retained as they are
+    frames.push_back(f);
+    // One copy of each twin set leaves: a retained pair shrinks.
+    churn(f, 608, 1, 33);
+    churn(f, 40, 1, 34);
+    frames.push_back(f);
+    // Twins across frames: a unique old point comes back twice,
+    // once at its own index and once at a churned one.
+    f.position(200) = f.position(300);
+    frames.push_back(f);
+    // ... and the earlier copy leaves again.
+    churn(f, 300, 1, 35);
+    frames.push_back(f);
+    churn(f, 400, 40, 36); // plain churn after the twins
+    frames.push_back(f);
+    EXPECT_EQ(deltaDigest(frames, octreeConfig(8, 8)), 0xb3d6d42ebf1d2238ull);
+}
+
+TEST(DeltaDigest, SignedZeros)
+{
+    // Bounds pinned at [-1, 1]^3 so that zero coordinates sit in the
+    // interior; -0.0 and +0.0 share every m-code but not their bits.
+    PointCloud f;
+    f.add({-1.0f, -1.0f, -1.0f});
+    f.add({1.0f, 1.0f, 1.0f});
+    Rng rng(41);
+    for (int i = 0; i < 300; ++i) {
+        const float x = rng.uniform(-1.0f, 1.0f);
+        const float y = rng.uniform(-1.0f, 1.0f);
+        f.add({i % 3 == 0 ? 0.0f : x, i % 3 == 1 ? 0.0f : y,
+               i % 5 == 0 ? 0.0f : rng.uniform(-1.0f, 1.0f)});
+    }
+    std::vector<PointCloud> frames{f};
+    const auto flip_zeros = [](PointCloud &c, std::size_t from,
+                               std::size_t step) {
+        for (std::size_t i = from; i < c.size(); i += step) {
+            Vec3 &p = c.position(static_cast<PointIndex>(i));
+            for (float *v : {&p.x, &p.y, &p.z}) {
+                if (*v == 0.0f)
+                    *v = -*v;
+            }
+        }
+    };
+    flip_zeros(f, 2, 4);
+    frames.push_back(f);
+    // Both signs of one point in the same frame.
+    Vec3 twin = f.position(2);
+    twin.x = -twin.x;
+    f.add(twin);
+    frames.push_back(f);
+    flip_zeros(f, 2, 4); // back to +0.0
+    frames.push_back(f);
+    EXPECT_EQ(deltaDigest(frames, octreeConfig(8, 8)), 0x4669f27251165bc1ull);
+}
+
+TEST(DeltaDigest, ReversedFrame)
+{
+    // The frame of ReorderedRetainedPointsStayCorrect, there and back.
+    const PointCloud a = randomCloud(400, 21);
+    PointCloud b;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        b.add(a.position(static_cast<PointIndex>(a.size() - 1 - i)));
+    EXPECT_EQ(deltaDigest({a, b, a}, octreeConfig(8, 8)), 0xe7f1111819aeb04cull);
+}
+
+TEST(DeltaDigest, RetainedPointsSwapInputIndex)
+{
+    PointCloud f = anchoredCloud(500, 51);
+    // Two points in one finest cell, so their codes tie.
+    const Vec3 p = f.position(100);
+    f.position(101) = {std::nextafter(p.x, 1.0f), p.y, p.z};
+    std::vector<PointCloud> frames{f};
+    std::swap(f.position(20), f.position(300)); // codes differ
+    frames.push_back(f);
+    std::swap(f.position(100), f.position(101)); // codes tie
+    frames.push_back(f);
+    churn(f, 200, 10, 52);
+    frames.push_back(f);
+    EXPECT_EQ(deltaDigest(frames, octreeConfig(10, 8)), 0x52e66e492108cf13ull);
+}
+
+TEST(DeltaDigest, FramesGrowAndShrinkAtTheEnd)
+{
+    PointCloud f = anchoredCloud(500, 61);
+    std::vector<PointCloud> frames{f};
+    const PointCloud extra = randomCloud(50, 62);
+    for (PointIndex i = 0; i < extra.size(); ++i)
+        f.add(extra.position(i));
+    frames.push_back(f);
+    PointCloud shrunk;
+    for (PointIndex i = 0; i + 120 < f.size(); ++i)
+        shrunk.add(f.position(i));
+    frames.push_back(shrunk);
+    shrunk.add(extra.position(7)); // a point seen two frames ago
+    shrunk.add({0.5f, 0.5f, 0.5f});
+    frames.push_back(shrunk);
+    EXPECT_EQ(deltaDigest(frames, octreeConfig(10, 8)), 0xf53d53e294230361ull);
 }
 
 } // namespace
