@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the core kernels: Morton
- * encoding, octree construction, OIS sampling, VEG gathering, the
- * brute-force baselines, the spatial-hash KNN index (src/knn) and
- * the register-tiled GEMM. These are the software costs behind Figs. 9-12
+ * encoding, octree construction, the steady-state temporal build
+ * stage, OIS sampling, VEG gathering, the brute-force baselines, the
+ * spatial-hash KNN index (src/knn) and the register-tiled GEMM. These are the software costs behind Figs. 9-12
  * and the host hot path (docs/PERFORMANCE.md); wall-clock per-kernel
  * numbers on the build machine.
  *
@@ -24,6 +24,9 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "core/frame_workspace.h"
+#include "core/preprocessing_engine.h"
+#include "core/temporal_preprocess.h"
+#include "datasets/coherent_drive.h"
 #include "gather/brute_gatherers.h"
 #include "gather/veg_gatherer.h"
 #include "knn/spatial_hash_knn.h"
@@ -89,6 +92,34 @@ BM_OctreeBuild(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_OctreeBuild)->Arg(10000)->Arg(100000);
+
+void
+BM_TemporalBuildStage(benchmark::State &state)
+{
+    // buildStage with a warmed carry on a 1 %-churn CoherentDrive:
+    // the incremental octree plus cached KNN and occupancy indices.
+    // Two consecutive frames alternate, so every timed update is one
+    // 1 %-churn step.
+    CoherentDrive::Config dc;
+    dc.points = static_cast<std::size_t>(state.range(0));
+    dc.churnFraction = 0.01;
+    const CoherentDrive drive(dc);
+    const PointCloud frames[2] = {drive.generate(8).cloud,
+                                  drive.generate(9).cloud};
+    const PreprocessingEngine engine;
+    TemporalPreprocessState::Config tc;
+    tc.octree = engine.config().octree;
+    TemporalPreprocessState carry(tc);
+    for (std::size_t t = 0; t < 8; ++t)
+        engine.buildStage(drive.generate(t).cloud, &carry);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(engine.buildStage(frames[next], &carry));
+        next ^= 1;
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TemporalBuildStage)->Arg(100000);
 
 void
 BM_OisSample(benchmark::State &state)

@@ -182,9 +182,16 @@ TemporalPreprocessState::processFrame(const PointCloud &raw)
         bool occ_incremental = false;
         if (incremental && prev != nullptr &&
             prev->rawOccLevel == level) {
+            // Re-growth of warmed scratch or output storage breaks
+            // the zero-alloc steady state, like the octree's own.
+            const std::size_t dirty_cap = occ_dirty.capacity();
+            const std::size_t out_cap = bundle->rawOcc.capacity();
             occ_incremental = patchOccupiedCells(
                 tree, level, prev->tree, prev->rawOcc,
-                builder.delta(), bundle->rawOcc);
+                builder.delta(), bundle->rawOcc, occ_dirty);
+            if ((dirty_cap > 0 && occ_dirty.capacity() > dirty_cap) ||
+                (out_cap > 0 && bundle->rawOcc.capacity() > out_cap))
+                FrameWorkspace::noteGrowth();
         }
         if (!occ_incremental)
             buildOccupiedCells(tree, level, bundle->rawOcc);

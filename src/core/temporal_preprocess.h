@@ -148,6 +148,7 @@ class TemporalPreprocessState
 
     mutable std::mutex mu;
     IncrementalOctreeBuilder builder;
+    std::vector<OccupiedCell> occ_dirty; //!< patchOccupiedCells scratch
     std::shared_ptr<PreprocessBundle> prev; //!< keeps prev frame alive
     Stats st;
     MetricsRegistry *metrics = nullptr; //!< optional telemetry mirror

@@ -97,6 +97,14 @@ PointCloud::assignGathered(const PointCloud &src,
 }
 
 void
+PointCloud::resize(std::size_t n, std::size_t feature_dim)
+{
+    featDim = feature_dim;
+    pos.resize(n);
+    feat.resize(n * feature_dim);
+}
+
+void
 PointCloud::clear()
 {
     pos.clear();

@@ -94,6 +94,13 @@ class PointCloud
     void assignGathered(const PointCloud &src,
                         std::span<const PointIndex> indices);
 
+    /**
+     * Resize to @p n points of @p feature_dim floats each, reusing
+     * storage. Entries keep stale (or zero) values until written
+     * through position() and feature().
+     */
+    void resize(std::size_t n, std::size_t feature_dim);
+
     /** Drop all points; feature width and capacity are kept. */
     void clear();
 

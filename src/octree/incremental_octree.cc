@@ -44,6 +44,16 @@ samePosition(const Vec3 &a, const Vec3 &b)
            std::memcmp(&a.z, &b.z, sizeof(float)) == 0;
 }
 
+/**
+ * Longest equal-code run the slot-order match checks pairwise for
+ * bit twins; a longer one (a dense pile of points under one leaf
+ * code) sends the frame to the hash join.
+ */
+constexpr std::size_t kMaxSlotRun = 32;
+
+/** Prefetch distance of the slot-order match, in old slots. */
+constexpr std::size_t kPrefetchSlots = 16;
+
 /** Bit-pattern equality of two AABBs (root-voxel stability guard). */
 bool
 sameBounds(const Aabb &a, const Aabb &b)
@@ -57,13 +67,92 @@ std::size_t
 IncrementalOctreeBuilder::scratchCapacity() const
 {
     return table.capacity() + chain.capacity() +
-           matched_old.capacity() + new_of_old.capacity() +
+           matched_old.capacity() + claimed.capacity() +
+           new_of_old.capacity() +
            inserts.capacity() + delta_.newFromOld.capacity() +
            delta_.insertedNew.capacity() + delta_.evictedOld.capacity();
 }
 
+bool
+IncrementalOctreeBuilder::matchBySlot(const PointCloud &cloud)
+{
+    const std::size_t n_old = old_tree->codes.size();
+    const std::size_t n_new = cloud.size();
+    const std::vector<morton::Code> &old_codes = old_tree->codes;
+    const std::vector<PointIndex> &old_perm = old_tree->perm;
+    const PointCloud &old_points = old_tree->reordered;
+
+    matched_old.assign(n_old, 0);
+    new_of_old.assign(n_old, kNoPoint);
+    claimed.assign(n_new, 0);
+
+    // Pair old slot s with the new input at s's old input index when
+    // the bits agree and s's position is unique in the old frame
+    // (bit-equal points share a code, so its equal-code run is where
+    // a twin would be). The join pairs such an old point with the
+    // first new input carrying its bits; the pass below proves no
+    // other new input carries them.
+    for (std::size_t run = 0; run < n_old;) {
+        std::size_t end = run + 1;
+        while (end < n_old && old_codes[end] == old_codes[run])
+            ++end;
+        if (end - run > kMaxSlotRun)
+            return false;
+        for (std::size_t s = run; s < end; ++s) {
+            // The new frame arrives cold and is read in old SFC
+            // order, i.e. at random: fetch a few slots ahead.
+            if (s + kPrefetchSlots < n_old &&
+                old_perm[s + kPrefetchSlots] < n_new) {
+                __builtin_prefetch(
+                    &cloud.position(old_perm[s + kPrefetchSlots]));
+            }
+            const PointIndex j = old_perm[s];
+            const Vec3 &p = old_points.position(static_cast<PointIndex>(s));
+            if (j >= n_new || !samePosition(cloud.position(j), p))
+                continue;
+            bool unique = true;
+            for (std::size_t u = run; u < end && unique; ++u) {
+                unique = u == s ||
+                         !samePosition(old_points.position(
+                                           static_cast<PointIndex>(u)),
+                                       p);
+            }
+            if (!unique)
+                continue;
+            matched_old[s] = 1;
+            new_of_old[s] = j;
+            claimed[j] = 1;
+        }
+        run = end;
+    }
+
+    // Every other new point is an insertion — unless it bit-equals an
+    // old point, which only the join pairs exactly (twins, retained
+    // points that changed input index).
+    inserts.clear();
+    for (std::size_t i = 0; i < n_new; ++i) {
+        if (claimed[i])
+            continue;
+        const Vec3 &p = cloud.position(static_cast<PointIndex>(i));
+        const morton::Code code = morton::pointCode3(
+            p, old_tree->root_bounds, old_tree->cfg.maxDepth);
+        for (auto it = std::lower_bound(old_codes.begin(),
+                                        old_codes.end(), code);
+             it != old_codes.end() && *it == code; ++it) {
+            if (samePosition(old_points.position(static_cast<PointIndex>(
+                                 it - old_codes.begin())),
+                             p))
+                return false;
+        }
+        inserts.emplace_back(code, static_cast<PointIndex>(i));
+    }
+
+    std::sort(inserts.begin(), inserts.end());
+    return true;
+}
+
 void
-IncrementalOctreeBuilder::matchPoints(const PointCloud &cloud)
+IncrementalOctreeBuilder::hashJoin(const PointCloud &cloud)
 {
     const std::size_t n_old = old_tree->codes.size();
     const std::size_t n_new = cloud.size();
@@ -133,6 +222,9 @@ IncrementalOctreeBuilder::mergeOrder(const PointCloud &cloud)
 
     new_tree->codes.resize(n_new);
     new_tree->perm.resize(n_new);
+    new_tree->reordered.resize(n_new, cloud.featureDim());
+    const PointCloud &old_points = old_tree->reordered;
+    PointCloud &points = new_tree->reordered;
 
     // Merge the retained run (old SFC order, remapped to new input
     // indices) with the sorted insertions. The scratch build sorts
@@ -171,6 +263,9 @@ IncrementalOctreeBuilder::mergeOrder(const PointCloud &cloud)
             last_idx = idx;
             new_tree->codes[w] = code;
             new_tree->perm[w] = idx;
+            // Bit-equal to the new input by the match.
+            points.position(static_cast<PointIndex>(w)) =
+                old_points.position(static_cast<PointIndex>(a));
             delta_.newFromOld[a] = static_cast<PointIndex>(w);
             ++a;
             while (a < n_old && !matched_old[a])
@@ -180,13 +275,14 @@ IncrementalOctreeBuilder::mergeOrder(const PointCloud &cloud)
                          "merge ran out of points at slot ", w);
             new_tree->codes[w] = inserts[b].first;
             new_tree->perm[w] = inserts[b].second;
+            points.position(static_cast<PointIndex>(w)) =
+                cloud.position(inserts[b].second);
             delta_.insertedNew.push_back(static_cast<PointIndex>(w));
             ++b;
         }
     }
     HGPCN_ASSERT(a >= n_old && b == inserts.size(),
                  "merge left points behind");
-    (void)cloud;
     return true;
 }
 
@@ -344,7 +440,8 @@ IncrementalOctreeBuilder::update(const PointCloud &cloud,
     old_tree = prev;
     new_tree = &out;
 
-    matchPoints(cloud);
+    if (!matchBySlot(cloud))
+        hashJoin(cloud);
     if (!mergeOrder(cloud)) {
         old_tree = nullptr;
         new_tree = nullptr;
@@ -377,7 +474,17 @@ IncrementalOctreeBuilder::update(const PointCloud &cloud,
                                   : 0);
     }
 
-    out.reordered.assignGathered(cloud, out.perm);
+    // The merge wrote the reordered positions; features, if any,
+    // are gathered from the new frame.
+    if (cloud.featureDim() > 0) {
+        for (std::size_t w = 0; w < n; ++w) {
+            const std::span<const float> src =
+                cloud.feature(out.perm[w]);
+            std::copy(src.begin(), src.end(),
+                      out.reordered.feature(static_cast<PointIndex>(w))
+                          .begin());
+        }
+    }
     out.build_stats.add("octree.host_writes", n);
 
     out.point_leaf.resize(n); // resize+fill: see Octree::resetLive()

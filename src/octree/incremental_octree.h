@@ -9,11 +9,19 @@
  * previous frame's tree and
  *
  *  1. matches new points to previous reordered slots by coordinate
- *     bit pattern (hash join), classifying every point as retained,
- *     inserted or evicted (geometry/point_delta.h);
+ *     bit pattern, classifying every point as retained, inserted or
+ *     evicted (geometry/point_delta.h). The match walks the old
+ *     slots in SFC order and pairs each with the new input at its
+ *     old input index — retained returns of fixed-pattern scans
+ *     keep their index — so it costs about one pass. When any point
+ *     it leaves unpaired bit-equals an old one (duplicates, retained
+ *     points that changed index), the frame is matched again by an
+ *     exact hash join; both give the same delta;
  *  2. produces the new sorted code array by merging the retained
  *     run (already SFC-sorted in the old tree) with the freshly
- *     sorted insertions — O(n + k log k) instead of a full sort;
+ *     sorted insertions — O(n + k log k) instead of a full sort —
+ *     and copies retained positions in order from the previous
+ *     reordered cloud;
  *  3. re-erects only subtrees whose point ranges contain an
  *     insertion or eviction, block-copying every clean old subtree
  *     with an index offset.
@@ -42,8 +50,8 @@ namespace hgpcn
 
 /**
  * Stateless-between-frames incremental builder; owns only reusable
- * scratch (hash table, chains, insert buffer), so one instance per
- * stream gives zero-alloc steady-state updates.
+ * scratch (match flags, hash table, chains, insert buffer), so one
+ * instance per stream gives zero-alloc steady-state updates.
  */
 class IncrementalOctreeBuilder
 {
@@ -79,6 +87,7 @@ class IncrementalOctreeBuilder
     std::vector<PointIndex> table;   //!< hash buckets (head slot)
     std::vector<PointIndex> chain;   //!< next old slot in bucket
     std::vector<std::uint8_t> matched_old;
+    std::vector<std::uint8_t> claimed; //!< new input paired by slot
     std::vector<PointIndex> new_of_old; //!< new input idx per old slot
     std::vector<std::pair<morton::Code, PointIndex>> inserts;
 
@@ -92,12 +101,22 @@ class IncrementalOctreeBuilder
     /** @return sum of scratch capacities (growth accounting). */
     std::size_t scratchCapacity() const;
 
+    /**
+     * Match @p cloud in old-SFC-slot order: old slot s pairs with new
+     * input prev->perm[s] when their bits agree and no other old slot
+     * has them; every other new point becomes an insertion.
+     * @return false when that could differ from hashJoin() — a new
+     *   point left unpaired bit-equals an old one, or an equal-code
+     *   run is too long to check — and the frame must be joined.
+     */
+    bool matchBySlot(const PointCloud &cloud);
+
     /** Hash-join @p cloud against the previous reordered points. */
-    void matchPoints(const PointCloud &cloud);
+    void hashJoin(const PointCloud &cloud);
 
     /**
      * Merge retained and inserted points into the new sorted
-     * (code, perm) arrays, filling delta_.
+     * (code, perm) arrays and reordered positions, filling delta_.
      * @return false when the retained run is not key-sorted (the
      *   incremental order precondition failed).
      */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -191,12 +192,45 @@ buildOccupiedCells(const Octree &tree, int level,
               });
 }
 
+namespace
+{
+
+/**
+ * First index in [from, codes.size()) whose level prefix
+ * (code >> shift) is >= @p prefix. Gallops forward from @p from, so a
+ * run of ascending queries walks the code array once.
+ */
+std::size_t
+seekPrefix(const std::vector<morton::Code> &codes, std::size_t from,
+           morton::Code prefix, int shift)
+{
+    const std::size_t n = codes.size();
+    std::size_t lo = from;
+    std::size_t step = 1;
+    while (lo + step <= n && (codes[lo + step - 1] >> shift) < prefix) {
+        lo += step;
+        step *= 2;
+    }
+    const auto below = [shift](morton::Code c, morton::Code p) {
+        return (c >> shift) < p;
+    };
+    return static_cast<std::size_t>(
+        std::lower_bound(codes.begin() + static_cast<std::ptrdiff_t>(lo),
+                         codes.begin() + static_cast<std::ptrdiff_t>(
+                                             std::min(lo + step, n)),
+                         prefix, below) -
+        codes.begin());
+}
+
+} // namespace
+
 bool
 patchOccupiedCells(const Octree &new_tree, int level,
                    const Octree &prev_tree,
                    const std::vector<OccupiedCell> &prev_occ,
                    const PointDelta &delta,
-                   std::vector<OccupiedCell> &out)
+                   std::vector<OccupiedCell> &out,
+                   std::vector<OccupiedCell> &dirty)
 {
     if (level < 1 ||
         new_tree.config().maxDepth != prev_tree.config().maxDepth ||
@@ -204,59 +238,71 @@ patchOccupiedCells(const Octree &new_tree, int level,
         return false;
 
     const int shift = 3 * (new_tree.config().maxDepth - level);
+    const std::vector<morton::Code> &new_codes = new_tree.pointCodes();
+    const std::vector<morton::Code> &old_codes = prev_tree.pointCodes();
+    const std::vector<PointIndex> &ins = delta.insertedNew;
+    const std::vector<PointIndex> &evs = delta.evictedOld;
 
     // Dirty cells: level prefixes of every inserted (new codes) and
-    // evicted (old codes) point, sorted unique. Everything else kept
-    // its point set, so its entry survives with remapped ranges.
-    std::vector<morton::Code> dirty;
-    dirty.reserve(delta.insertedNew.size() + delta.evictedOld.size());
-    for (const PointIndex i : delta.insertedNew)
-        dirty.push_back(new_tree.pointCode(i) >> shift);
-    for (const PointIndex e : delta.evictedOld)
-        dirty.push_back(prev_tree.pointCode(e) >> shift);
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-    const auto is_dirty = [&dirty](morton::Code prefix) {
-        return std::binary_search(dirty.begin(), dirty.end(), prefix);
-    };
-
-    // Dirty cells re-read from the new tree: two binary searches
-    // each; empty cells (all points evicted) drop out.
-    std::vector<OccupiedCell> patched;
-    patched.reserve(dirty.size());
-    for (const morton::Code prefix : dirty) {
-        const auto [first, last] = new_tree.voxelRange(prefix, level);
-        if (first == last)
-            continue;
+    // evicted (old codes) point. Both slot lists ascend, so their
+    // prefixes do too; merge them unique and read each cell's new
+    // range off one forward walk over the new codes. Everything else
+    // kept its point set, so its entry survives with remapped ranges.
+    // A cell whose points were all evicted gets an empty range.
+    dirty.clear();
+    dirty.reserve(ins.size() + evs.size());
+    std::size_t i = 0;
+    std::size_t e = 0;
+    std::size_t cursor = 0;
+    while (i < ins.size() || e < evs.size()) {
+        morton::Code prefix;
+        if (e == evs.size())
+            prefix = new_codes[ins[i]] >> shift;
+        else if (i == ins.size())
+            prefix = old_codes[evs[e]] >> shift;
+        else
+            prefix = std::min(new_codes[ins[i]] >> shift,
+                              old_codes[evs[e]] >> shift);
+        while (i < ins.size() && (new_codes[ins[i]] >> shift) == prefix)
+            ++i;
+        while (e < evs.size() && (old_codes[evs[e]] >> shift) == prefix)
+            ++e;
+        const std::size_t first =
+            seekPrefix(new_codes, cursor, prefix, shift);
+        cursor = seekPrefix(new_codes, first, prefix + 1, shift);
         morton::CellCoord x = 0, y = 0, z = 0;
         morton::decode3(prefix, level, x, y, z);
-        patched.push_back({GridCell{static_cast<std::int32_t>(x),
-                                    static_cast<std::int32_t>(y),
-                                    static_cast<std::int32_t>(z)},
-                           first, last});
+        dirty.push_back({GridCell{static_cast<std::int32_t>(x),
+                                  static_cast<std::int32_t>(y),
+                                  static_cast<std::int32_t>(z)},
+                         static_cast<PointIndex>(first),
+                         static_cast<PointIndex>(cursor)});
     }
-    std::sort(patched.begin(), patched.end(),
+    std::sort(dirty.begin(), dirty.end(),
               [](const OccupiedCell &a, const OccupiedCell &b) {
                   return cellLess(a.cell, b.cell);
               });
 
     // Merge clean entries (prev list order, already (x, y, z)
-    // sorted) with the patched ones. A clean cell saw no insert or
-    // evict, so its points map to one consecutive run of new slots:
-    // newFromOld of its first point starts the run.
+    // sorted) with the dirty ones, dropping emptied cells. A clean
+    // cell saw no insert or evict, so its points map to one
+    // consecutive run of new slots: newFromOld of its first point
+    // starts the run.
     out.clear();
-    out.reserve(prev_occ.size() + patched.size());
-    std::size_t p = 0;
+    out.reserve(prev_occ.size() + dirty.size());
+    std::size_t d = 0;
+    const auto emit_dirty = [&out, &dirty, &d] {
+        if (dirty[d].first != dirty[d].last)
+            out.push_back(dirty[d]);
+        ++d;
+    };
     for (const OccupiedCell &c : prev_occ) {
-        const morton::Code prefix = morton::encode3(
-            static_cast<morton::CellCoord>(c.cell.x),
-            static_cast<morton::CellCoord>(c.cell.y),
-            static_cast<morton::CellCoord>(c.cell.z), level);
-        if (is_dirty(prefix))
+        while (d < dirty.size() && cellLess(dirty[d].cell, c.cell))
+            emit_dirty();
+        if (d < dirty.size() && dirty[d].cell == c.cell) {
+            emit_dirty();
             continue;
-        while (p < patched.size() &&
-               cellLess(patched[p].cell, c.cell))
-            out.push_back(patched[p++]);
+        }
         const PointIndex first = delta.newFromOld[c.first];
         HGPCN_ASSERT(first != kNoPoint,
                      "clean cell lost its first point");
@@ -264,8 +310,8 @@ patchOccupiedCells(const Octree &new_tree, int level,
             {c.cell, first,
              static_cast<PointIndex>(first + (c.last - c.first))});
     }
-    while (p < patched.size())
-        out.push_back(patched[p++]);
+    while (d < dirty.size())
+        emit_dirty();
     return true;
 }
 

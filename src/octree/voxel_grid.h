@@ -233,9 +233,13 @@ void buildOccupiedCells(const Octree &tree, int level,
  * same level over @p prev_tree) with the cross-frame @p delta:
  * clean cells keep their entry with point ranges remapped through
  * the delta; cells touched by an insertion or eviction are re-read
- * from the new tree (two binary searches each). Output is
- * bit-identical to buildOccupiedCells() on @p new_tree.
+ * from the new tree. The dirty cells come from one forward walk
+ * over the sorted codes and are merged with @p prev_occ in one
+ * linear pass. Output is bit-identical to buildOccupiedCells() on
+ * @p new_tree.
  *
+ * @param dirty Caller-owned scratch for the dirty cells; keeps its
+ *   capacity across calls (at most inserted + evicted entries).
  * @return false when patching cannot engage (level 0, or the trees'
  * depths differ); @p out is then untouched.
  */
@@ -243,7 +247,8 @@ bool patchOccupiedCells(const Octree &new_tree, int level,
                         const Octree &prev_tree,
                         const std::vector<OccupiedCell> &prev_occ,
                         const PointDelta &delta,
-                        std::vector<OccupiedCell> &out);
+                        std::vector<OccupiedCell> &out,
+                        std::vector<OccupiedCell> &dirty);
 
 } // namespace hgpcn
 

@@ -249,6 +249,48 @@ TEST(IncrementalOctree, ReorderedRetainedPointsStayCorrect)
     expectTreesIdentical(next, Octree::build(b, ocfg));
 }
 
+TEST(IncrementalOctree, FeaturesFollowTheirPoints)
+{
+    // Positions of retained points come from the previous reordered
+    // cloud; features must still come from the new frame, in the new
+    // order, even when a retained point's features changed.
+    const auto with_features = [](const PointCloud &positions,
+                                  float salt) {
+        PointCloud cloud(2);
+        for (PointIndex i = 0; i < positions.size(); ++i) {
+            const float f[2] = {static_cast<float>(i) + salt,
+                                -static_cast<float>(i)};
+            cloud.add(positions.position(i), f);
+        }
+        return cloud;
+    };
+    CoherentDrive::Config dc;
+    dc.points = 1200;
+    dc.churnFraction = 0.05;
+    dc.seed = 19;
+    const CoherentDrive drive(dc);
+    const Octree::Config ocfg = octreeConfig(10, 8);
+    Octree prev;
+    prev.rebuild(with_features(drive.generate(0).cloud, 0.0f), ocfg);
+    IncrementalOctreeBuilder builder;
+    for (std::size_t t = 1; t <= 3; ++t) {
+        const PointCloud frame =
+            with_features(drive.generate(t).cloud, 0.5f * t);
+        Octree next;
+        ASSERT_TRUE(builder.update(frame, &prev, ocfg, next));
+        const Octree fresh = Octree::build(frame, ocfg);
+        expectTreesIdentical(next, fresh);
+        ASSERT_EQ(next.reorderedCloud().featureDim(), 2u);
+        for (PointIndex i = 0; i < frame.size(); ++i) {
+            const auto a = next.reorderedCloud().feature(i);
+            const auto b = fresh.reorderedCloud().feature(i);
+            ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+                << "frame " << t << " point " << i;
+        }
+        prev = std::move(next);
+    }
+}
+
 TEST(IncrementalOctree, ConfigChangeFallsBackToScratch)
 {
     const PointCloud cloud = randomCloud(600, 8);
@@ -312,6 +354,32 @@ TEST(CachedIndices, IncrementalKnnMatchesFreshOracle)
                           fresh.gatherAt(queries.positions(), 16));
 }
 
+/** Patch @p prev_occ through @p delta at @p level and require the
+ *  result to equal buildOccupiedCells() on @p next, entry by entry. */
+void
+expectPatchMatchesFresh(const Octree &prev, const Octree &next,
+                        const PointDelta &delta, int level)
+{
+    std::vector<OccupiedCell> prev_occ;
+    buildOccupiedCells(prev, level, prev_occ);
+    std::vector<OccupiedCell> patched;
+    std::vector<OccupiedCell> dirty;
+    ASSERT_TRUE(patchOccupiedCells(next, level, prev, prev_occ, delta,
+                                   patched, dirty))
+        << "level " << level;
+    std::vector<OccupiedCell> fresh;
+    buildOccupiedCells(next, level, fresh);
+    ASSERT_EQ(patched.size(), fresh.size()) << "level " << level;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(patched[i].cell, fresh[i].cell)
+            << "level " << level << " cell " << i;
+        EXPECT_EQ(patched[i].first, fresh[i].first)
+            << "level " << level << " cell " << i;
+        EXPECT_EQ(patched[i].last, fresh[i].last)
+            << "level " << level << " cell " << i;
+    }
+}
+
 TEST(CachedIndices, PatchedOccupancyMatchesFreshOracle)
 {
     CoherentDrive::Config dc;
@@ -328,50 +396,8 @@ TEST(CachedIndices, PatchedOccupancyMatchesFreshOracle)
     Octree next;
     ASSERT_TRUE(builder.update(f1.cloud, &prev, ocfg, next));
 
-    for (int level = 1; level <= std::min(4, next.depth()); ++level) {
-        std::vector<OccupiedCell> prev_occ;
-        buildOccupiedCells(prev, level, prev_occ);
-        std::vector<OccupiedCell> patched;
-        ASSERT_TRUE(patchOccupiedCells(next, level, prev, prev_occ,
-                                       builder.delta(), patched))
-            << "level " << level;
-        std::vector<OccupiedCell> fresh;
-        buildOccupiedCells(next, level, fresh);
-        ASSERT_EQ(patched.size(), fresh.size()) << "level " << level;
-        for (std::size_t i = 0; i < fresh.size(); ++i) {
-            EXPECT_EQ(patched[i].cell, fresh[i].cell)
-                << "level " << level << " cell " << i;
-            EXPECT_EQ(patched[i].first, fresh[i].first)
-                << "level " << level << " cell " << i;
-            EXPECT_EQ(patched[i].last, fresh[i].last)
-                << "level " << level << " cell " << i;
-        }
-    }
-}
-
-/** Patch @p prev_occ through @p delta at @p level and require the
- *  result to equal buildOccupiedCells() on @p next, entry by entry. */
-void
-expectPatchMatchesFresh(const Octree &prev, const Octree &next,
-                        const PointDelta &delta, int level)
-{
-    std::vector<OccupiedCell> prev_occ;
-    buildOccupiedCells(prev, level, prev_occ);
-    std::vector<OccupiedCell> patched;
-    ASSERT_TRUE(patchOccupiedCells(next, level, prev, prev_occ, delta,
-                                   patched))
-        << "level " << level;
-    std::vector<OccupiedCell> fresh;
-    buildOccupiedCells(next, level, fresh);
-    ASSERT_EQ(patched.size(), fresh.size()) << "level " << level;
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-        EXPECT_EQ(patched[i].cell, fresh[i].cell)
-            << "level " << level << " cell " << i;
-        EXPECT_EQ(patched[i].first, fresh[i].first)
-            << "level " << level << " cell " << i;
-        EXPECT_EQ(patched[i].last, fresh[i].last)
-            << "level " << level << " cell " << i;
-    }
+    for (int level = 1; level <= std::min(4, next.depth()); ++level)
+        expectPatchMatchesFresh(prev, next, builder.delta(), level);
 }
 
 /**
@@ -870,6 +896,27 @@ TEST(DeltaDigest, BitTwinDuplicates)
     EXPECT_EQ(deltaDigest(frames, octreeConfig(8, 8)), 0xb3d6d42ebf1d2238ull);
 }
 
+TEST(DeltaDigest, TwinsAmongInsertionsAndEvictions)
+{
+    PointCloud f = anchoredCloud(600, 71);
+    for (int i = 0; i < 3; ++i)
+        f.add(f.position(30));
+    std::vector<PointCloud> frames{f};
+    // Every copy of the old twin set leaves.
+    churn(f, 30, 1, 72);
+    churn(f, 608, 3, 73);
+    frames.push_back(f);
+    // A twin pair arrives among the insertions.
+    churn(f, 100, 1, 74);
+    f.position(101) = f.position(100);
+    frames.push_back(f);
+    churn(f, 200, 20, 75); // the pair is retained
+    frames.push_back(f);
+    churn(f, 100, 2, 76); // ... and leaves
+    frames.push_back(f);
+    EXPECT_EQ(deltaDigest(frames, octreeConfig(10, 8)), 0x1ae6d9f1ee841172ull);
+}
+
 TEST(DeltaDigest, SignedZeros)
 {
     // Bounds pinned at [-1, 1]^3 so that zero coordinates sit in the
@@ -914,7 +961,8 @@ TEST(DeltaDigest, ReversedFrame)
     PointCloud b;
     for (std::size_t i = 0; i < a.size(); ++i)
         b.add(a.position(static_cast<PointIndex>(a.size() - 1 - i)));
-    EXPECT_EQ(deltaDigest({a, b, a}, octreeConfig(8, 8)), 0xe7f1111819aeb04cull);
+    EXPECT_EQ(deltaDigest({a, b, a}, octreeConfig(8, 8)),
+              0xe7f1111819aeb04cull);
 }
 
 TEST(DeltaDigest, RetainedPointsSwapInputIndex)
