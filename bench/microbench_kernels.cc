@@ -3,9 +3,10 @@
  * google-benchmark microbenchmarks of the core kernels: Morton
  * encoding, octree construction, the steady-state temporal build
  * stage, OIS sampling, VEG gathering, the brute-force baselines, the
- * spatial-hash KNN index (src/knn) and the register-tiled GEMM. These are the software costs behind Figs. 9-12
- * and the host hot path (docs/PERFORMANCE.md); wall-clock per-kernel
- * numbers on the build machine.
+ * spatial-hash KNN index (src/knn), the register-tiled GEMM and a
+ * whole SA level at 1-4 threads. These are the software costs
+ * behind Figs. 9-12 and the host hot path (docs/PERFORMANCE.md);
+ * wall-clock per-kernel numbers on the build machine.
  *
  * `--json <path>` additionally writes a BENCH_kernels.json record
  * (kernel, ns/op, items/s) for the machine-readable perf trajectory,
@@ -31,6 +32,7 @@
 #include "gather/veg_gatherer.h"
 #include "knn/spatial_hash_knn.h"
 #include "nn/mlp.h"
+#include "nn/pointnet2.h"
 #include "sampling/fps_sampler.h"
 #include "sampling/ois_fps_sampler.h"
 
@@ -251,6 +253,39 @@ BM_MlpIntraOpThreads(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * x.rows());
 }
 BENCHMARK(BM_MlpIntraOpThreads)->Arg(1)->Arg(2)->Arg(4);
+
+/** The Pointnet++(s) SA0 level over a 4096-point cloud — octree,
+ * VEG gather, grouped rows, the 35 -> 32 -> 32 -> 64 MLP and the
+ * max-pool for 1024 centroids x 32 neighbours — as one parallel
+ * region over centroid blocks; arg is RunOptions::intraOpThreads
+ * (bit-identical outputs at any count). The network is Pointnet++(s)
+ * cut after SA0 with a 13-wide head on the pooled rows (< 1 % of the
+ * work). Wall time: the level's threads run concurrently. */
+void
+BM_SaLevelThreads(benchmark::State &state)
+{
+    PointNet2Spec spec = PointNet2Spec::semanticSegmentation();
+    spec.sa.resize(1);
+    spec.fp.clear();
+    spec.segmentation = false;
+    spec.head.clear();
+    const PointNet2 net(spec, 42);
+    const PointCloud cloud = randomCloud(spec.inputPoints, 8);
+    FrameWorkspace ws;
+    RunOptions opts;
+    opts.ds = DsMethod::Veg;
+    opts.workspace = &ws;
+    opts.intraOpThreads = static_cast<int>(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(net.run(cloud, opts).logits.row(0));
+    state.SetItemsProcessed(state.iterations() * spec.sa[0].npoint);
+}
+BENCHMARK(BM_SaLevelThreads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Arg(4)
+    ->UseRealTime();
 
 /** Capture every finished run so --json can replay it. */
 class CapturingReporter : public benchmark::ConsoleReporter

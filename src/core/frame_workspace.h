@@ -16,7 +16,9 @@
  * path). Stage worker threads are recreated per run(), so pooling —
  * not thread_local storage — is what keeps the arenas warm across
  * runs. A workspace is single-threaded while leased; the pool is
- * thread-safe.
+ * thread-safe. A parallel inference region gives each of its
+ * threads a worker sub-workspace (worker()), created by the leasing
+ * thread and kept warm with the parent.
  *
  * What stays on the regular heap: outputs that escape the frame
  * (logits, execution traces, gather results, the octree) — those are
@@ -35,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "gather/veg_gatherer.h"
 #include "geometry/point_cloud.h"
 #include "nn/tensor.h"
 
@@ -60,6 +63,7 @@ class FrameWorkspace
         tensor_cursor = 0;
         pos_cursor = 0;
         idx_cursor = 0;
+        veg_cursor = 0;
     }
 
     /**
@@ -118,6 +122,24 @@ class FrameWorkspace
     }
 
     /**
+     * @return a VEG gatherer over @p tree with @p config from the
+     * bump arena, valid until the next beginFrame(). Its grid views
+     * keep their storage across frames; their growth is counted.
+     */
+    VegKnn &
+    vegKnn(const Octree &tree, const VegKnn::Config &config)
+    {
+        if (veg_cursor == veg_gatherers.size()) {
+            veg_gatherers.emplace_back(tree, config, this);
+            noteGrowth();
+            return veg_gatherers[veg_cursor++];
+        }
+        VegKnn &knn = veg_gatherers[veg_cursor++];
+        knn.rebind(tree, config);
+        return knn;
+    }
+
+    /**
      * Reserve capacity for a registered scratch vector, counting
      * backing growth. Use for long-lived scratch members below (the
      * arena helpers above count themselves).
@@ -153,9 +175,33 @@ class FrameWorkspace
     };
     SamplingScratch sampling;
 
-    /** MLP row-parallelism for this worker's frames (>= 1); set by
-     * the inference stage from the runner config. */
+    /** Host threads for this worker's frames (>= 1), passed to
+     * RunOptions::intraOpThreads; set by the inference stage from
+     * the runner config. */
     int intraOpThreads = 1;
+
+    /**
+     * Make sure worker scratch 0 .. @p n - 1 exists. Call on the
+     * leasing thread before a parallel region starts; inside it,
+     * worker(w) is then a plain lookup.
+     */
+    void
+    reserveWorkers(std::size_t n)
+    {
+        while (workers.size() < n) {
+            workers.push_back(std::make_unique<FrameWorkspace>());
+            noteGrowth();
+        }
+    }
+
+    /**
+     * @return parallel-region worker @p w's own scratch (its bump
+     * arena and neighbor-search buffers). It lives as long as this
+     * workspace, so worker scratch stays warm across frames; each
+     * region starts it with beginFrame(). One thread per worker
+     * index at a time.
+     */
+    FrameWorkspace &worker(std::size_t w) { return *workers[w]; }
 
     /**
      * @return process-wide count of arena/scratch backing growths.
@@ -183,6 +229,9 @@ class FrameWorkspace
     std::size_t pos_cursor = 0;
     std::deque<std::vector<PointIndex>> index_bufs;
     std::size_t idx_cursor = 0;
+    std::deque<VegKnn> veg_gatherers;
+    std::size_t veg_cursor = 0;
+    std::vector<std::unique_ptr<FrameWorkspace>> workers;
 
     static std::atomic<std::uint64_t> growth_count;
 };

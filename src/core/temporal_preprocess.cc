@@ -1,5 +1,7 @@
 #include "core/temporal_preprocess.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "core/frame_workspace.h"
 #include "obs/metrics.h"
@@ -96,6 +98,37 @@ TemporalPreprocessState::TemporalPreprocessState(const Config &config)
 {
 }
 
+void
+TemporalPreprocessState::BundlePool::absorb(const PreprocessBundle &built)
+{
+    const std::vector<std::size_t> caps = built.tree.capacities();
+    bool rose = caps.size() > treeHighWater.size() ||
+                built.rawOcc.capacity() > occHighWater;
+    treeHighWater.resize(std::max(treeHighWater.size(), caps.size()), 0);
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+        if (caps[i] > treeHighWater[i]) {
+            treeHighWater[i] = caps[i];
+            rose = true;
+        }
+    }
+    occHighWater = std::max(occHighWater, built.rawOcc.capacity());
+    if (rose)
+        for (PreprocessBundle *idle : free_list)
+            fill(*idle);
+}
+
+void
+TemporalPreprocessState::BundlePool::fill(PreprocessBundle &bundle) const
+{
+    bool grew = bundle.tree.reserveCapacities(treeHighWater);
+    if (bundle.rawOcc.capacity() < occHighWater) {
+        bundle.rawOcc.reserve(occHighWater);
+        grew = true;
+    }
+    if (grew)
+        FrameWorkspace::noteGrowth();
+}
+
 std::shared_ptr<PreprocessBundle>
 TemporalPreprocessState::leaseBundle(
     const std::shared_ptr<BundlePool> &pool)
@@ -108,20 +141,23 @@ TemporalPreprocessState::leaseBundle(
                 std::make_unique<PreprocessBundle>());
             FrameWorkspace::noteGrowth();
             bundle = pool->owned.back().get();
+            pool->fill(*bundle);
         } else {
-            // FIFO: bundles come back in frame order (results are
-            // released in stream order), so re-running the same
-            // stream hands frame i the bundle already sized for it
-            // — the steady-state zero-growth contract.
-            bundle = pool->free_list.front();
-            pool->free_list.erase(pool->free_list.begin());
+            // Any idle bundle will do: all are grown to the pool's
+            // high water, so whichever frame this one serves, a
+            // repeat of frames already seen regrows nothing. Take
+            // the most recently returned (warmest in cache).
+            bundle = pool->free_list.back();
+            pool->free_list.pop_back();
         }
     }
     // The deleter holds the pool alive, so bundles may outlive the
-    // state that leased them (results escaping a stream run).
+    // state that leased them (results escaping a stream run). The
+    // high water may have risen while this bundle was out.
     return std::shared_ptr<PreprocessBundle>(
         bundle, [pool](PreprocessBundle *b) {
             std::lock_guard<std::mutex> lock(pool->mu);
+            pool->fill(*b);
             pool->free_list.push_back(b);
         });
 }
@@ -205,6 +241,14 @@ TemporalPreprocessState::processFrame(const PointCloud &raw)
         bundle->rawOccLevel = -1;
     }
 
+    // Raise the pool's high water now, not when the bundle returns:
+    // a run's last frame stays carried into the next run, and the
+    // idle bundles must already fit it by then.
+    {
+        std::lock_guard<std::mutex> pool_lock(pool->mu);
+        pool->absorb(*bundle);
+    }
+
     if (metrics != nullptr)
         recordMetrics(*metrics, fa);
     recordTrace(st.frames, obsShard, fa);
@@ -234,6 +278,25 @@ TemporalPreprocessState::stats() const
 {
     std::lock_guard<std::mutex> lock(mu);
     return st;
+}
+
+void
+TemporalPreprocessState::reserveBundles(std::size_t n)
+{
+    std::lock_guard<std::mutex> lock(pool->mu);
+    while (pool->owned.size() < n) {
+        pool->owned.push_back(std::make_unique<PreprocessBundle>());
+        FrameWorkspace::noteGrowth();
+        pool->fill(*pool->owned.back());
+        pool->free_list.push_back(pool->owned.back().get());
+    }
+}
+
+std::size_t
+TemporalPreprocessState::pooledBundles() const
+{
+    std::lock_guard<std::mutex> lock(pool->mu);
+    return pool->owned.size();
 }
 
 } // namespace hgpcn

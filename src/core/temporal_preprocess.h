@@ -23,9 +23,14 @@
  * paper numbers are unchanged by construction.
  *
  * Storage is pooled: frames lease a PreprocessBundle (octree +
- * indices) whose backing vectors are reused once every in-flight
- * frame has a warmed bundle, keeping the steady state free of
- * arena-backing allocation (growth counted via
+ * indices) and hold it until their indices are no longer needed
+ * (the stream runtime drops them once the frame is sampled, and
+ * reserves as many bundles as frames can be between those points),
+ * so the pool is bounded by the frames in flight. Each built bundle
+ * raises the pool's high-water capacities and every idle bundle is
+ * grown to them, so once a warm-up pass has seen the largest frame
+ * no bundle regrows, whichever frame it serves — keeping the steady
+ * state free of arena-backing allocation (growth counted via
  * FrameWorkspace::noteGrowth, pinned by tests/test_runtime.cc).
  * Thread safety: processFrame() serializes under a mutex; frames
  * arriving out of order only lower the hit rate, never change
@@ -127,6 +132,18 @@ class TemporalPreprocessState
     /** @return cache telemetry snapshot. */
     Stats stats() const;
 
+    /**
+     * Make sure the pool holds at least @p n bundles. A pipeline
+     * that bounds the frames holding a bundle reserves that bound up
+     * front, so how many bundles exist does not depend on how far
+     * its build stage happened to run ahead of the holders.
+     */
+    void reserveBundles(std::size_t n);
+
+    /** @return bundles the pool has created: about the frames in
+     * flight when holders drop their bundles after use. */
+    std::size_t pooledBundles() const;
+
     /** @return configured policy. */
     const Config &config() const { return cfg; }
 
@@ -138,6 +155,19 @@ class TemporalPreprocessState
         std::mutex mu;
         std::vector<std::unique_ptr<PreprocessBundle>> owned;
         std::vector<PreprocessBundle *> free_list;
+        /** Element-wise maximum of every built bundle's octree
+         * capacities (Octree::capacities()) and occupancy-list
+         * capacity; every idle bundle is grown to them. */
+        std::vector<std::size_t> treeHighWater;
+        std::size_t occHighWater = 0;
+
+        /** Raise the high water to a just-built bundle's capacities;
+         * when it rises, grow every idle bundle to it. Under mu. */
+        void absorb(const PreprocessBundle &built);
+
+        /** Grow @p bundle to the high water (noted as growth when
+         * anything grew). Under mu, on an idle bundle. */
+        void fill(PreprocessBundle &bundle) const;
     };
 
     static std::shared_ptr<PreprocessBundle>

@@ -27,13 +27,49 @@ toString(VegMode mode)
 
 VegKnn::VegKnn(const Octree &tree) : VegKnn(tree, Config{}) {}
 
+void
+VegCounters::add(const VegCounters &other)
+{
+    distanceComputations += other.distanceComputations;
+    sortCandidates += other.sortCandidates;
+    tableLookups += other.tableLookups;
+    ringsExpanded += other.ringsExpanded;
+    innerPoints += other.innerPoints;
+}
+
+void
+VegCounters::writeTo(StatSet &stats) const
+{
+    stats.set("gather.distance_computations", distanceComputations);
+    stats.set("gather.sort_candidates", sortCandidates);
+    stats.set("gather.table_lookups", tableLookups);
+    stats.set("gather.rings_expanded", ringsExpanded);
+    stats.set("gather.inner_points", innerPoints);
+}
+
 VegKnn::VegKnn(const Octree &tree, const Config &config,
                FrameWorkspace *ws)
-    : octree(tree), cfg(config), workspace(ws),
-      grids(static_cast<std::size_t>(tree.config().maxDepth) + 1)
+    : workspace(ws)
 {
-    HGPCN_ASSERT(cfg.gridLevel <= tree.config().maxDepth,
-                 "gridLevel ", cfg.gridLevel, " exceeds octree depth");
+    rebind(tree, config);
+}
+
+void
+VegKnn::rebind(const Octree &tree, const Config &config)
+{
+    HGPCN_ASSERT(config.gridLevel <= tree.config().maxDepth,
+                 "gridLevel ", config.gridLevel,
+                 " exceeds octree depth");
+    octree = &tree;
+    cfg = config;
+    const std::size_t levels =
+        static_cast<std::size_t>(tree.config().maxDepth) + 1;
+    if (grid_count < levels) {
+        grids = std::make_unique<LevelGrid[]>(levels);
+        grid_count = levels;
+    }
+    for (std::size_t l = 0; l < grid_count; ++l)
+        grids[l].ready.store(false, std::memory_order_relaxed);
 }
 
 std::string
@@ -45,10 +81,23 @@ VegKnn::name() const
 const VoxelGrid &
 VegKnn::gridAt(int level) const
 {
-    auto &slot = grids[static_cast<std::size_t>(level)];
-    if (!slot)
-        slot = std::make_unique<VoxelGrid>(octree, level);
-    return *slot;
+    LevelGrid &slot = grids[static_cast<std::size_t>(level)];
+    if (!slot.ready.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(slot.mu);
+        if (!slot.ready.load(std::memory_order_relaxed)) {
+            const std::size_t before =
+                slot.grid ? slot.grid->capacity() : 0;
+            if (slot.grid)
+                slot.grid->rebind(*octree, level);
+            else
+                slot.grid = std::make_unique<VoxelGrid>(*octree, level);
+            slot.grid->prepare();
+            if (slot.grid->capacity() > before)
+                FrameWorkspace::noteGrowth();
+            slot.ready.store(true, std::memory_order_release);
+        }
+    }
+    return *slot.grid;
 }
 
 int
@@ -59,15 +108,15 @@ VegKnn::levelFor(const Vec3 &anchor) const
     // Locate Central Voxel (LV stage): the octree leaf containing
     // the centroid sets the expansion granularity, adapting ring
     // sizes to the local point density.
-    const NodeIndex leaf = octree.findLeaf(anchor);
-    const int level = octree.node(leaf).level;
+    const NodeIndex leaf = octree->findLeaf(anchor);
+    const int level = octree->node(leaf).level;
     return level < 1 ? 1 : level;
 }
 
 GatherResult
 VegKnn::gather(std::span<const PointIndex> centrals, std::size_t k)
 {
-    const PointCloud &cloud = octree.reorderedCloud();
+    const PointCloud &cloud = octree->reorderedCloud();
     std::vector<Vec3> anchors;
     anchors.reserve(centrals.size());
     for (PointIndex c : centrals)
@@ -78,40 +127,55 @@ VegKnn::gather(std::span<const PointIndex> centrals, std::size_t k)
 GatherResult
 VegKnn::gatherAt(std::span<const Vec3> anchors, std::size_t k)
 {
-    const PointCloud &cloud = octree.reorderedCloud();
-    const std::size_t n = cloud.size();
-    HGPCN_ASSERT(k >= 1 && k <= n, "k=", k, " n=", n);
-
     GatherResult result;
     result.k = k;
-    result.neighbors.reserve(anchors.size() * k);
-    result.traces.reserve(anchors.size());
-
-    std::uint64_t dist_computes = 0;
-    std::uint64_t sort_candidates = 0;
-    std::uint64_t table_lookups = 0;
-    std::uint64_t rings_total = 0;
-    std::uint64_t inner_total = 0;
-
+    result.neighbors.resize(anchors.size() * k);
+    result.traces.resize(anchors.size());
+    VegCounters counters;
     Rng rng(cfg.seed);
+    gatherAtRange(anchors, k, 0, anchors.size(), result.neighbors,
+                  result.traces, counters, workspace, &rng);
+    counters.writeTo(result.stats);
+    return result;
+}
+
+void
+VegKnn::gatherAtRange(std::span<const Vec3> anchors, std::size_t k,
+                      std::size_t begin, std::size_t end,
+                      std::span<PointIndex> neighbors,
+                      std::span<VegTrace> traces,
+                      VegCounters &counters, FrameWorkspace *scratch,
+                      Rng *rng) const
+{
+    const PointCloud &cloud = octree->reorderedCloud();
+    const std::size_t n = cloud.size();
+    HGPCN_ASSERT(k >= 1 && k <= n, "k=", k, " n=", n);
+    HGPCN_ASSERT(begin <= end && end <= anchors.size() &&
+                     neighbors.size() == (end - begin) * k &&
+                     traces.size() == end - begin,
+                 "VEG range outputs do not match the range");
+    HGPCN_ASSERT(cfg.mode != VegMode::SemiApprox || rng != nullptr,
+                 "semi-approximate VEG needs the caller's rng");
 
     std::vector<PointIndex> own_inner;
     std::vector<PointIndex> own_last_ring;
     std::vector<std::pair<float, PointIndex>> own_scored;
     std::vector<PointIndex> &inner =
-        workspace != nullptr ? workspace->knn.inner : own_inner;
+        scratch != nullptr ? scratch->knn.inner : own_inner;
     std::vector<PointIndex> &last_ring =
-        workspace != nullptr ? workspace->knn.lastRing : own_last_ring;
+        scratch != nullptr ? scratch->knn.lastRing : own_last_ring;
     std::vector<std::pair<float, PointIndex>> &scored =
-        workspace != nullptr ? workspace->knn.scored : own_scored;
+        scratch != nullptr ? scratch->knn.scored : own_scored;
 
-    for (const Vec3 &anchor : anchors) {
+    PointIndex *out = neighbors.data();
+    for (std::size_t a = begin; a < end; ++a) {
+        const Vec3 &anchor = anchors[a];
         // Stage 1-2 (FP, LV): fetch the centroid, locate its voxel.
         const VoxelGrid &grid = gridAt(levelFor(anchor));
         const GridCell seed_cell = grid.cellOf(anchor);
         const int max_ring = grid.cellsPerAxis();
         const float cell =
-            morton::voxelSize(grid.level(), octree.rootBounds());
+            morton::voxelSize(grid.level(), octree->rootBounds());
 
         VegTrace trace;
         inner.clear();
@@ -134,7 +198,7 @@ VegKnn::gatherAt(std::span<const Vec3> anchors, std::size_t k)
                 for (PointIndex p : last_ring)
                     scored.emplace_back(
                         cloud.position(p).distSq(anchor), p);
-                dist_computes += last_ring.size();
+                counters.distanceComputations += last_ring.size();
                 if (scored.size() >= k) {
                     kth_dist = kthSmallest(scored, k).first;
                     const float ring_min =
@@ -149,10 +213,10 @@ VegKnn::gatherAt(std::span<const Vec3> anchors, std::size_t k)
             trace.rings = static_cast<std::uint32_t>(r);
             trace.lastRingPoints =
                 static_cast<std::uint32_t>(scored.size());
-            sort_candidates += scored.size();
+            counters.sortCandidates += scored.size();
             selectTopK(scored, k);
             for (std::size_t j = 0; j < k; ++j)
-                result.neighbors.push_back(scored[j].second);
+                *out++ = scored[j].second;
         } else {
             // Stage 3 (VE): expand rings until cumulative count >= K.
             // The host gathers each ring once and counts what it got:
@@ -177,10 +241,10 @@ VegKnn::gatherAt(std::span<const Vec3> anchors, std::size_t k)
                 static_cast<std::uint32_t>(inner.size());
             trace.lastRingPoints =
                 static_cast<std::uint32_t>(last_ring.size());
-            inner_total += inner.size();
+            counters.innerPoints += inner.size();
 
             for (PointIndex p : inner)
-                result.neighbors.push_back(p);
+                *out++ = p;
             const std::size_t need = k - inner.size();
 
             if (cfg.mode == VegMode::SemiApprox) {
@@ -189,9 +253,9 @@ VegKnn::gatherAt(std::span<const Vec3> anchors, std::size_t k)
                 for (std::size_t j = 0; j < need; ++j) {
                     const std::size_t pick =
                         j + static_cast<std::size_t>(
-                                rng.below(last_ring.size() - j));
+                                rng->below(last_ring.size() - j));
                     std::swap(last_ring[j], last_ring[pick]);
-                    result.neighbors.push_back(last_ring[j]);
+                    *out++ = last_ring[j];
                 }
             } else {
                 // Stage 5 (ST): score and sort only the last ring.
@@ -200,25 +264,18 @@ VegKnn::gatherAt(std::span<const Vec3> anchors, std::size_t k)
                 for (PointIndex p : last_ring)
                     scored.emplace_back(
                         cloud.position(p).distSq(anchor), p);
-                dist_computes += last_ring.size();
-                sort_candidates += last_ring.size();
+                counters.distanceComputations += last_ring.size();
+                counters.sortCandidates += last_ring.size();
                 selectTopK(scored, need);
                 for (std::size_t j = 0; j < need; ++j)
-                    result.neighbors.push_back(scored[j].second);
+                    *out++ = scored[j].second;
             }
         }
 
-        rings_total += trace.rings;
-        table_lookups += trace.tableLookups;
-        result.traces.push_back(trace);
+        counters.ringsExpanded += trace.rings;
+        counters.tableLookups += trace.tableLookups;
+        traces[a - begin] = trace;
     }
-
-    result.stats.set("gather.distance_computations", dist_computes);
-    result.stats.set("gather.sort_candidates", sort_candidates);
-    result.stats.set("gather.table_lookups", table_lookups);
-    result.stats.set("gather.rings_expanded", rings_total);
-    result.stats.set("gather.inner_points", inner_total);
-    return result;
 }
 
 namespace

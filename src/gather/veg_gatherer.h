@@ -30,7 +30,9 @@
 #ifndef HGPCN_GATHER_VEG_GATHERER_H
 #define HGPCN_GATHER_VEG_GATHERER_H
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 
 #include "common/rng.h"
 #include "gather/gatherer.h"
@@ -54,10 +56,37 @@ enum class VegMode
 const char *toString(VegMode mode);
 
 /**
+ * Workload counters of a VEG gather, summed range by range. They are
+ * integer sums, so the total does not depend on how the anchors were
+ * split or in which order the ranges ran.
+ */
+struct VegCounters
+{
+    std::uint64_t distanceComputations = 0;
+    std::uint64_t sortCandidates = 0;
+    std::uint64_t tableLookups = 0;
+    std::uint64_t ringsExpanded = 0;
+    std::uint64_t innerPoints = 0;
+
+    /** Add another range's counters. */
+    void add(const VegCounters &other);
+
+    /** Set the five "gather.*" counters of @p stats. */
+    void writeTo(StatSet &stats) const;
+};
+
+/**
  * KNN data structuring by voxel expansion over an octree.
  *
  * Point indices (centroids and neighbors) refer to the octree's
  * SFC-reordered cloud.
+ *
+ * Thread safety: gatherAtRange() is const and may run concurrently
+ * on disjoint anchor ranges, each caller with its own scratch; each
+ * per-level grid view is built once, under its own lock, by
+ * whichever range needs the level first. A gatherer held by a
+ * FrameWorkspace is rebound to each frame's tree and keeps its grid
+ * views' storage.
  */
 class VegKnn : public Gatherer
 {
@@ -104,17 +133,56 @@ class VegKnn : public Gatherer
      */
     GatherResult gatherAt(std::span<const Vec3> anchors, std::size_t k);
 
+    /**
+     * gatherAt() over anchors [begin, end) only: anchor i's k
+     * neighbors go to neighbors[(i - begin) * k, ...) and its trace
+     * to traces[i - begin]; workload is added to @p counters.
+     * Per-anchor results are independent of the range, so any split
+     * of [0, anchors.size()) reproduces gatherAt() exactly — except
+     * VegMode::SemiApprox, whose picks draw on @p rng in anchor
+     * order (required there; ranges must then run in order on one
+     * rng seeded config().seed). Ring and score buffers come from
+     * @p scratch (per-thread; null = local allocations).
+     */
+    void gatherAtRange(std::span<const Vec3> anchors, std::size_t k,
+                       std::size_t begin, std::size_t end,
+                       std::span<PointIndex> neighbors,
+                       std::span<VegTrace> traces,
+                       VegCounters &counters, FrameWorkspace *scratch,
+                       Rng *rng) const;
+
+    /** @return gathering configuration. */
+    const Config &config() const { return cfg; }
+
+    /** @return the octree gathered over. */
+    const Octree &tree() const { return *octree; }
+
+    /**
+     * Gather over @p tree with @p config from now on, as if
+     * constructed afresh, keeping the grid views' storage. Call
+     * while no gather runs.
+     */
+    void rebind(const Octree &tree, const Config &config);
+
     std::string name() const override;
 
     /** @return the expansion level used for @p anchor. */
     int levelFor(const Vec3 &anchor) const;
 
   private:
-    const Octree &octree;
+    const Octree *octree;
     Config cfg;
     FrameWorkspace *workspace;
-    /** One grid view per level, created on first use. */
-    mutable std::vector<std::unique_ptr<VoxelGrid>> grids;
+    /** One grid view per level, (re)built with its lookup tables on
+     * first use after each rebind, once across threads. */
+    struct LevelGrid
+    {
+        std::mutex mu;
+        std::atomic<bool> ready{false};
+        std::unique_ptr<VoxelGrid> grid;
+    };
+    std::unique_ptr<LevelGrid[]> grids;
+    std::size_t grid_count = 0;
 
     const VoxelGrid &gridAt(int level) const;
 };

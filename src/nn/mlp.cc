@@ -1,5 +1,6 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -8,28 +9,6 @@
 
 namespace hgpcn
 {
-
-namespace
-{
-
-/** Only fan work out when a layer is chunky enough to amortize the
- * per-call thread spawn (~50 us each). */
-constexpr std::uint64_t kMinMacsPerThread = 2'000'000;
-
-int
-effectiveThreads(std::uint64_t macs, int threads)
-{
-    if (threads <= 1)
-        return 1;
-    const std::uint64_t cap = macs / kMinMacsPerThread;
-    if (cap <= 1)
-        return 1;
-    return cap < static_cast<std::uint64_t>(threads)
-               ? static_cast<int>(cap)
-               : threads;
-}
-
-} // namespace
 
 Linear::Linear(std::size_t in, std::size_t out, Rng &rng)
     : bias(out, 0.0f)
@@ -71,8 +50,7 @@ Linear::forwardIntoUntraced(const Tensor &x, Tensor &out, bool relu,
     const std::uint64_t macs =
         static_cast<std::uint64_t>(x.rows()) * x.cols() *
         weight.cols();
-    const int t = effectiveThreads(macs, threads);
-    parallelFor(x.rows(), t,
+    parallelFor(x.rows(), gatedThreads(macs, threads),
                 [&](std::size_t begin, std::size_t end) {
                     Tensor::matmulRowsInto(x, weight, out, begin, end,
                                            {bias.data(), relu});
@@ -109,22 +87,56 @@ Mlp::forward(const Tensor &x, const std::string &name_prefix,
     return std::move(bufs[(layers.size() - 1) % 2]);
 }
 
+std::uint64_t
+Mlp::macsPerRow() const
+{
+    std::uint64_t macs = 0;
+    for (const Linear &l : layers)
+        macs += static_cast<std::uint64_t>(l.weight.rows()) *
+                l.weight.cols();
+    return macs;
+}
+
+std::size_t
+Mlp::maxWidth() const
+{
+    std::size_t w = 0;
+    for (const Linear &l : layers)
+        w = std::max(w, l.weight.cols());
+    return w;
+}
+
+const Tensor &
+Mlp::forwardRows(const Tensor &x, Tensor &ping, Tensor &pong) const
+{
+    const Tensor *cur = &x;
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        Tensor &dst = i % 2 == 0 ? ping : pong;
+        const bool relu = i + 1 < layers.size() || relu_last;
+        layers[i].forwardIntoUntraced(*cur, dst, relu, /*threads=*/1);
+        cur = &dst;
+    }
+    return *cur;
+}
+
+void
+Mlp::recordGemms(std::size_t rows, const std::string &name_prefix,
+                 ExecutionTrace &trace) const
+{
+    for (std::size_t i = 0; i < layers.size(); ++i)
+        trace.gemms.push_back(GemmOp{
+            name_prefix + ".fc" + std::to_string(i), rows,
+            layers[i].weight.rows(), layers[i].weight.cols()});
+}
+
 const Tensor &
 Mlp::forwardArena(const Tensor &x, const std::string &name_prefix,
                   ExecutionTrace &trace, FrameWorkspace &ws,
                   int threads) const
 {
-    const Tensor *cur = &x;
-    Tensor *dst = nullptr;
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        dst = &ws.tensor(cur->rows(), layers[i].weight.cols());
-        const bool relu = i + 1 < layers.size() || relu_last;
-        layers[i].forwardInto(*cur, *dst, relu, threads,
-                              name_prefix + ".fc" + std::to_string(i),
-                              trace);
-        cur = dst;
-    }
-    return *dst;
+    const std::size_t rows[] = {x.rows()};
+    ExecutionTrace *const traces[] = {&trace};
+    return forwardBatchArena(x, rows, traces, name_prefix, ws, threads);
 }
 
 const Tensor &
@@ -148,14 +160,10 @@ Mlp::forwardBatchArena(const Tensor &stacked,
         dst = &ws.tensor(cur->rows(), layers[i].weight.cols());
         const bool relu = i + 1 < layers.size() || relu_last;
         layers[i].forwardIntoUntraced(*cur, *dst, relu, threads);
-        const std::string name =
-            name_prefix + ".fc" + std::to_string(i);
-        for (std::size_t f = 0; f < traces.size(); ++f)
-            traces[f]->gemms.push_back(GemmOp{
-                name, frame_rows[f], cur->cols(),
-                layers[i].weight.cols()});
         cur = dst;
     }
+    for (std::size_t f = 0; f < traces.size(); ++f)
+        recordGemms(frame_rows[f], name_prefix, *traces[f]);
     return *dst;
 }
 

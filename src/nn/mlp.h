@@ -110,6 +110,27 @@ class Mlp
         const std::string &name_prefix, FrameWorkspace &ws,
         int threads) const;
 
+    /**
+     * Untraced single-thread forward of one block of rows through
+     * every layer, ping-ponging between @p ping and @p pong (their
+     * capacity is the caller's: a warmed pair never allocates).
+     * @return whichever of the two holds the output. Values are
+     * bit-identical to the same rows of forward().
+     */
+    const Tensor &forwardRows(const Tensor &x, Tensor &ping,
+                              Tensor &pong) const;
+
+    /** Record this MLP's GEMMs over @p rows rows into @p trace —
+     * what forwardArena() records for a @p rows-row input. */
+    void recordGemms(std::size_t rows, const std::string &name_prefix,
+                     ExecutionTrace &trace) const;
+
+    /** @return multiply-accumulates per input row, all layers. */
+    std::uint64_t macsPerRow() const;
+
+    /** @return widest layer output. */
+    std::size_t maxWidth() const;
+
     /** @return output feature width. */
     std::size_t outWidth() const { return out_width; }
 

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "core/frame_workspace.h"
 #include "gather/brute_gatherers.h"
 #include "gather/veg_gatherer.h"
@@ -218,11 +219,11 @@ invertPermutation(const std::vector<PointIndex> &perm,
  * Brute-force k-NN of arbitrary query coordinates against a cloud
  * (queries need not be cloud members). The oracle path behind
  * opts.fastKnn == false; the spatial-hash index reproduces it
- * bit for bit. Distance workload is recorded into @p stats.
+ * bit for bit. Distance workload goes to the result's stats.
  */
 GatherResult
 bruteNnAt(std::span<const Vec3> points, std::span<const Vec3> queries,
-          std::size_t k, StatSet &stats)
+          std::size_t k)
 {
     const std::size_t n = points.size();
     GatherResult result;
@@ -238,36 +239,403 @@ bruteNnAt(std::span<const Vec3> points, std::span<const Vec3> queries,
         for (std::size_t j = 0; j < k; ++j)
             result.neighbors.push_back(scored[j].second);
     }
-    stats.add("gather.distance_computations", queries.size() * n);
-    stats.add("gather.sort_candidates", queries.size() * n);
+    result.stats.add("gather.distance_computations", queries.size() * n);
+    result.stats.add("gather.sort_candidates", queries.size() * n);
     return result;
 }
 
+bool
+isVeg(DsMethod method)
+{
+    return method == DsMethod::Veg || method == DsMethod::VegBq ||
+           method == DsMethod::VegStrict;
+}
+
+/** The VEG octree over one level's points. */
+Octree
+levelTree(std::span<const Vec3> positions)
+{
+    Octree::Config cfg;
+    cfg.maxDepth = 12;
+    return Octree::build(cloudFromPositions(positions), cfg);
+}
+
+/** MLP rows a block aims for: its activations stay in a core's L2
+ * cache, and the per-block calls stay cheap next to its GEMMs. */
+constexpr std::size_t kBlockRows = 128;
+
+/** Blocks per thread at least, so that dynamic claiming evens out
+ * gathers of uneven cost. */
+constexpr std::size_t kBlocksPerThread = 4;
+
+/** Items (centroids or fine points) [begin, end) of one frame. */
+struct Block
+{
+    std::size_t frame = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+/** One worker's scratch for a region, every buffer at full-block
+ * capacity: the block's input rows, the MLP ping-pong pair, the
+ * block's neighbor list, and per-frame gather counters. */
+struct BlockScratch
+{
+    FrameWorkspace *ws = nullptr;
+    Tensor *x = nullptr;
+    Tensor *ping = nullptr;
+    Tensor *pong = nullptr;
+    PointIndex *neighbors = nullptr;
+    VegCounters *counters = nullptr;
+};
+
+/**
+ * The plan of one parallel level: blocks over every frame's items,
+ * the threads the level's MLP work earns, and each worker's scratch,
+ * leased on the calling thread so that a warm workspace allocates
+ * nothing inside the region.
+ */
+class Region
+{
+  public:
+    /**
+     * @param items Items per frame.
+     * @param rows_per_item MLP rows per item (SA: k; FP: 1).
+     * @param neighbors_per_item Gathered neighbors per item.
+     * @param macs_per_row Work per MLP row (the gate's measure).
+     * @param x_cols Width of a block's input rows.
+     * @param mlp_cols Widest MLP activation.
+     */
+    Region(std::span<const std::size_t> items, std::size_t rows_per_item,
+           std::size_t neighbors_per_item, std::uint64_t macs_per_row,
+           std::size_t x_cols, std::size_t mlp_cols,
+           const RunOptions &opts, FrameWorkspace &ws)
+        : frames(items.size())
+    {
+        std::size_t total = 0;
+        std::size_t largest = 1;
+        for (std::size_t n : items) {
+            total += n;
+            largest = std::max(largest, n);
+        }
+        const std::size_t gated = static_cast<std::size_t>(gatedThreads(
+            total * rows_per_item * macs_per_row, opts.intraOpThreads));
+        std::size_t per = opts.blockPoints;
+        if (per == 0) {
+            per = std::max<std::size_t>(1, kBlockRows / rows_per_item);
+            if (gated > 1)
+                per = std::min(per, std::max<std::size_t>(
+                                        1, total / (gated *
+                                                    kBlocksPerThread)));
+        }
+        per = std::min(per, largest);
+        std::size_t count = 0;
+        for (std::size_t n : items)
+            count += (n + per - 1) / per;
+        blocks.reserve(count);
+        for (std::size_t f = 0; f < items.size(); ++f)
+            for (std::size_t b = 0; b < items[f]; b += per)
+                blocks.push_back({f, b, std::min(b + per, items[f])});
+
+        const std::size_t workers =
+            std::max<std::size_t>(1, std::min(gated, blocks.size()));
+        ws.reserveWorkers(workers);
+        counters.assign(workers * frames, {});
+        scratch.resize(workers);
+        const std::size_t rows = per * rows_per_item;
+        for (std::size_t w = 0; w < workers; ++w) {
+            FrameWorkspace &wws = ws.worker(w);
+            wws.beginFrame();
+            scratch[w] = {&wws,
+                          &wws.tensor(rows, x_cols),
+                          &wws.tensor(rows, mlp_cols),
+                          &wws.tensor(rows, mlp_cols),
+                          wws.indices(per * neighbors_per_item).data(),
+                          &counters[w * frames]};
+        }
+    }
+
+    /** Run fn(scratch, block) over every block. */
+    template <class Fn>
+    void
+    run(const Fn &fn)
+    {
+        parallelBlocks(
+            blocks.size(), static_cast<int>(scratch.size()),
+            [this](std::size_t w) -> BlockScratch & { return scratch[w]; },
+            [this, &fn](BlockScratch &s, std::size_t b) {
+                fn(s, blocks[b]);
+            });
+    }
+
+    /** @return frame @p f's gather counters, summed over workers. */
+    VegCounters
+    frameCounters(std::size_t f) const
+    {
+        VegCounters total;
+        for (std::size_t w = 0; w < scratch.size(); ++w)
+            total.add(counters[w * frames + f]);
+        return total;
+    }
+
+  private:
+    std::size_t frames;
+    std::vector<Block> blocks;
+    std::vector<VegCounters> counters; //!< [worker][frame]
+    std::vector<BlockScratch> scratch;
+};
+
+/**
+ * One frame's share of a level: its data structuring — a VEG
+ * gatherer that every block runs over its own items, or a
+ * whole-level gather done before the region (every other method) —
+ * and the tensor its blocks write.
+ */
+struct FrameLevel
+{
+    GatherOp op;
+    std::size_t k = 0;
+    Tensor *out = nullptr;
+    Octree localTree;
+    GatherResult gathered;         //!< whole-level gather
+    const VegKnn *knn = nullptr;   //!< blocked: the VEG gatherer
+    std::span<const Vec3> anchors; //!< blocked: items in tree space
+
+    /** Gather in blocks from now on, through @p gatherer around
+     * @p item_anchors. */
+    void
+    gatherInBlocks(const VegKnn &gatherer,
+                   std::span<const Vec3> item_anchors)
+    {
+        knn = &gatherer;
+        anchors = item_anchors;
+        op.traces.resize(item_anchors.size());
+    }
+
+    /** Take a whole-level gather, its counters and traces. */
+    void
+    gatherWhole(GatherResult result)
+    {
+        gathered = std::move(result);
+        op.stats.merge(gathered.stats);
+        op.traces = std::move(gathered.traces);
+    }
+
+    /** @return the k neighbors (level indices) of each item of
+     * @p blk, gathering them first when blocked. */
+    const PointIndex *
+    neighbors(const Block &blk, BlockScratch &s)
+    {
+        if (!knn)
+            return gathered.neighbors.data() + blk.begin * k;
+        const std::size_t items = blk.end - blk.begin;
+        const std::span<PointIndex> out(s.neighbors, items * k);
+        knn->gatherAtRange(anchors, k, blk.begin, blk.end, out,
+                           std::span(op.traces).subspan(blk.begin, items),
+                           s.counters[blk.frame], s.ws, nullptr);
+        const std::vector<PointIndex> &perm = knn->tree().permutation();
+        for (PointIndex &idx : out)
+            idx = perm[idx];
+        return s.neighbors;
+    }
+
+    /** After the region: a blocked gather's counters, as a whole-
+     * level gather's GatherResult::stats would carry them. */
+    void
+    finish(const VegCounters &counters)
+    {
+        if (!knn)
+            return;
+        StatSet stats;
+        counters.writeTo(stats);
+        op.stats.merge(stats);
+    }
+};
+
 } // namespace
 
-PointNet2::SaDsResult
-PointNet2::runSaDataStructuring(std::size_t layer, const Level &in,
-                                const RunOptions &opts, Rng &rng,
-                                const Octree *reusable_tree,
-                                ExecutionTrace &trace,
-                                FrameWorkspace &ws, Tensor &grouped,
-                                std::size_t base_row) const
+struct PointNet2::FrameRun
+{
+    explicit FrameRun(std::uint64_t seed) : rng(seed) {}
+
+    const Octree *inputOctree = nullptr; //!< level-0 VEG tree
+    Rng rng;
+    std::vector<Level> levels; //!< input, then one per SA level
+    const Tensor *carried = nullptr; //!< FP: features from above
+    RunOutput out;
+};
+
+void
+PointNet2::runSaLevel(std::size_t layer, std::span<FrameRun> frames,
+                      const RunOptions &opts, FrameWorkspace &ws) const
 {
     const SaLayerSpec &spec = arch.sa[layer];
-    const std::size_t n = in.positions.size();
-    const std::size_t c_in = in.features->cols();
+    const Mlp &mlp = sa_mlps[layer];
     const std::string name = "sa" + std::to_string(layer);
+    const std::size_t c_in = frames[0].levels.back().features->cols();
+    const std::size_t k = spec.k;
 
-    SaDsResult ds;
-    if (spec.npoint == 0) {
-        // Group-all: one neighborhood holding every point, centered
-        // at the centroid of the level.
+    std::vector<FrameLevel> lv(frames.size());
+    std::vector<std::span<const Vec3>> centers(frames.size());
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+        FrameRun &fr = frames[f];
+        FrameLevel &l = lv[f];
+        const Level &in = fr.levels.back();
+        const std::size_t n = in.positions.size();
+        HGPCN_ASSERT(spec.npoint <= n, "SA", layer, ": npoint ",
+                     spec.npoint, " exceeds level size ", n);
+        HGPCN_ASSERT(k >= 1 && k <= n, "SA", layer, ": k ", k,
+                     " vs level size ", n);
+
+        // --- Central point selection (Fig. 2, step 1). ---------------
+        std::vector<PointIndex> *centroid_buf = nullptr;
+        if (opts.centroid == CentroidMethod::Random) {
+            centroid_buf = &randomCentroids(n, spec.npoint, fr.rng, ws);
+        } else {
+            PointCloud level_cloud = cloudFromPositions(in.positions);
+            FpsSampler fps(opts.seed + layer);
+            std::vector<PointIndex> &buf = ws.indices(spec.npoint);
+            SampleResult fps_result =
+                fps.sample(level_cloud, spec.npoint, &ws);
+            std::copy(fps_result.indices.begin(),
+                      fps_result.indices.end(), buf.begin());
+            centroid_buf = &buf;
+        }
+        const std::vector<PointIndex> &centroids = *centroid_buf;
+        std::vector<Vec3> &center_buf = ws.positions(spec.npoint);
+        for (std::size_t i = 0; i < spec.npoint; ++i)
+            center_buf[i] = in.positions[centroids[i]];
+        centers[f] = center_buf;
+
+        // --- Data structuring (Fig. 2, step 2). ----------------------
+        l.op.layer = name;
+        l.op.method = toString(opts.ds);
+        l.op.centroids = spec.npoint;
+        l.op.k = k;
+        l.op.inputPoints = n;
+        l.k = k;
+        // Neighbor/centroid indices below are all in the *level*
+        // index space; VEG works in the octree's reordered space, so
+        // map on the way in and out.
+        if (isVeg(opts.ds)) {
+            const Octree *tree = fr.inputOctree;
+            if (layer != 0 || tree == nullptr) {
+                l.localTree = levelTree(in.positions);
+                l.op.stats.merge(l.localTree.buildStats());
+                tree = &l.localTree;
+            }
+            const std::vector<PointIndex> &perm = tree->permutation();
+            const std::vector<PointIndex> &inv =
+                invertPermutation(perm, ws);
+            if (opts.ds == DsMethod::VegBq) {
+                std::vector<PointIndex> &centrals_reordered =
+                    ws.indices(spec.npoint);
+                for (std::size_t i = 0; i < spec.npoint; ++i)
+                    centrals_reordered[i] = inv[centroids[i]];
+                VegBallQuery::Config bq_cfg;
+                bq_cfg.radius = spec.radius;
+                VegBallQuery bq(*tree, bq_cfg);
+                GatherResult bq_result = bq.gather(centrals_reordered, k);
+                for (auto &idx : bq_result.neighbors)
+                    idx = perm[idx];
+                l.gatherWhole(std::move(bq_result));
+            } else {
+                std::vector<Vec3> &anchors = ws.positions(spec.npoint);
+                const PointCloud &cloud = tree->reorderedCloud();
+                for (std::size_t i = 0; i < spec.npoint; ++i)
+                    anchors[i] = cloud.position(inv[centroids[i]]);
+                VegKnn::Config knn_cfg;
+                knn_cfg.mode = opts.ds == DsMethod::VegStrict
+                                   ? VegMode::Strict
+                                   : VegMode::Paper;
+                knn_cfg.seed = opts.seed;
+                l.gatherInBlocks(ws.vegKnn(*tree, knn_cfg), anchors);
+            }
+        } else if (opts.ds == DsMethod::BruteBq) {
+            PointCloud level_cloud = cloudFromPositions(in.positions);
+            BruteBallQuery bq(level_cloud, spec.radius);
+            l.gatherWhole(bq.gather(centroids, k));
+        } else if (opts.fastKnn) {
+            // Exact spatial-hash KNN on the host; the modeled device
+            // still runs the full scan, so the trace carries the
+            // brute workload (knn/spatial_hash_knn.h).
+            SpatialHashKnn index(in.positions, &ws);
+            l.gatherWhole(index.gather(
+                centroids, k, SpatialHashKnn::Accounting::ModeledBrute));
+        } else {
+            PointCloud level_cloud = cloudFromPositions(in.positions);
+            BruteKnn knn(level_cloud);
+            l.gatherWhole(knn.gather(centroids, k));
+        }
+        l.out = &ws.tensor(spec.npoint, mlp.outWidth());
+    }
+
+    // --- Gather, grouped rows, MLP and max-pool, block by block
+    // (Fig. 2, steps 2-3). ---------------------------------------------
+    const std::vector<std::size_t> items(frames.size(), spec.npoint);
+    Region region(items, k, k, mlp.macsPerRow(), 3 + c_in,
+                  mlp.maxWidth(), opts, ws);
+    region.run([&](BlockScratch &bs, const Block &blk) {
+        FrameLevel &l = lv[blk.frame];
+        const Level &in = frames[blk.frame].levels.back();
+        const std::span<const Vec3> center = centers[blk.frame];
+        const std::size_t rows = (blk.end - blk.begin) * k;
+        const PointIndex *neigh = l.neighbors(blk, bs);
+        Tensor &x = *bs.x;
+        x.resizeUninit(rows, 3 + c_in);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const PointIndex pi = neigh[r];
+            float *row = x.row(r);
+            const Vec3 rel = in.positions[pi] - center[blk.begin + r / k];
+            row[0] = rel.x;
+            row[1] = rel.y;
+            row[2] = rel.z;
+            if (c_in > 0)
+                std::copy(in.features->row(pi),
+                          in.features->row(pi) + c_in, row + 3);
+        }
+        mlp.forwardRows(x, *bs.ping, *bs.pong)
+            .maxPoolGroupsRowsInto(k, 0, rows, *l.out, blk.begin);
+    });
+
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+        FrameLevel &l = lv[f];
+        l.finish(region.frameCounters(f));
+        ExecutionTrace &trace = frames[f].out.trace;
+        trace.gathers.push_back(std::move(l.op));
+        mlp.recordGemms(spec.npoint * k, name, trace);
+        frames[f].levels.push_back({centers[f], l.out});
+    }
+}
+
+void
+PointNet2::runGroupAll(std::size_t layer, std::span<FrameRun> frames,
+                       const RunOptions &opts, FrameWorkspace &ws) const
+{
+    // One neighborhood per frame holding every point, centered at
+    // the centroid of the level.
+    const std::string name = "sa" + std::to_string(layer);
+    const std::size_t c_in = frames[0].levels.back().features->cols();
+    const std::size_t batch = frames.size();
+    std::vector<std::size_t> rows(batch), offsets(batch);
+    std::vector<ExecutionTrace *> traces(batch);
+    std::size_t total = 0;
+    for (std::size_t f = 0; f < batch; ++f) {
+        rows[f] = frames[f].levels.back().positions.size();
+        offsets[f] = total;
+        total += rows[f];
+        traces[f] = &frames[f].out.trace;
+    }
+    Tensor &grouped = ws.tensor(total, 3 + c_in);
+    std::vector<std::span<const Vec3>> centers(batch);
+    for (std::size_t f = 0; f < batch; ++f) {
+        const Level &in = frames[f].levels.back();
         Vec3 mean{0, 0, 0};
         for (const Vec3 &p : in.positions)
             mean += p;
-        mean = mean / static_cast<float>(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            float *row = grouped.row(base_row + i);
+        mean = mean / static_cast<float>(rows[f]);
+        for (std::size_t i = 0; i < rows[f]; ++i) {
+            float *row = grouped.row(offsets[f] + i);
             const Vec3 rel = in.positions[i] - mean;
             row[0] = rel.x;
             row[1] = rel.y;
@@ -277,264 +645,180 @@ PointNet2::runSaDataStructuring(std::size_t layer, const Level &in,
         }
         std::vector<Vec3> &center = ws.positions(1);
         center[0] = mean;
-        ds.rows = n;
-        ds.group = n;
-        ds.nextPositions = center;
-        return ds;
+        centers[f] = center;
     }
-
-    HGPCN_ASSERT(spec.npoint <= n, "SA", layer, ": npoint ",
-                 spec.npoint, " exceeds level size ", n);
-    HGPCN_ASSERT(spec.k >= 1 && spec.k <= n, "SA", layer, ": k ",
-                 spec.k, " vs level size ", n);
-
-    // --- Central point selection (Fig. 2, step 1). -------------------
-    std::vector<PointIndex> *centroid_buf = nullptr;
-    if (opts.centroid == CentroidMethod::Random) {
-        centroid_buf = &randomCentroids(n, spec.npoint, rng, ws);
-    } else {
-        PointCloud level_cloud = cloudFromPositions(in.positions);
-        FpsSampler fps(opts.seed + layer);
-        std::vector<PointIndex> &buf = ws.indices(spec.npoint);
-        SampleResult fps_result =
-            fps.sample(level_cloud, spec.npoint, &ws);
-        std::copy(fps_result.indices.begin(), fps_result.indices.end(),
-                  buf.begin());
-        centroid_buf = &buf;
+    const Tensor &out = sa_mlps[layer].forwardBatchArena(
+        grouped, rows, traces, name, ws, opts.intraOpThreads);
+    for (std::size_t f = 0; f < batch; ++f) {
+        Tensor &pooled = ws.tensor(1, out.cols());
+        out.maxPoolGroupsRowsInto(rows[f], offsets[f],
+                                  offsets[f] + rows[f], pooled, 0);
+        frames[f].levels.push_back({centers[f], &pooled});
     }
-    const std::vector<PointIndex> &centroids = *centroid_buf;
-
-    // --- Data structuring (Fig. 2, step 2). --------------------------
-    GatherOp op;
-    op.layer = name;
-    op.method = toString(opts.ds);
-    op.centroids = spec.npoint;
-    op.k = spec.k;
-    op.inputPoints = n;
-
-    GatherResult gathered;
-    const bool veg = opts.ds == DsMethod::Veg ||
-                     opts.ds == DsMethod::VegBq ||
-                     opts.ds == DsMethod::VegStrict;
-    // Neighbor/centroid indices below are all in the *level* index
-    // space; VEG works in the octree's reordered space, so map on the
-    // way in and out.
-    if (veg) {
-        const Octree *tree = nullptr;
-        Octree local_tree;
-        if (layer == 0 && reusable_tree) {
-            tree = reusable_tree;
-        } else {
-            PointCloud level_cloud = cloudFromPositions(in.positions);
-            Octree::Config tree_cfg;
-            tree_cfg.maxDepth = 12;
-            local_tree = Octree::build(level_cloud, tree_cfg);
-            op.stats.merge(local_tree.buildStats());
-            tree = &local_tree;
-        }
-        const std::vector<PointIndex> &perm = tree->permutation();
-        const std::vector<PointIndex> &inv = invertPermutation(perm, ws);
-        std::vector<PointIndex> &centrals_reordered =
-            ws.indices(centroids.size());
-        for (std::size_t i = 0; i < centroids.size(); ++i)
-            centrals_reordered[i] = inv[centroids[i]];
-
-        if (opts.ds == DsMethod::VegBq) {
-            VegBallQuery::Config bq_cfg;
-            bq_cfg.radius = spec.radius;
-            VegBallQuery bq(*tree, bq_cfg);
-            gathered = bq.gather(centrals_reordered, spec.k);
-        } else {
-            VegKnn::Config knn_cfg;
-            knn_cfg.mode = opts.ds == DsMethod::VegStrict
-                               ? VegMode::Strict
-                               : VegMode::Paper;
-            knn_cfg.seed = opts.seed;
-            VegKnn knn(*tree, knn_cfg, &ws);
-            gathered = knn.gather(centrals_reordered, spec.k);
-        }
-        // Map neighbors back to level index space.
-        for (auto &idx : gathered.neighbors)
-            idx = perm[idx];
-    } else if (opts.ds == DsMethod::BruteBq) {
-        PointCloud level_cloud = cloudFromPositions(in.positions);
-        BruteBallQuery bq(level_cloud, spec.radius);
-        gathered = bq.gather(centroids, spec.k);
-    } else if (opts.fastKnn) {
-        // Exact spatial-hash KNN on the host; the modeled device
-        // still runs the full scan, so the trace carries the brute
-        // workload (knn/spatial_hash_knn.h).
-        SpatialHashKnn index(in.positions, &ws);
-        gathered = index.gather(
-            centroids, spec.k, SpatialHashKnn::Accounting::ModeledBrute);
-    } else {
-        PointCloud level_cloud = cloudFromPositions(in.positions);
-        BruteKnn knn(level_cloud);
-        gathered = knn.gather(centroids, spec.k);
-    }
-    op.stats.merge(gathered.stats);
-    op.traces = std::move(gathered.traces);
-    trace.gathers.push_back(std::move(op));
-
-    // --- Grouped-row assembly (feeds Fig. 2, step 3). ----------------
-    for (std::size_t m = 0; m < spec.npoint; ++m) {
-        const Vec3 center = in.positions[centroids[m]];
-        const auto neigh = gathered.of(m);
-        for (std::size_t j = 0; j < spec.k; ++j) {
-            float *row = grouped.row(base_row + m * spec.k + j);
-            const PointIndex pi = neigh[j];
-            const Vec3 rel = in.positions[pi] - center;
-            row[0] = rel.x;
-            row[1] = rel.y;
-            row[2] = rel.z;
-            for (std::size_t c = 0; c < c_in; ++c)
-                row[3 + c] = in.features->at(pi, c);
-        }
-    }
-
-    std::vector<Vec3> &next_pos = ws.positions(spec.npoint);
-    for (std::size_t i = 0; i < spec.npoint; ++i)
-        next_pos[i] = in.positions[centroids[i]];
-    ds.rows = spec.npoint * spec.k;
-    ds.group = spec.k;
-    ds.nextPositions = next_pos;
-    return ds;
-}
-
-PointNet2::Level
-PointNet2::runSaLayer(std::size_t layer, const Level &in,
-                      const RunOptions &opts, Rng &rng,
-                      const Octree *reusable_tree,
-                      ExecutionTrace &trace, FrameWorkspace &ws) const
-{
-    const SaLayerSpec &spec = arch.sa[layer];
-    const std::size_t rows = spec.npoint == 0
-                                 ? in.positions.size()
-                                 : spec.npoint * spec.k;
-    const std::string name = "sa" + std::to_string(layer);
-    Tensor &grouped = ws.tensor(rows, 3 + in.features->cols());
-    const SaDsResult ds = runSaDataStructuring(
-        layer, in, opts, rng, reusable_tree, trace, ws, grouped, 0);
-    const Tensor &out = sa_mlps[layer].forwardArena(
-        grouped, name, trace, ws, opts.intraOpThreads);
-
-    Level next;
-    next.positions = ds.nextPositions;
-    Tensor &pooled = ws.tensor(ds.rows / ds.group, out.cols());
-    out.maxPoolGroupsInto(ds.group, pooled);
-    next.features = &pooled;
-    return next;
 }
 
 void
-PointNet2::runFpDataStructuring(std::size_t layer, const Level &fine,
-                                const Level &coarse,
-                                const RunOptions &opts,
-                                ExecutionTrace &trace,
-                                FrameWorkspace &ws, Tensor &fused,
-                                std::size_t base_row) const
+PointNet2::runFpLevel(std::size_t layer, std::span<FrameRun> frames,
+                      const RunOptions &opts, FrameWorkspace &ws) const
 {
-    const std::size_t n_f = fine.positions.size();
-    const std::size_t n_c = coarse.positions.size();
-    const std::size_t c_coarse = coarse.features->cols();
-    const std::size_t c_skip = fine.features->cols();
+    const Mlp &mlp = fp_mlps[layer];
+    // The head runs per point too, so FP level 0's blocks carry
+    // their rows on through it straight into the logits.
+    const Mlp *head = layer == 0 ? head_mlp.get() : nullptr;
     const std::string name = "fp" + std::to_string(layer);
-    const std::size_t k = std::min<std::size_t>(3, n_c);
+    const std::size_t c_coarse = frames[0].carried->cols();
+    const std::size_t c_skip = frames[0].levels[layer].features->cols();
 
-    // Three-nearest-neighbor interpolation: another data-structuring
-    // workload (accounted like SA gathers; PointACC's Mapping Unit
-    // also serves these lookups).
-    GatherOp op;
-    op.layer = name;
-    op.method = toString(opts.ds);
-    op.centroids = n_f;
-    op.k = k;
-    op.inputPoints = n_c;
+    std::vector<FrameLevel> lv(frames.size());
+    std::vector<std::size_t> items(frames.size());
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+        FrameRun &fr = frames[f];
+        FrameLevel &l = lv[f];
+        const Level &fine = fr.levels[layer];
+        const std::span<const Vec3> coarse = fr.levels[layer + 1].positions;
+        const std::size_t n_c = coarse.size();
+        items[f] = fine.positions.size();
+        l.k = std::min<std::size_t>(3, n_c);
 
-    GatherResult nn;
-
-    const bool veg = (opts.ds == DsMethod::Veg ||
-                      opts.ds == DsMethod::VegBq ||
-                      opts.ds == DsMethod::VegStrict) &&
-                     n_c > 4 * k;
-    if (veg) {
-        // VEG-strict keeps interpolation exact while the octree
-        // bounds the search locally (the DSU serves FP lookups too).
-        PointCloud coarse_cloud = cloudFromPositions(coarse.positions);
-        Octree::Config tree_cfg;
-        tree_cfg.maxDepth = 12;
-        Octree tree = Octree::build(coarse_cloud, tree_cfg);
-        op.stats.merge(tree.buildStats());
-        VegKnn::Config knn_cfg;
-        knn_cfg.mode = VegMode::Strict;
-        VegKnn knn(tree, knn_cfg, &ws);
-        nn = knn.gatherAt(fine.positions, k);
-        // Back to coarse-level index space.
-        for (auto &idx : nn.neighbors)
-            idx = tree.permutation()[idx];
-        op.stats.merge(nn.stats);
-    } else if (opts.fastKnn) {
-        SpatialHashKnn index(coarse.positions, &ws);
-        nn = index.gatherAt(fine.positions, k,
-                            SpatialHashKnn::Accounting::ModeledBrute);
-        op.stats.merge(nn.stats);
-    } else {
-        nn = bruteNnAt(coarse.positions, fine.positions, k, op.stats);
+        // Three-nearest-neighbor interpolation: another data-
+        // structuring workload (accounted like SA gathers;
+        // PointACC's Mapping Unit also serves these lookups).
+        l.op.layer = name;
+        l.op.method = toString(opts.ds);
+        l.op.centroids = items[f];
+        l.op.k = l.k;
+        l.op.inputPoints = n_c;
+        if (isVeg(opts.ds) && n_c > 4 * l.k) {
+            // VEG-strict keeps interpolation exact while the octree
+            // bounds the search locally (the DSU serves FP lookups
+            // too).
+            l.localTree = levelTree(coarse);
+            l.op.stats.merge(l.localTree.buildStats());
+            VegKnn::Config knn_cfg;
+            knn_cfg.mode = VegMode::Strict;
+            l.gatherInBlocks(ws.vegKnn(l.localTree, knn_cfg),
+                             fine.positions);
+        } else if (opts.fastKnn) {
+            SpatialHashKnn index(coarse, &ws);
+            l.gatherWhole(index.gatherAt(
+                fine.positions, l.k,
+                SpatialHashKnn::Accounting::ModeledBrute));
+        } else {
+            l.gatherWhole(bruteNnAt(coarse, fine.positions, l.k));
+        }
+        if (head != nullptr) {
+            fr.out.logits.resizeUninit(items[f], head->outWidth());
+            l.out = &fr.out.logits;
+        } else {
+            l.out = &ws.tensor(items[f], mlp.outWidth());
+        }
     }
-    op.traces = std::move(nn.traces);
-    trace.gathers.push_back(std::move(op));
 
-    // Inverse-distance-weighted feature interpolation.
-    for (std::size_t i = 0; i < n_f; ++i) {
-        const auto neigh = nn.of(i);
-        float weights[3] = {0, 0, 0};
-        float total = 0.0f;
-        for (std::size_t j = 0; j < k; ++j) {
-            const float d =
-                coarse.positions[neigh[j]].distSq(fine.positions[i]);
-            weights[j] = 1.0f / (d + 1e-8f);
-            total += weights[j];
+    const std::size_t mlp_cols =
+        std::max(mlp.maxWidth(), head ? head->maxWidth() : 0);
+    const std::uint64_t macs_per_row =
+        mlp.macsPerRow() + (head ? head->macsPerRow() : 0);
+    // The head's first layer writes into the block's input buffer.
+    Region region(items, 1, 3, macs_per_row,
+                  std::max(c_coarse + c_skip, head ? mlp_cols : 0),
+                  mlp_cols, opts, ws);
+    region.run([&](BlockScratch &bs, const Block &blk) {
+        FrameRun &fr = frames[blk.frame];
+        FrameLevel &l = lv[blk.frame];
+        const Level &fine = fr.levels[layer];
+        const std::span<const Vec3> coarse = fr.levels[layer + 1].positions;
+        const Tensor &coarse_f = *fr.carried;
+        const std::size_t k = l.k;
+        const std::size_t rows = blk.end - blk.begin;
+        const PointIndex *neigh = l.neighbors(blk, bs);
+
+        // Inverse-distance-weighted feature interpolation.
+        Tensor &x = *bs.x;
+        x.resizeUninit(rows, c_coarse + c_skip);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::size_t i = blk.begin + r;
+            const PointIndex *nb = neigh + r * k;
+            float weights[3] = {0, 0, 0};
+            float total = 0.0f;
+            for (std::size_t j = 0; j < k; ++j) {
+                const float d = coarse[nb[j]].distSq(fine.positions[i]);
+                weights[j] = 1.0f / (d + 1e-8f);
+                total += weights[j];
+            }
+            float *row = x.row(r);
+            for (std::size_t c = 0; c < c_coarse; ++c) {
+                float v = 0.0f;
+                for (std::size_t j = 0; j < k; ++j)
+                    v += weights[j] / total * coarse_f.at(nb[j], c);
+                row[c] = v;
+            }
+            for (std::size_t c = 0; c < c_skip; ++c)
+                row[c_coarse + c] = fine.features->at(i, c);
         }
-        float *row = fused.row(base_row + i);
-        for (std::size_t c = 0; c < c_coarse; ++c) {
-            float v = 0.0f;
-            for (std::size_t j = 0; j < k; ++j)
-                v += weights[j] / total *
-                     coarse.features->at(neigh[j], c);
-            row[c] = v;
+        const Tensor &y = mlp.forwardRows(x, *bs.ping, *bs.pong);
+        if (head != nullptr) {
+            Tensor &idle = &y == bs.ping ? *bs.pong : *bs.ping;
+            head->forwardRows(y, x, idle)
+                .copyRowsInto(0, rows, *l.out, blk.begin);
+        } else {
+            y.copyRowsInto(0, rows, *l.out, blk.begin);
         }
-        for (std::size_t c = 0; c < c_skip; ++c)
-            row[c_coarse + c] = fine.features->at(i, c);
+    });
+
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+        FrameLevel &l = lv[f];
+        l.finish(region.frameCounters(f));
+        ExecutionTrace &trace = frames[f].out.trace;
+        trace.gathers.push_back(std::move(l.op));
+        mlp.recordGemms(items[f], name, trace);
+        if (head != nullptr)
+            head->recordGemms(items[f], "head", trace);
+        else
+            frames[f].carried = l.out;
     }
 }
 
-const Tensor &
-PointNet2::runFpLayer(std::size_t layer, const Level &fine,
-                      const Level &coarse, const RunOptions &opts,
-                      ExecutionTrace &trace, FrameWorkspace &ws) const
+void
+PointNet2::runHead(std::span<FrameRun> frames, const RunOptions &opts,
+                   FrameWorkspace &ws) const
 {
-    const std::string name = "fp" + std::to_string(layer);
-    Tensor &fused = ws.tensor(fine.positions.size(),
-                              coarse.features->cols() +
-                                  fine.features->cols());
-    runFpDataStructuring(layer, fine, coarse, opts, trace, ws, fused,
-                         0);
-    return fp_mlps[layer].forwardArena(fused, name, trace, ws,
-                                       opts.intraOpThreads);
+    const std::size_t batch = frames.size();
+    const std::size_t width = frames[0].levels.back().features->cols();
+    std::vector<std::size_t> rows(batch), offsets(batch);
+    std::vector<ExecutionTrace *> traces(batch);
+    std::size_t total = 0;
+    for (std::size_t f = 0; f < batch; ++f) {
+        rows[f] = frames[f].levels.back().features->rows();
+        offsets[f] = total;
+        total += rows[f];
+        traces[f] = &frames[f].out.trace;
+    }
+    Tensor &stacked = ws.tensor(total, width);
+    for (std::size_t f = 0; f < batch; ++f)
+        frames[f].levels.back().features->copyRowsInto(
+            0, rows[f], stacked, offsets[f]);
+    const Tensor &logits = head_mlp->forwardBatchArena(
+        stacked, rows, traces, "head", ws, opts.intraOpThreads);
+    for (std::size_t f = 0; f < batch; ++f) {
+        Tensor &out = frames[f].out.logits;
+        out.resizeUninit(rows[f], logits.cols());
+        logits.copyRowsInto(offsets[f], offsets[f] + rows[f], out, 0);
+    }
 }
 
-RunOutput
-PointNet2::run(const PointCloud &input, const RunOptions &opts) const
+std::vector<RunOutput>
+PointNet2::runFrames(std::span<const PointCloud *const> inputs,
+                     const RunOptions &opts,
+                     const Octree *input_octree) const
 {
-    HGPCN_ASSERT(!input.empty(), "empty input cloud");
-    HGPCN_ASSERT(input.featureDim() == arch.inputFeatureDim,
-                 "input feature width ", input.featureDim(),
-                 " != spec width ", arch.inputFeatureDim);
-    HGPCN_ASSERT(opts.intraOpThreads >= 1, "intraOpThreads must be >= 1");
-    if (opts.inputOctree) {
-        HGPCN_ASSERT(opts.inputOctree->reorderedCloud().size() ==
-                         input.size(),
-                     "input octree does not match the input cloud");
+    HGPCN_ASSERT(opts.intraOpThreads >= 1,
+                 "intraOpThreads must be >= 1");
+    for (const PointCloud *input : inputs) {
+        HGPCN_ASSERT(input != nullptr && !input->empty(),
+                     "empty input cloud");
+        HGPCN_ASSERT(input->featureDim() == arch.inputFeatureDim,
+                     "input feature width ", input->featureDim(),
+                     " != spec width ", arch.inputFeatureDim);
     }
 
     // Private fallback arena: same path, per-call allocation.
@@ -543,69 +827,60 @@ PointNet2::run(const PointCloud &input, const RunOptions &opts) const
         opts.workspace != nullptr ? *opts.workspace : local_ws;
     ws.beginFrame();
 
-    RunOutput out;
-    Rng rng(opts.seed);
-
-    std::vector<Level> levels;
-    levels.reserve(arch.sa.size() + 1);
-    {
-        Level l0;
-        l0.positions = input.positions();
-        Tensor &f0 = ws.tensor(input.size(), arch.inputFeatureDim);
-        for (std::size_t i = 0; i < input.size(); ++i) {
-            const auto f = input.feature(static_cast<PointIndex>(i));
-            for (std::size_t c = 0; c < f.size(); ++c)
-                f0.at(i, c) = f[c];
+    // One Rng per frame, each seeded like a solo run, so central-
+    // point selection is independent of batch composition.
+    std::vector<FrameRun> frames;
+    frames.reserve(inputs.size());
+    for (const PointCloud *input : inputs) {
+        FrameRun &fr = frames.emplace_back(opts.seed);
+        Tensor &f0 = ws.tensor(input->size(), arch.inputFeatureDim);
+        for (std::size_t i = 0; i < input->size(); ++i) {
+            const auto feat = input->feature(static_cast<PointIndex>(i));
+            for (std::size_t c = 0; c < feat.size(); ++c)
+                f0.at(i, c) = feat[c];
         }
-        l0.features = &f0;
-        levels.push_back(l0);
+        fr.levels.reserve(arch.sa.size() + 1);
+        fr.levels.push_back({input->positions(), &f0});
     }
+    frames[0].inputOctree = input_octree;
 
     for (std::size_t i = 0; i < arch.sa.size(); ++i) {
-        levels.push_back(runSaLayer(i, levels.back(), opts, rng,
-                                    opts.inputOctree, out.trace, ws));
+        if (arch.sa[i].npoint == 0)
+            runGroupAll(i, frames, opts, ws);
+        else
+            runSaLevel(i, frames, opts, ws);
     }
-
-    if (!arch.segmentation) {
-        out.logits = head_mlp->forwardArena(*levels.back().features,
-                                            "head", out.trace, ws,
-                                            opts.intraOpThreads);
+    if (arch.segmentation) {
+        for (FrameRun &fr : frames)
+            fr.carried = fr.levels.back().features;
+        for (std::size_t t = arch.sa.size(); t-- > 0;)
+            runFpLevel(t, frames, opts, ws);
     } else {
-        const Tensor *carried = levels.back().features;
-        for (std::size_t t = arch.sa.size(); t-- > 0;) {
-            Level coarse;
-            coarse.positions = levels[t + 1].positions;
-            coarse.features = carried;
-            carried = &runFpLayer(t, levels[t], coarse, opts,
-                                  out.trace, ws);
-        }
-        out.logits = head_mlp->forwardArena(*carried, "head",
-                                            out.trace, ws,
-                                            opts.intraOpThreads);
+        runHead(frames, opts, ws);
     }
 
-    out.labels.resize(out.logits.rows());
-    for (std::size_t r = 0; r < out.logits.rows(); ++r)
-        out.labels[r] = out.logits.argmaxRow(r);
-    return out;
+    std::vector<RunOutput> outs;
+    outs.reserve(frames.size());
+    for (FrameRun &fr : frames) {
+        RunOutput &out = outs.emplace_back(std::move(fr.out));
+        out.labels.resize(out.logits.rows());
+        for (std::size_t r = 0; r < out.logits.rows(); ++r)
+            out.labels[r] = out.logits.argmaxRow(r);
+    }
+    return outs;
 }
 
-namespace
+RunOutput
+PointNet2::run(const PointCloud &input, const RunOptions &opts) const
 {
-
-/** Copy all of @p src into @p dst starting at row @p dst_begin. */
-void
-stackRows(const Tensor &src, Tensor &dst, std::size_t dst_begin)
-{
-    HGPCN_ASSERT(src.cols() == dst.cols() &&
-                     dst_begin + src.rows() <= dst.rows(),
-                 "stacked-row copy shape mismatch");
-    if (src.rows() > 0)
-        std::copy(src.row(0), src.row(0) + src.rows() * src.cols(),
-                  dst.row(dst_begin));
+    if (opts.inputOctree) {
+        HGPCN_ASSERT(opts.inputOctree->reorderedCloud().size() ==
+                         input.size(),
+                     "input octree does not match the input cloud");
+    }
+    const PointCloud *const one[] = {&input};
+    return std::move(runFrames(one, opts, opts.inputOctree)[0]);
 }
-
-} // namespace
 
 std::vector<RunOutput>
 PointNet2::runBatch(std::span<const PointCloud *const> inputs,
@@ -615,156 +890,7 @@ PointNet2::runBatch(std::span<const PointCloud *const> inputs,
     HGPCN_ASSERT(opts.inputOctree == nullptr,
                  "batched inference takes no shared input octree "
                  "(frames come from different sensors)");
-    HGPCN_ASSERT(opts.intraOpThreads >= 1,
-                 "intraOpThreads must be >= 1");
-    for (const PointCloud *input : inputs) {
-        HGPCN_ASSERT(input != nullptr && !input->empty(),
-                     "empty input cloud in batch");
-        HGPCN_ASSERT(input->featureDim() == arch.inputFeatureDim,
-                     "input feature width ", input->featureDim(),
-                     " != spec width ", arch.inputFeatureDim);
-    }
-
-    FrameWorkspace local_ws;
-    FrameWorkspace &ws =
-        opts.workspace != nullptr ? *opts.workspace : local_ws;
-    ws.beginFrame();
-
-    const std::size_t batch = inputs.size();
-    std::vector<RunOutput> outs(batch);
-    std::vector<ExecutionTrace *> traces(batch);
-    // One Rng per frame, each seeded like a solo run, so central-
-    // point selection is independent of batch composition.
-    std::vector<Rng> rngs;
-    rngs.reserve(batch);
-    for (std::size_t f = 0; f < batch; ++f) {
-        traces[f] = &outs[f].trace;
-        rngs.emplace_back(opts.seed);
-    }
-    const std::span<ExecutionTrace *const> trace_span(traces);
-
-    std::vector<std::vector<Level>> levels(batch);
-    for (std::size_t f = 0; f < batch; ++f) {
-        const PointCloud &input = *inputs[f];
-        Level l0;
-        l0.positions = input.positions();
-        Tensor &f0 = ws.tensor(input.size(), arch.inputFeatureDim);
-        for (std::size_t i = 0; i < input.size(); ++i) {
-            const auto feat = input.feature(static_cast<PointIndex>(i));
-            for (std::size_t c = 0; c < feat.size(); ++c)
-                f0.at(i, c) = feat[c];
-        }
-        l0.features = &f0;
-        levels[f].reserve(arch.sa.size() + 1);
-        levels[f].push_back(l0);
-    }
-
-    std::vector<std::size_t> frame_rows(batch), offsets(batch);
-    std::vector<SaDsResult> ds(batch);
-
-    for (std::size_t i = 0; i < arch.sa.size(); ++i) {
-        const SaLayerSpec &spec = arch.sa[i];
-        const std::string name = "sa" + std::to_string(i);
-        const std::size_t c_in = levels[0].back().features->cols();
-        std::size_t total = 0;
-        for (std::size_t f = 0; f < batch; ++f) {
-            HGPCN_ASSERT(levels[f].back().features->cols() == c_in,
-                         "batch mixes feature widths at SA", i);
-            frame_rows[f] =
-                spec.npoint == 0 ? levels[f].back().positions.size()
-                                 : spec.npoint * spec.k;
-            offsets[f] = total;
-            total += frame_rows[f];
-        }
-        Tensor &stacked = ws.tensor(total, 3 + c_in);
-        for (std::size_t f = 0; f < batch; ++f)
-            ds[f] = runSaDataStructuring(
-                i, levels[f].back(), opts, rngs[f],
-                /*reusable_tree=*/nullptr, outs[f].trace, ws, stacked,
-                offsets[f]);
-        const Tensor &mlp_out = sa_mlps[i].forwardBatchArena(
-            stacked, frame_rows, trace_span, name, ws,
-            opts.intraOpThreads);
-        for (std::size_t f = 0; f < batch; ++f) {
-            Level next;
-            next.positions = ds[f].nextPositions;
-            Tensor &pooled = ws.tensor(frame_rows[f] / ds[f].group,
-                                       mlp_out.cols());
-            mlp_out.maxPoolGroupsRowsInto(ds[f].group, offsets[f],
-                                          offsets[f] + frame_rows[f],
-                                          pooled);
-            next.features = &pooled;
-            levels[f].push_back(next);
-        }
-    }
-
-    std::vector<const Tensor *> head_in(batch);
-    for (std::size_t f = 0; f < batch; ++f)
-        head_in[f] = levels[f].back().features;
-
-    if (arch.segmentation) {
-        for (std::size_t t = arch.sa.size(); t-- > 0;) {
-            const std::string name = "fp" + std::to_string(t);
-            const std::size_t c =
-                head_in[0]->cols() + levels[0][t].features->cols();
-            std::size_t total = 0;
-            for (std::size_t f = 0; f < batch; ++f) {
-                HGPCN_ASSERT(head_in[f]->cols() +
-                                     levels[f][t].features->cols() ==
-                                 c,
-                             "batch mixes feature widths at FP", t);
-                frame_rows[f] = levels[f][t].positions.size();
-                offsets[f] = total;
-                total += frame_rows[f];
-            }
-            Tensor &fused = ws.tensor(total, c);
-            for (std::size_t f = 0; f < batch; ++f) {
-                Level coarse;
-                coarse.positions = levels[f][t + 1].positions;
-                coarse.features = head_in[f];
-                runFpDataStructuring(t, levels[f][t], coarse, opts,
-                                     outs[f].trace, ws, fused,
-                                     offsets[f]);
-            }
-            const Tensor &mlp_out = fp_mlps[t].forwardBatchArena(
-                fused, frame_rows, trace_span, name, ws,
-                opts.intraOpThreads);
-            for (std::size_t f = 0; f < batch; ++f) {
-                Tensor &carried =
-                    ws.tensor(frame_rows[f], mlp_out.cols());
-                mlp_out.copyRowsInto(offsets[f],
-                                     offsets[f] + frame_rows[f],
-                                     carried);
-                head_in[f] = &carried;
-            }
-        }
-    }
-
-    {
-        const std::size_t width = head_in[0]->cols();
-        std::size_t total = 0;
-        for (std::size_t f = 0; f < batch; ++f) {
-            HGPCN_ASSERT(head_in[f]->cols() == width,
-                         "batch mixes head input widths");
-            frame_rows[f] = head_in[f]->rows();
-            offsets[f] = total;
-            total += frame_rows[f];
-        }
-        Tensor &stacked = ws.tensor(total, width);
-        for (std::size_t f = 0; f < batch; ++f)
-            stackRows(*head_in[f], stacked, offsets[f]);
-        const Tensor &logits = head_mlp->forwardBatchArena(
-            stacked, frame_rows, trace_span, "head", ws,
-            opts.intraOpThreads);
-        for (std::size_t f = 0; f < batch; ++f) {
-            logits.copyRowsInto(offsets[f], offsets[f] + frame_rows[f],
-                                outs[f].logits);
-            outs[f].labels.resize(outs[f].logits.rows());
-            for (std::size_t r = 0; r < outs[f].logits.rows(); ++r)
-                outs[f].labels[r] = outs[f].logits.argmaxRow(r);
-        }
-    }
-    return outs;
+    return runFrames(inputs, opts, nullptr);
 }
 
 } // namespace hgpcn

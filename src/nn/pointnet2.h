@@ -132,10 +132,23 @@ struct RunOptions
     FrameWorkspace *workspace = nullptr;
 
     /**
-     * Host threads splitting MLP rows within this frame (>= 1).
-     * Bit-identical output at any value: rows are independent.
+     * Host threads running this frame's levels (>= 1). Each SA/FP
+     * level is one parallel region over blocks of centroids (SA) or
+     * fine points (FP); a block runs its gather, grouped-row fill,
+     * the whole MLP and the pool or interpolation, and writes its
+     * own output rows. A level uses at most one thread per
+     * kMinMacsPerThread of its MLP work (common/parallel_for.h), so
+     * small levels stay on the calling thread. Outputs, traces and
+     * gather counters are bit-identical at any value.
      */
     int intraOpThreads = 1;
+
+    /**
+     * Centroids (SA) or fine points (FP) per block; 0 sizes blocks
+     * by work (about 128 MLP rows, at least four blocks per
+     * thread). Bit-identical output at any value — a test knob.
+     */
+    std::size_t blockPoints = 0;
 
     /**
      * Serve DsMethod::BruteKnn through the exact spatial-hash index
@@ -181,13 +194,13 @@ class PointNet2
 
     /**
      * Batched inference over several frames sharing one workspace
-     * arena reservation and one weight pass per MLP layer: each
-     * frame's data structuring runs independently (its own Rng
-     * seeded opts.seed, its own trace), the per-layer GEMMs run
-     * once over batch-stacked rows, and every per-frame output —
-     * logits, labels, recorded trace — is bit-identical to a solo
-     * run() of that frame. opts.inputOctree must be null (batches
-     * mix sensors; per-frame trees are built where needed).
+     * and one parallel region per level, whose blocks come from
+     * every frame: each frame's data structuring runs independently
+     * (its own Rng seeded opts.seed, its own trace), and every
+     * per-frame output — logits, labels, recorded trace — is
+     * bit-identical to a solo run() of that frame. opts.inputOctree
+     * must be null (batches mix sensors; per-frame trees are built
+     * where needed).
      */
     std::vector<RunOutput> runBatch(
         std::span<const PointCloud *const> inputs,
@@ -207,45 +220,35 @@ class PointNet2
         const Tensor *features = nullptr; //!< [points, C]; C may be 0
     };
 
-    /** What an SA layer's data-structuring pass produced: grouped
-     * rows written into the caller's tensor plus the next level's
-     * geometry. Shared by the solo and batch-stacked paths. */
-    struct SaDsResult
-    {
-        std::size_t rows = 0;  //!< grouped rows written
-        std::size_t group = 0; //!< max-pool group size
-        std::span<const Vec3> nextPositions;
-    };
+    /** One frame of a run: its levels, rng and output
+     * (pointnet2.cc). */
+    struct FrameRun;
 
-    /** Central-point selection + gather + grouped-row assembly of
-     * one SA layer, writing rows [base_row, base_row + rows) of
-     * @p grouped. The batch path stacks several frames into one
-     * tall tensor by calling this once per frame. */
-    SaDsResult runSaDataStructuring(std::size_t layer, const Level &in,
-                                    const RunOptions &opts, Rng &rng,
-                                    const Octree *reusable_tree,
-                                    ExecutionTrace &trace,
-                                    FrameWorkspace &ws, Tensor &grouped,
-                                    std::size_t base_row) const;
+    /** run() and runBatch(): every level runs over all frames at
+     * once (@p input_octree serves a single frame's level 0). */
+    std::vector<RunOutput> runFrames(
+        std::span<const PointCloud *const> inputs,
+        const RunOptions &opts, const Octree *input_octree) const;
 
-    /** FP-layer gather + inverse-distance fusion, writing rows
-     * [base_row, base_row + fine points) of @p fused. */
-    void runFpDataStructuring(std::size_t layer, const Level &fine,
-                              const Level &coarse,
-                              const RunOptions &opts,
-                              ExecutionTrace &trace, FrameWorkspace &ws,
-                              Tensor &fused, std::size_t base_row) const;
+    /** A sampling SA level: per-frame centroid selection (and, for
+     * non-VEG methods, the whole gather), then one parallel region
+     * over centroid blocks. */
+    void runSaLevel(std::size_t layer, std::span<FrameRun> frames,
+                    const RunOptions &opts, FrameWorkspace &ws) const;
 
-    Level runSaLayer(std::size_t layer, const Level &in,
-                     const RunOptions &opts, Rng &rng,
-                     const Octree *reusable_tree, ExecutionTrace &trace,
-                     FrameWorkspace &ws) const;
+    /** A group-all SA level: one neighborhood per frame, its MLP
+     * rows split across threads. */
+    void runGroupAll(std::size_t layer, std::span<FrameRun> frames,
+                     const RunOptions &opts, FrameWorkspace &ws) const;
 
-    const Tensor &runFpLayer(std::size_t layer, const Level &fine,
-                             const Level &coarse,
-                             const RunOptions &opts,
-                             ExecutionTrace &trace,
-                             FrameWorkspace &ws) const;
+    /** An FP level: one parallel region over fine-point blocks;
+     * level 0 runs the head in the same blocks. */
+    void runFpLevel(std::size_t layer, std::span<FrameRun> frames,
+                    const RunOptions &opts, FrameWorkspace &ws) const;
+
+    /** Classification head over each frame's last level. */
+    void runHead(std::span<FrameRun> frames, const RunOptions &opts,
+                 FrameWorkspace &ws) const;
 };
 
 } // namespace hgpcn

@@ -314,23 +314,14 @@ Tensor::maxPoolGroupsInto(std::size_t group, Tensor &out) const
 {
     HGPCN_ASSERT(group >= 1 && n_rows % group == 0,
                  "rows ", n_rows, " not a multiple of group ", group);
-    const std::size_t out_rows = n_rows / group;
-    out.resizeUninit(out_rows, n_cols);
-    for (std::size_t g = 0; g < out_rows; ++g) {
-        float *__restrict dst = out.row(g);
-        const float *__restrict first = row(g * group);
-        std::copy(first, first + n_cols, dst);
-        for (std::size_t i = 1; i < group; ++i) {
-            const float *__restrict src = row(g * group + i);
-            for (std::size_t c = 0; c < n_cols; ++c)
-                dst[c] = std::max(dst[c], src[c]);
-        }
-    }
+    out.resizeUninit(n_rows / group, n_cols);
+    maxPoolGroupsRowsInto(group, 0, n_rows, out, 0);
 }
 
 void
 Tensor::maxPoolGroupsRowsInto(std::size_t group, std::size_t src_begin,
-                              std::size_t src_end, Tensor &out) const
+                              std::size_t src_end, Tensor &out,
+                              std::size_t out_begin) const
 {
     HGPCN_ASSERT(src_begin <= src_end && src_end <= n_rows,
                  "pool row range out of bounds");
@@ -338,9 +329,11 @@ Tensor::maxPoolGroupsRowsInto(std::size_t group, std::size_t src_begin,
     HGPCN_ASSERT(group >= 1 && span % group == 0,
                  "rows ", span, " not a multiple of group ", group);
     const std::size_t out_rows = span / group;
-    out.resizeUninit(out_rows, n_cols);
+    HGPCN_ASSERT(out.cols() == n_cols &&
+                     out_begin + out_rows <= out.rows(),
+                 "pool output shape mismatch");
     for (std::size_t g = 0; g < out_rows; ++g) {
-        float *__restrict dst = out.row(g);
+        float *__restrict dst = out.row(out_begin + g);
         const float *__restrict first = row(src_begin + g * group);
         std::copy(first, first + n_cols, dst);
         for (std::size_t i = 1; i < group; ++i) {
@@ -354,14 +347,17 @@ Tensor::maxPoolGroupsRowsInto(std::size_t group, std::size_t src_begin,
 
 void
 Tensor::copyRowsInto(std::size_t src_begin, std::size_t src_end,
-                     Tensor &out) const
+                     Tensor &out, std::size_t out_begin) const
 {
     HGPCN_ASSERT(src_begin <= src_end && src_end <= n_rows,
                  "copy row range out of bounds");
-    out.resizeUninit(src_end - src_begin, n_cols);
+    HGPCN_ASSERT(out.cols() == n_cols &&
+                     out_begin + (src_end - src_begin) <= out.rows(),
+                 "copy output shape mismatch");
     if (src_end > src_begin)
-        std::copy(row(src_begin), row(src_begin) + (src_end - src_begin) * n_cols,
-                  out.row(0));
+        std::copy(row(src_begin),
+                  row(src_begin) + (src_end - src_begin) * n_cols,
+                  out.row(out_begin));
 }
 
 std::size_t

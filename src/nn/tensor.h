@@ -142,23 +142,25 @@ class Tensor
     void maxPoolGroupsInto(std::size_t group, Tensor &out) const;
 
     /**
-     * maxPoolGroups() over source rows [src_begin, src_end) only;
-     * @p out is resized to [(src_end - src_begin) / group, cols].
-     * The batched inference path pools each frame's row range of a
-     * stacked activation tensor into that frame's own pooled
-     * tensor; every pooled element reduces the same rows in the
-     * same order as the solo path, so values are bit-identical.
+     * maxPoolGroups() of source rows [src_begin, src_end) into rows
+     * [out_begin, out_begin + (src_end - src_begin) / group) of
+     * @p out, which must already have this tensor's width and room
+     * for them. Inference pools each block of a level (or each
+     * frame of a batch-stacked tensor) into its own output rows;
+     * every pooled element reduces the same rows in the same order
+     * as maxPoolGroups(), so values are bit-identical.
      */
     void maxPoolGroupsRowsInto(std::size_t group, std::size_t src_begin,
-                               std::size_t src_end, Tensor &out) const;
+                               std::size_t src_end, Tensor &out,
+                               std::size_t out_begin) const;
 
     /**
-     * Copy source rows [src_begin, src_end) into @p out, resized to
-     * [src_end - src_begin, cols]. Peels one frame's activations
-     * out of a batch-stacked tensor.
+     * Copy source rows [src_begin, src_end) into rows starting at
+     * @p out_begin of @p out (already this tensor's width, with
+     * room for them).
      */
     void copyRowsInto(std::size_t src_begin, std::size_t src_end,
-                      Tensor &out) const;
+                      Tensor &out, std::size_t out_begin) const;
 
     /** @return index of the maximum element of row @p r. */
     std::size_t argmaxRow(std::size_t r) const;

@@ -12,6 +12,10 @@ namespace hgpcn
 namespace
 {
 
+/** Octree::forEachBuffer() entries before the per-level build
+ * scratch. */
+constexpr std::size_t kFixedBuffers = 11;
+
 /**
  * LSD radix sort of (code, index) pairs by code, 8 bits per pass.
  * Only the passes covering @p key_bits run, and passes where every
@@ -59,19 +63,60 @@ Octree::build(const PointCloud &cloud, const Config &config)
     return tree;
 }
 
+template <class Self, class Fn>
+void
+Octree::forEachBuffer(Self &self, Fn &&fn)
+{
+    fn(self.scratch.keyed);
+    fn(self.scratch.radix);
+    fn(self.codes);
+    fn(self.perm);
+    fn(self.point_leaf);
+    fn(self.node_store);
+    fn(self.reordered);
+    fn(self.live);
+    fn(self.sampled);
+    fn(self.consumed);
+    fn(self.scratch.levels);
+    for (auto &lvl : self.scratch.levels)
+        fn(lvl);
+}
+
 std::size_t
 Octree::backingCapacity() const
 {
-    std::size_t total = scratch.keyed.capacity() +
-                        scratch.radix.capacity() +
-                        scratch.levels.capacity() + codes.capacity() +
-                        perm.capacity() + point_leaf.capacity() +
-                        node_store.capacity() + reordered.capacity() +
-                        live.capacity() + sampled.capacity() +
-                        consumed.capacity();
-    for (const auto &lvl : scratch.levels)
-        total += lvl.capacity();
+    std::size_t total = 0;
+    forEachBuffer(*this,
+                  [&total](const auto &v) { total += v.capacity(); });
     return total;
+}
+
+std::vector<std::size_t>
+Octree::capacities() const
+{
+    std::vector<std::size_t> caps;
+    caps.reserve(kFixedBuffers + scratch.levels.size());
+    forEachBuffer(*this, [&caps](const auto &v) {
+        caps.push_back(v.capacity());
+    });
+    return caps;
+}
+
+bool
+Octree::reserveCapacities(std::span<const std::size_t> caps)
+{
+    const std::size_t before = backingCapacity();
+    // Entries past the fixed buffers are one per build-scratch level.
+    if (caps.size() > kFixedBuffers &&
+        scratch.levels.size() < caps.size() - kFixedBuffers)
+        scratch.levels.resize(caps.size() - kFixedBuffers);
+    std::size_t i = 0;
+    forEachBuffer(*this, [&](auto &v) {
+        if (i < caps.size())
+            v.reserve(caps[i]);
+        ++i;
+    });
+    return backingCapacity() > before;
 }
 
 void

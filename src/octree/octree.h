@@ -134,6 +134,22 @@ class Octree
     /** @return build parameters used. */
     const Config &config() const { return cfg; }
 
+    /**
+     * @return every backing buffer's capacity, in a fixed order
+     * (one entry per build-scratch level last). A pool of trees
+     * keeps the element-wise maximum as its high water
+     * (core/temporal_preprocess.h).
+     */
+    std::vector<std::size_t> capacities() const;
+
+    /**
+     * Grow every backing buffer to at least the matching entry of
+     * @p caps (a capacities() vector, possibly another tree's), so
+     * that no frame up to that size regrows this tree.
+     * @return true when anything grew.
+     */
+    bool reserveCapacities(std::span<const std::size_t> caps);
+
     /** @return root voxel bounds (cubified frame AABB). */
     const Aabb &rootBounds() const { return root_bounds; }
 
@@ -311,6 +327,11 @@ class Octree
 
     /** Sum of backing capacities — growth detection for rebuild(). */
     std::size_t backingCapacity() const;
+
+    /** Call fn(buffer) for every backing buffer, in capacities()
+     * order; @p Self is Octree or const Octree. */
+    template <class Self, class Fn>
+    static void forEachBuffer(Self &self, Fn &&fn);
 };
 
 } // namespace hgpcn

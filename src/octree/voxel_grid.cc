@@ -11,12 +11,22 @@ namespace hgpcn
 {
 
 VoxelGrid::VoxelGrid(const Octree &tree, int level)
-    : octree(tree), lvl(level),
-      axis_cells(static_cast<std::int32_t>(1) << level)
+{
+    rebind(tree, level);
+}
+
+void
+VoxelGrid::rebind(const Octree &tree, int level)
 {
     HGPCN_ASSERT(level >= 0 && level <= tree.config().maxDepth,
                  "grid level ", level, " outside octree depth ",
                  tree.config().maxDepth);
+    octree = &tree;
+    lvl = level;
+    axis_cells = static_cast<std::int32_t>(1) << level;
+    ext_occ = nullptr;
+    occ_built = false;
+    table.clear();
 }
 
 VoxelGrid::VoxelGrid(const Octree &tree, int level,
@@ -30,7 +40,7 @@ GridCell
 VoxelGrid::cellOf(const Vec3 &p) const
 {
     morton::CellCoord x = 0, y = 0, z = 0;
-    morton::cellOf(p, octree.rootBounds(), lvl, x, y, z);
+    morton::cellOf(p, octree->rootBounds(), lvl, x, y, z);
     return {static_cast<std::int32_t>(x), static_cast<std::int32_t>(y),
             static_cast<std::int32_t>(z)};
 }
@@ -101,6 +111,13 @@ VoxelGrid::cellRange(const GridCell &c) const
         if (s.key == kFree)
             return {0, 0};
     }
+}
+
+void
+VoxelGrid::prepare() const
+{
+    if (table.empty())
+        buildTable();
 }
 
 std::uint32_t
@@ -323,7 +340,7 @@ VoxelGrid::occupiedCells() const
     if (occ_built)
         return occ;
     occ_built = true;
-    buildOccupiedCells(octree, lvl, occ);
+    buildOccupiedCells(*octree, lvl, occ);
     return occ;
 }
 

@@ -70,6 +70,21 @@ class VoxelGrid
     VoxelGrid(const Octree &tree, int level,
               const std::vector<OccupiedCell> *external);
 
+    /**
+     * View @p level of @p tree instead, as if constructed afresh,
+     * keeping the lazy tables' storage (a reused view allocates
+     * nothing for trees no larger than those it served before).
+     */
+    void rebind(const Octree &tree, int level);
+
+    /** @return entries the lazy tables can hold (growth
+     * accounting). */
+    std::size_t
+    capacity() const
+    {
+        return occ.capacity() + table.capacity();
+    }
+
     /** @return level viewed. */
     int level() const { return lvl; }
 
@@ -137,6 +152,13 @@ class VoxelGrid
     const std::vector<OccupiedCell> &occupiedCells() const;
 
     /**
+     * Build the lazy occupied-cell list and lookup table now. After
+     * it, every query is a pure read, so one view may serve several
+     * threads at once (the lazy members are not synchronized).
+     */
+    void prepare() const;
+
+    /**
      * Pick a gathering level such that the expected voxel occupancy
      * suits K-neighbor gathering: roughly one to two points per
      * voxel, clamped to the octree's built depth.
@@ -161,13 +183,13 @@ class VoxelGrid
     /** Fill the occupied-cell table from occupiedCells(). */
     void buildTable() const;
 
-    const Octree &octree;
+    const Octree *octree;
     int lvl;
     std::int32_t axis_cells;
     /** Borrowed occupied-cell list (nullptr = build occ lazily). */
     const std::vector<OccupiedCell> *ext_occ = nullptr;
-    /** Lazy occupied-cell list (single-threaded use, like the
-     * gatherers that own grid views). */
+    /** Lazy occupied-cell list (single-threaded use until
+     * prepare()). */
     mutable std::vector<OccupiedCell> occ;
     mutable bool occ_built = false;
     /** Lazy open-addressed (linear probing) table: packed cell

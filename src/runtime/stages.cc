@@ -52,12 +52,21 @@ DownSampleStage::process(FrameTask &task) const
     std::size_t k_eff = k;
     if (task.fault.samplePoints > 0 && task.fault.samplePoints < k)
         k_eff = task.fault.samplePoints;
-    pre.sampleStage(task.result.preprocess, k_eff);
+    PreprocessResult &pr = task.result.preprocess;
+    pre.sampleStage(pr, k_eff);
+    // Nothing downstream reads the frame's octree or cached indices:
+    // release them now, so a carry's pooled bundle returns once the
+    // carry moves on and the pool stays bounded by the frames in
+    // flight, not by the frames in the run.
+    pr.tree.reset();
+    pr.rawKnn.reset();
+    pr.rawOcc.reset();
+    pr.rawOccLevel = -1;
     // preprocess.stats is complete here (build + sampler counters);
     // merge the frame into the stream aggregate from this worker.
     if (workload != nullptr)
-        workload->merge(task.result.preprocess.stats);
-    return task.result.preprocess.dsu.totalSec();
+        workload->merge(pr.stats);
+    return pr.dsu.totalSec();
 }
 
 double

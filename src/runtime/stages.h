@@ -116,8 +116,8 @@ class InferenceStage : public PipelineStage
      *        workspaces (borrowed): each process() call leases one,
      *        giving the backend a warm scratch arena — the
      *        zero-alloc steady state (core/frame_workspace.h).
-     * @param intra_op_threads Host threads splitting MLP rows per
-     *        frame (>= 1; output is bit-identical at any value).
+     * @param intra_op_threads Host threads per frame's inference
+     *        (>= 1; output is bit-identical at any value).
      */
     explicit InferenceStage(const ExecutionBackend &execution_backend,
                             std::string stage_resource = "",
@@ -144,6 +144,10 @@ class InferenceStage : public PipelineStage
 
     /** @return the backend this stage executes on. */
     const ExecutionBackend &backend() const { return be; }
+
+    /** Set the host threads per frame (>= 1). Call while no frame
+     * is in flight (StreamRunner does, at each run()'s start). */
+    void setIntraOpThreads(int threads) { intraOp = threads; }
 
   private:
     const ExecutionBackend &be;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "core/temporal_preprocess.h"
 #include "obs/trace.h"
 
@@ -293,8 +294,7 @@ StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
       build(preprocess, "cpu", carry.get()),
       sample(preprocess, config.inputPoints,
              sampleResource(backend, config), &streamWorkload),
-      infer(backend, inferResource(backend, config), &workspacePool,
-            config.intraOpThreads),
+      infer(backend, inferResource(backend, config), &workspacePool),
       batchPolicy{config.maxBatch, config.batchTimeoutVirtualSec},
       pipeline(makeSpecs(build, sample, infer, batchPolicy, config),
                pipelineConfig(config))
@@ -302,8 +302,8 @@ StreamRunner::StreamRunner(const PreprocessingEngine &preprocess,
     HGPCN_ASSERT(cfg.inputPoints >= 1, "inputPoints must be >= 1");
     HGPCN_ASSERT(cfg.buildWorkers >= 1, "buildWorkers must be >= 1");
     HGPCN_ASSERT(cfg.fpgaUnits >= 1, "fpgaUnits must be >= 1");
-    HGPCN_ASSERT(cfg.intraOpThreads >= 1,
-                 "intraOpThreads must be >= 1");
+    HGPCN_ASSERT(cfg.intraOpThreads >= 0,
+                 "intraOpThreads must be >= 0");
     HGPCN_ASSERT(cfg.maxBatch >= 1, "maxBatch must be >= 1");
     HGPCN_ASSERT(cfg.batchTimeoutVirtualSec >= 0.0,
                  "batchTimeoutVirtualSec must be >= 0");
@@ -368,6 +368,18 @@ StreamRunner::run(const std::vector<Frame> &frames,
                      frame.cloud.size(), " < ", cfg.inputPoints);
     }
     streamWorkload.clear();
+    if (carry) {
+        // A frame holds its pooled bundle from its build until the
+        // down-sample stage drops it, and the carry holds the last
+        // frame's: reserve that many bundles now, so the pool's size
+        // does not depend on how far the build stage ran ahead.
+        const std::size_t in_flight = cfg.buildWorkers +
+                                      pipelineConfig(cfg).queueCapacity +
+                                      cfg.fpgaUnits;
+        carry->reserveBundles(std::min(frames.size(), in_flight) + 1);
+    }
+    infer.setIntraOpThreads(cfg.intraOpThreads > 0 ? cfg.intraOpThreads
+                                                   : allowedCores());
 
     // Real concurrent execution of the functional work.
     std::vector<std::unique_ptr<FrameTask>> tasks;

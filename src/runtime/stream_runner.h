@@ -179,12 +179,16 @@ class StreamRunner
          * batch mode, every frame available at t=0. */
         bool paceBySensor = true;
 
-        /** Host threads splitting MLP rows within one frame's
-         * inference (>= 1). Wall-clock only — the modeled schedule
-         * and every output bit are identical at any value; size it
-         * against buildWorkers/fpgaUnits so intra- and inter-frame
-         * parallelism share the host sensibly. */
-        int intraOpThreads = 1;
+        /** Host threads running one frame's inference: each SA/FP
+         * level is one parallel region over blocks of centroids or
+         * fine points, gated by the level's work size so small
+         * networks stay serial (nn/pointnet2.h, RunOptions).
+         * 0 (default) = the cores this runner may run on, read
+         * from the CPU affinity mask when run() starts — with the
+         * stream pinned to three cores, three threads; >= 1 is
+         * used as given. Wall-clock only — the modeled schedule
+         * and every output bit are identical at any value. */
+        int intraOpThreads = 0;
 
         /** Carry pre-processing indices across frames
          * (core/temporal_preprocess.h): each frame's octree is

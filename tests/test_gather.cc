@@ -12,6 +12,7 @@
 #include <cstring>
 #include <set>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "gather/brute_gatherers.h"
 #include "gather/veg_gatherer.h"
@@ -532,13 +533,51 @@ duplicateCloud(std::size_t n, std::uint64_t seed)
 }
 
 /**
+ * VegKnn::gatherAt() rebuilt from gatherAtRange() over blocks of
+ * @p block anchors, claimed by @p threads threads — the way the
+ * network's parallel regions gather. SemiApprox draws its picks
+ * from one rng in anchor order, so its blocks run in order.
+ */
+GatherResult
+gatherInBlocks(const VegKnn &veg, std::span<const Vec3> anchors,
+               std::size_t k, std::size_t block, int threads)
+{
+    GatherResult r;
+    r.k = k;
+    r.neighbors.resize(anchors.size() * k);
+    r.traces.resize(anchors.size());
+    const std::size_t blocks = (anchors.size() + block - 1) / block;
+    std::vector<VegCounters> counters(blocks);
+    const bool ordered = veg.config().mode == VegMode::SemiApprox;
+    Rng rng(veg.config().seed);
+    parallelBlocks(
+        blocks, ordered ? 1 : threads, [](std::size_t) { return 0; },
+        [&](int, std::size_t b) {
+            const std::size_t begin = b * block;
+            const std::size_t end = std::min(begin + block, anchors.size());
+            veg.gatherAtRange(
+                anchors, k, begin, end,
+                std::span(r.neighbors).subspan(begin * k, (end - begin) * k),
+                std::span(r.traces).subspan(begin, end - begin),
+                counters[b], nullptr, ordered ? &rng : nullptr);
+        });
+    VegCounters total;
+    for (const VegCounters &c : counters)
+        total.add(c);
+    total.writeTo(r.stats);
+    return r;
+}
+
+/**
  * Digest of every VEG flavour over @p cloud: VegKnn in all three
  * modes through gather() and gatherAt() (queries include the grid's
  * corners), at the per-centroid adaptive level and at forced shallow
- * and deep levels, plus VegBallQuery.
+ * and deep levels, plus VegBallQuery. With @p block > 0 every VegKnn
+ * gather instead runs through gatherInBlocks().
  */
 std::uint64_t
-vegDigest(const PointCloud &cloud)
+vegDigest(const PointCloud &cloud, std::size_t block = 0,
+          int threads = 1)
 {
     const Octree tree = makeTree(cloud);
     const auto centrals = someCentrals(cloud.size(), 48, 7);
@@ -551,6 +590,9 @@ vegDigest(const PointCloud &cloud)
         queries.push_back({rng.uniform(0.0f, 1.0f),
                            rng.uniform(0.0f, 1.0f),
                            rng.uniform(0.0f, 1.0f)});
+    std::vector<Vec3> central_anchors;
+    for (const PointIndex c : centrals)
+        central_anchors.push_back(tree.reorderedCloud().position(c));
 
     Fnv1a fnv;
     for (const VegMode mode :
@@ -562,8 +604,15 @@ vegDigest(const PointCloud &cloud)
             cfg.seed = 5;
             VegKnn veg(tree, cfg);
             for (const std::size_t k : {1u, 16u, 64u}) {
-                hashResult(fnv, veg.gather(centrals, k));
-                hashResult(fnv, veg.gatherAt(queries, k));
+                if (block == 0) {
+                    hashResult(fnv, veg.gather(centrals, k));
+                    hashResult(fnv, veg.gatherAt(queries, k));
+                } else {
+                    hashResult(fnv, gatherInBlocks(veg, central_anchors,
+                                                   k, block, threads));
+                    hashResult(fnv, gatherInBlocks(veg, queries, k,
+                                                   block, threads));
+                }
             }
         }
     }
@@ -596,6 +645,25 @@ TEST(VegDigest, DuplicateHeavyCloud)
 {
     EXPECT_EQ(vegDigest(duplicateCloud(3000, 103)),
               0xb27b8c14bfd4d2a2ull);
+}
+
+// The same digests through gatherAtRange() in blocks of 1, 7 and 64
+// anchors and as one whole-range block, claimed by 1 to 4 threads:
+// a per-anchor gather does not depend on how its range was split.
+TEST(VegDigest, BlocksAndThreadsReproduceEveryDigest)
+{
+    const std::pair<PointCloud, std::uint64_t> cases[] = {
+        {randomCloud(3000, 101), 0x050eff0e86953eacull},
+        {clusteredCloud(3000, 102), 0x455fc26bd25a0b53ull},
+        {duplicateCloud(3000, 103), 0xb27b8c14bfd4d2a2ull}};
+    for (const auto &[cloud, expect] : cases) {
+        for (const int threads : {1, 2, 3, 4}) {
+            for (const std::size_t block : {1u, 7u, 64u, 100000u}) {
+                EXPECT_EQ(vegDigest(cloud, block, threads), expect)
+                    << "threads " << threads << " block " << block;
+            }
+        }
+    }
 }
 
 } // namespace

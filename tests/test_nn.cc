@@ -12,6 +12,8 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <string>
 
 #include "common/rng.h"
 #include "nn/mlp.h"
@@ -756,20 +758,72 @@ TEST(PointNet2, WorkspaceAndThreadsDoNotChangeOutputs)
 
 // ----------------------------------------------- fixed network outputs
 
-/** FNV-1a over the bytes of a logits tensor. */
-std::uint64_t
-logitsDigest(const Tensor &logits)
+/** FNV-1a accumulator over raw bytes. */
+struct Fnv1a
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const float v : logits.data()) {
-        unsigned char bytes[sizeof v];
-        std::memcpy(bytes, &v, sizeof v);
-        for (const unsigned char b : bytes) {
+
+    template <typename T>
+    void
+    value(const T &v)
+    {
+        unsigned char raw[sizeof v];
+        std::memcpy(raw, &v, sizeof v);
+        for (const unsigned char b : raw) {
             h ^= b;
             h *= 0x100000001b3ull;
         }
     }
-    return h;
+
+    void
+    text(const std::string &s)
+    {
+        value(s.size());
+        for (const char c : s)
+            value(c);
+    }
+};
+
+/** FNV-1a over the bytes of a logits tensor. */
+std::uint64_t
+logitsDigest(const Tensor &logits)
+{
+    Fnv1a fnv;
+    for (const float v : logits.data())
+        fnv.value(v);
+    return fnv.h;
+}
+
+/** FNV-1a over a whole trace: every GEMM's name and shape, every
+ * gather's header, counters and per-centroid VEG traces. */
+std::uint64_t
+traceDigest(const ExecutionTrace &trace)
+{
+    Fnv1a fnv;
+    for (const GemmOp &g : trace.gemms) {
+        fnv.text(g.layer);
+        fnv.value(g.m);
+        fnv.value(g.k);
+        fnv.value(g.n);
+    }
+    for (const GatherOp &op : trace.gathers) {
+        fnv.text(op.layer);
+        fnv.text(op.method);
+        fnv.value(op.centroids);
+        fnv.value(op.k);
+        fnv.value(op.inputPoints);
+        for (const auto &[name, v] : op.stats.all()) {
+            fnv.text(name);
+            fnv.value(v);
+        }
+        for (const VegTrace &t : op.traces) {
+            fnv.value(t.rings);
+            fnv.value(t.innerPoints);
+            fnv.value(t.lastRingPoints);
+            fnv.value(t.tableLookups);
+        }
+    }
+    return fnv.h;
 }
 
 // Digests recorded from the scalar GEMM the register-tiled kernel
@@ -806,6 +860,138 @@ TEST(NetworkDigest, EdgeClassifierSoloAndBatched)
         EXPECT_EQ(logitsDigest(batch[i].logits), expect[i])
             << "batched frame " << i;
     }
+}
+
+// --------------------------------------- thread and block invariance
+
+/** A frame's recorded outputs. */
+struct FrameDigest
+{
+    std::uint64_t logits;
+    std::uint64_t trace;
+};
+
+/**
+ * Run every cloud solo and all of them as one batch, at every
+ * intra-op thread count and block size (1, 7, 64, whole level),
+ * through one shared workspace; each frame's logits and full trace
+ * must equal @p expect. The digests were recorded from the serial
+ * execution that ran each level whole (gather, then one GEMM per
+ * layer over all rows, then pool), before levels ran in blocks.
+ */
+void
+expectInvariant(const PointNet2 &net, const std::vector<PointCloud> &clouds,
+                RunOptions opts, std::span<const FrameDigest> expect)
+{
+    ASSERT_EQ(clouds.size(), expect.size());
+    std::vector<const PointCloud *> ptrs;
+    for (const PointCloud &c : clouds)
+        ptrs.push_back(&c);
+    FrameWorkspace ws;
+    opts.workspace = &ws;
+    for (const int threads : {1, 2, 3, 4}) {
+        for (const std::size_t block :
+             {std::size_t{1}, std::size_t{7}, std::size_t{64},
+              std::numeric_limits<std::size_t>::max()}) {
+            SCOPED_TRACE(testing::Message() << "threads " << threads
+                                            << " block " << block);
+            opts.intraOpThreads = threads;
+            opts.blockPoints = block;
+            for (std::size_t i = 0; i < clouds.size(); ++i) {
+                const RunOutput solo = net.run(clouds[i], opts);
+                EXPECT_EQ(logitsDigest(solo.logits), expect[i].logits)
+                    << "solo frame " << i;
+                EXPECT_EQ(traceDigest(solo.trace), expect[i].trace)
+                    << "solo frame " << i;
+            }
+            const std::vector<RunOutput> batch = net.runBatch(ptrs, opts);
+            ASSERT_EQ(batch.size(), clouds.size());
+            for (std::size_t i = 0; i < clouds.size(); ++i) {
+                EXPECT_EQ(logitsDigest(batch[i].logits), expect[i].logits)
+                    << "batched frame " << i;
+                EXPECT_EQ(traceDigest(batch[i].trace), expect[i].trace)
+                    << "batched frame " << i;
+            }
+        }
+    }
+}
+
+// Pointnet++(s)'s levels all clear the work-size gate, so these run
+// real parallel regions (and are what the TSan job runs).
+TEST(ThreadInvariance, SemanticSegmentationVeg)
+{
+    const PointNet2 net(PointNet2Spec::semanticSegmentation(), 42);
+    RunOptions opts;
+    opts.ds = DsMethod::Veg;
+    const FrameDigest expect[] = {
+        {0x216c000198577985ull, 0x75b08b11f2e43e66ull},
+        {0xc2bcae0f73b455efull, 0xd4306ccd40548514ull}};
+    expectInvariant(net, {randomCloud(4096, 31), randomCloud(4096, 32)},
+                    opts, expect);
+}
+
+TEST(ThreadInvariance, SemanticSegmentationSpatialHashKnn)
+{
+    const PointNet2 net(PointNet2Spec::semanticSegmentation(), 42);
+    RunOptions opts;
+    opts.ds = DsMethod::BruteKnn;
+    const FrameDigest expect[] = {
+        {0x6d8206f62d1e9740ull, 0xea44a46aa2fa7d94ull}};
+    expectInvariant(net, {randomCloud(4096, 31)}, opts, expect);
+}
+
+// The edge classifier stays under the gate (serial at any thread
+// count); its blocks still split every SA level.
+TEST(ThreadInvariance, EdgeClassifier)
+{
+    const PointNet2 net(PointNet2Spec::edgeClassification(), 42);
+    std::vector<PointCloud> clouds;
+    for (std::uint64_t s = 0; s < 4; ++s)
+        clouds.push_back(randomCloud(256, 40 + s));
+    const FrameDigest knn[] = {
+        {0x211b689fe6038cc7ull, 0xfe0e9dcf03a75cb4ull},
+        {0x680688019525bab2ull, 0xfe0e9dcf03a75cb4ull},
+        {0x1481ba758e65e9c7ull, 0xfe0e9dcf03a75cb4ull},
+        {0xa7513e733a6b698aull, 0xfe0e9dcf03a75cb4ull}};
+    expectInvariant(net, clouds, RunOptions{}, knn);
+    RunOptions veg;
+    veg.ds = DsMethod::Veg;
+    const FrameDigest veg_expect[] = {
+        {0x276cefdb4192f2fdull, 0x4726ca71ac48d03full},
+        {0x3551d6b7d168ca4full, 0xf5cc31b4f5f5d2c0ull},
+        {0x0e6637d2c9a0e6d7ull, 0x0e9256d14166bcf3ull},
+        {0x5a37c51737b48a3eull, 0x039eb3094aff0dc3ull}};
+    expectInvariant(net, clouds, veg, veg_expect);
+}
+
+// Pointnet++(c): a group-all level and the classification head,
+// whose MLP rows split across threads instead of blocks.
+TEST(ThreadInvariance, ClassificationVeg)
+{
+    const PointNet2 net(PointNet2Spec::classification(4), 42);
+    RunOptions opts;
+    opts.ds = DsMethod::Veg;
+    const FrameDigest expect[] = {
+        {0xec59f20d2e5ab411ull, 0x52273885f7a1a906ull}};
+    expectInvariant(net, {randomCloud(1024, 50)}, opts, expect);
+}
+
+// The zero-alloc contract inside parallel regions: once a workspace
+// has served a frame at a thread count, its worker scratch is warm.
+TEST(ThreadInvariance, ParallelRegionsStopGrowingTheWorkspace)
+{
+    const PointNet2 net(PointNet2Spec::semanticSegmentation(), 42);
+    const PointCloud cloud = randomCloud(4096, 33);
+    FrameWorkspace ws;
+    RunOptions opts;
+    opts.ds = DsMethod::Veg;
+    opts.workspace = &ws;
+    opts.intraOpThreads = 4;
+    (void)net.run(cloud, opts); // warm-up
+    const std::uint64_t warm = FrameWorkspace::backingGrowths();
+    for (int i = 0; i < 3; ++i)
+        (void)net.run(cloud, opts);
+    EXPECT_EQ(FrameWorkspace::backingGrowths(), warm);
 }
 
 } // namespace

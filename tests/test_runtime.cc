@@ -615,5 +615,28 @@ TEST(StreamRunner, SteadyStateIsArenaAllocationFree)
         << "steady-state frames grew a workspace arena";
 }
 
+TEST(StreamRunner, ResultsDropPreprocessingIndices)
+{
+    // The down-sample stage releases each frame's octree and cached
+    // indices once sampled, returning the carry's pooled bundle
+    // while the stream runs; results keep only the sampled cloud.
+    const std::vector<Frame> frames = smallKittiStream(3);
+    HgPcnSystem::Config cfg;
+    const HgPcnSystem system(cfg, tinyClassifier());
+    StreamRunner::Config rc;
+    rc.paceBySensor = false;
+    rc.inputPoints = system.config().inputPoints;
+    StreamRunner runner(system.preprocessor(), system.backend(), rc);
+    const RuntimeResult r = runner.run(frames);
+    ASSERT_EQ(r.frames.size(), frames.size());
+    for (const ProcessedFrame &f : r.frames) {
+        const PreprocessResult &pr = f.result.preprocess;
+        EXPECT_EQ(pr.tree, nullptr);
+        EXPECT_EQ(pr.rawKnn, nullptr);
+        EXPECT_EQ(pr.rawOcc, nullptr);
+        EXPECT_EQ(pr.sampled.size(), rc.inputPoints);
+    }
+}
+
 } // namespace
 } // namespace hgpcn

@@ -629,6 +629,37 @@ TEST(TemporalState, SteadyStateLeasesDoNotGrowArenas)
         << "steady-state temporal frames grew an arena";
 }
 
+TEST(TemporalState, PoolStaysWithinFramesInFlight)
+{
+    // A stream holds each frame's bundle only while the frame is in
+    // flight (the runtime drops it after sampling). Over 64 frames
+    // with at most four in flight, the pool never needs more than
+    // those four plus the one being built, and once warm, leases
+    // grow nothing — whichever recycled bundle serves a frame.
+    CoherentDrive::Config dc;
+    dc.points = 1000;
+    dc.churnFraction = 0.1;
+    dc.seed = 73;
+    const CoherentDrive drive(dc);
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(10, 16);
+    TemporalPreprocessState carry(tc);
+
+    constexpr std::size_t kInFlight = 4;
+    std::deque<std::shared_ptr<PreprocessBundle>> in_flight;
+    std::uint64_t warm = 0;
+    for (std::size_t t = 0; t < 64; ++t) {
+        if (t == 16)
+            warm = FrameWorkspace::backingGrowths();
+        if (in_flight.size() == kInFlight)
+            in_flight.pop_front();
+        in_flight.push_back(carry.processFrame(drive.generate(t).cloud));
+    }
+    EXPECT_LE(carry.pooledBundles(), kInFlight + 1);
+    EXPECT_EQ(FrameWorkspace::backingGrowths(), warm)
+        << "recycled bundles regrew after warm-up";
+}
+
 TEST(TemporalState, BundlesOutliveTheState)
 {
     CoherentDrive::Config dc;
