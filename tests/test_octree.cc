@@ -11,8 +11,12 @@
 #include <set>
 
 #include "common/rng.h"
+#include "datasets/kitti_like.h"
+#include "datasets/traffic_gen.h"
 #include "octree/octree.h"
 #include "octree/octree_table.h"
+#include "octree/voxel_grid.h"
+#include "report_digest.h"
 
 namespace hgpcn
 {
@@ -461,6 +465,123 @@ TEST(OctreeTable, LargerLeafCapacityShrinksTable)
     const OctreeTable big_leaves = OctreeTable::fromOctree(
         Octree::build(cloud, config(10, 64)));
     EXPECT_LT(big_leaves.sizeBytes(), small_leaves.sizeBytes());
+}
+
+// ------------------------------------------------ scratch-build digests
+
+/**
+ * FNV-1a of a scratch build of @p cloud: the point codes, the
+ * permutation, every node field and the occupied cells of every
+ * level 1..maxDepth. The sort and cell-list kernels behind it may be
+ * rewritten for speed; these digests pin that they move no bit.
+ */
+std::uint64_t
+scratchDigest(const PointCloud &cloud, const Octree::Config &cfg)
+{
+    const Octree tree = Octree::build(cloud, cfg);
+    digest::Fnv1a fnv;
+    const auto &codes = tree.pointCodes();
+    fnv.value(codes.size());
+    fnv.bytes(codes.data(), codes.size() * sizeof(morton::Code));
+    const auto &perm = tree.permutation();
+    fnv.bytes(perm.data(), perm.size() * sizeof(PointIndex));
+    fnv.value(tree.nodes().size());
+    for (const OctreeNode &n : tree.nodes()) {
+        fnv.value(n.code);
+        fnv.value(n.level);
+        fnv.value(n.childMask);
+        fnv.value(n.firstChild);
+        fnv.value(n.parent);
+        fnv.value(n.pointBegin);
+        fnv.value(n.pointEnd);
+    }
+    std::vector<OccupiedCell> occ;
+    for (int level = 1; level <= cfg.maxDepth; ++level) {
+        buildOccupiedCells(tree, level, occ);
+        fnv.value(occ.size());
+        for (const OccupiedCell &c : occ) {
+            fnv.value(c.cell.x);
+            fnv.value(c.cell.y);
+            fnv.value(c.cell.z);
+            fnv.value(c.first);
+            fnv.value(c.last);
+        }
+    }
+    return fnv.h;
+}
+
+/** Digest of @p cloud under @p cfg, checked with the radix sort on
+ * and off: both sorts must give the same build. */
+void
+expectScratchDigest(const PointCloud &cloud, Octree::Config cfg,
+                    std::uint64_t expected, const char *what)
+{
+    for (const bool radix : {true, false}) {
+        cfg.useRadixSort = radix;
+        EXPECT_EQ(scratchDigest(cloud, cfg), expected)
+            << what << " radix=" << radix << std::hex << " got 0x"
+            << scratchDigest(cloud, cfg);
+    }
+}
+
+// Digests recorded from the comparison-sorted cell lists and the
+// byte-wise radix sort of the original scratch build.
+TEST(ScratchDigest, KittiLikeFrames)
+{
+    const KittiLike lidar(KittiLike::Config{});
+    const std::uint64_t expected[2] = {0xfb5460a528237599ull,
+                                       0x7b6b4705ec8259e4ull};
+    for (std::size_t f = 0; f < 2; ++f) {
+        const PointCloud cloud = lidar.generate(f).cloud;
+        expectScratchDigest(cloud, config(12, 64), expected[f], "kitti");
+    }
+}
+
+TEST(ScratchDigest, TrafficGenClouds)
+{
+    TrafficGen::Config tc;
+    tc.sensors = 4;
+    tc.durationSec = 2.0;
+    tc.cloudPoints = 4096;
+    tc.seed = 7;
+    const SensorStream stream = TrafficGen(tc).generate().stream;
+    ASSERT_GE(stream.size(), 3u);
+    const std::uint64_t expected[3][2] = {
+        {0xb977a17a0943a434ull, 0xcbe1004e803d207bull},
+        {0xf19cc18bac707c0dull, 0xc56dd884720f33a7ull},
+        {0x5bf042c94c791b16ull, 0x53e8043695fbdae7ull}};
+    for (std::size_t f = 0; f < 3; ++f) {
+        const PointCloud &cloud = stream.frames[f].cloud;
+        ASSERT_EQ(cloud.size(), 4096u);
+        expectScratchDigest(cloud, config(12, 64), expected[f][0],
+                            "traffic 12/64");
+        expectScratchDigest(cloud, config(21, 8), expected[f][1],
+                            "traffic 21/8");
+    }
+}
+
+TEST(ScratchDigest, CoincidentAndSinglePointClouds)
+{
+    PointCloud coincident;
+    for (int i = 0; i < 300; ++i)
+        coincident.add({0.25f, -1.5f, 3.0f});
+    PointCloud pair_of_piles = coincident;
+    for (int i = 0; i < 200; ++i)
+        pair_of_piles.add({0.75f, -1.0f, 3.5f});
+    PointCloud single;
+    single.add({1.0f, 2.0f, 3.0f});
+    expectScratchDigest(coincident, config(12, 64), 0xf32bc2ff07f2a482ull,
+                        "coincident");
+    expectScratchDigest(coincident, config(21, 8), 0xbd512caa004d9e25ull,
+                        "coincident 21");
+    expectScratchDigest(pair_of_piles, config(12, 64),
+                        0x3ee69e823af04a42ull, "piles");
+    expectScratchDigest(pair_of_piles, config(21, 8),
+                        0x69e9d4a41cfe6dbeull, "piles 21");
+    expectScratchDigest(single, config(12, 64), 0xe8ac36f9f05d8cb6ull,
+                        "single");
+    expectScratchDigest(single, config(21, 8), 0xb86486bb3ba3add3ull,
+                        "single 21");
 }
 
 } // namespace
