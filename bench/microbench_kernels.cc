@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the core kernels: Morton
  * encoding, octree construction, the steady-state temporal build
- * stage, OIS sampling, VEG gathering, the brute-force baselines, the
+ * stage, the scratch build stage and occupied-cell list, OIS
+ * sampling, VEG gathering, the brute-force baselines, the
  * spatial-hash KNN index (src/knn), the register-tiled GEMM and a
  * whole SA level at 1-4 threads. These are the software costs
  * behind Figs. 9-12 and the host hot path (docs/PERFORMANCE.md);
@@ -33,6 +34,7 @@
 #include "knn/spatial_hash_knn.h"
 #include "nn/mlp.h"
 #include "nn/pointnet2.h"
+#include "octree/voxel_grid.h"
 #include "sampling/fps_sampler.h"
 #include "sampling/ois_fps_sampler.h"
 
@@ -122,6 +124,63 @@ BM_TemporalBuildStage(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TemporalBuildStage)->Arg(100000);
+
+/** Random cloud @p i of an incoherent stream: offset so that no two
+ * frames share root bounds. */
+PointCloud
+incoherentCloud(std::size_t n, std::size_t i)
+{
+    PointCloud cloud = randomCloud(n, 40 + i);
+    const float off = 0.25f * static_cast<float>(i);
+    for (PointIndex p = 0; p < cloud.size(); ++p)
+        cloud.position(p) = cloud.position(p) + Vec3{off, off, -off};
+    return cloud;
+}
+
+void
+BM_ScratchBuildStage(benchmark::State &state)
+{
+    // buildStage with a carry over incoherent frames (the multiplexed
+    // fleet's case): every frame misses, so each timed call is the
+    // scratch octree, KNN buckets and occupancy list.
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    const PointCloud frames[2] = {incoherentCloud(n, 0),
+                                  incoherentCloud(n, 1)};
+    const PreprocessingEngine engine;
+    TemporalPreprocessState::Config tc;
+    tc.octree = engine.config().octree;
+    TemporalPreprocessState carry(tc);
+    for (std::size_t t = 0; t < 4; ++t)
+        engine.buildStage(frames[t & 1], &carry);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(engine.buildStage(frames[next], &carry));
+        next ^= 1;
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ScratchBuildStage)->Arg(4096)->Arg(125000);
+
+void
+BM_OccupiedCells(benchmark::State &state)
+{
+    // The scratch occupancy list at the level the temporal cache
+    // keeps (VoxelGrid::autoLevel), into warmed storage.
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    const Octree tree = Octree::build(randomCloud(n),
+                                      PreprocessingEngine::Config{}.octree);
+    const int level = VoxelGrid::autoLevel(n, tree.depth());
+    std::vector<OccupiedCell> cells;
+    std::vector<OccupiedCell> scratch;
+    buildOccupiedCells(tree, level, cells, scratch);
+    for (auto _ : state) {
+        buildOccupiedCells(tree, level, cells, scratch);
+        benchmark::DoNotOptimize(cells.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_OccupiedCells)->Arg(4096);
 
 void
 BM_OisSample(benchmark::State &state)

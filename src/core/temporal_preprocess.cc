@@ -91,6 +91,73 @@ recordTrace(std::uint64_t frame_no, std::int64_t shard,
 #endif
 }
 
+/** Fold one frame's outcome into the cumulative counters. */
+void
+countFrame(TemporalPreprocessState::Stats &st, const FrameAttribution &fa)
+{
+    ++st.frames;
+    if (fa.incremental) {
+        ++st.octreeHits;
+        st.retainedPoints += fa.retained;
+        st.insertedPoints += fa.inserted;
+        st.evictedPoints += fa.evicted;
+        st.nodesReused += fa.nodesReused;
+        st.nodesErected += fa.nodesErected;
+    } else {
+        ++st.octreeMisses;
+    }
+    if (fa.indicesCached) {
+        ++(fa.knnIncremental ? st.knnIncremental : st.knnScratch);
+        ++(fa.occIncremental ? st.occIncremental : st.occScratch);
+    }
+}
+
+/**
+ * Build @p bundle's KNN buckets and occupancy list over its tree:
+ * from @p prev through @p delta where they allow, from scratch
+ * otherwise (both null on a scratch build). Records the outcome in
+ * @p fa.
+ */
+void
+buildIndices(PreprocessBundle &bundle, const PreprocessBundle *prev,
+             const PointDelta *delta, const SpatialHashKnn::Config &knn,
+             FrameAttribution &fa)
+{
+    const Octree &tree = bundle.tree;
+    std::span<const Vec3> positions = tree.reorderedCloud().positions();
+
+    bool knn_incremental = false;
+    if (prev != nullptr && prev->rawKnnBuilt) {
+        knn_incremental =
+            bundle.rawKnn.rebuildFrom(prev->rawKnn, positions, *delta);
+    }
+    if (!knn_incremental)
+        bundle.rawKnn.rebuild(positions, knn);
+    bundle.rawKnnBuilt = true;
+
+    const int level = VoxelGrid::autoLevel(positions.size(), tree.depth());
+    // Re-growth of warmed list or scratch storage breaks the
+    // zero-alloc steady state, like the octree's own.
+    const std::size_t out_cap = bundle.rawOcc.capacity();
+    const std::size_t scratch_cap = bundle.occScratch.capacity();
+    bool occ_incremental = false;
+    if (prev != nullptr && prev->rawOccLevel == level) {
+        occ_incremental = patchOccupiedCells(
+            tree, level, prev->tree, prev->rawOcc, *delta, bundle.rawOcc,
+            bundle.occScratch);
+    }
+    if (!occ_incremental)
+        buildOccupiedCells(tree, level, bundle.rawOcc, bundle.occScratch);
+    if ((out_cap > 0 && bundle.rawOcc.capacity() > out_cap) ||
+        (scratch_cap > 0 && bundle.occScratch.capacity() > scratch_cap))
+        FrameWorkspace::noteGrowth();
+    bundle.rawOccLevel = level;
+
+    fa.indicesCached = true;
+    fa.knnIncremental = knn_incremental;
+    fa.occIncremental = occ_incremental;
+}
+
 } // namespace
 
 TemporalPreprocessState::TemporalPreprocessState(const Config &config)
@@ -102,8 +169,9 @@ void
 TemporalPreprocessState::BundlePool::absorb(const PreprocessBundle &built)
 {
     const std::vector<std::size_t> caps = built.tree.capacities();
-    bool rose = caps.size() > treeHighWater.size() ||
-                built.rawOcc.capacity() > occHighWater;
+    const std::size_t occ_cap =
+        std::max(built.rawOcc.capacity(), built.occScratch.capacity());
+    bool rose = caps.size() > treeHighWater.size() || occ_cap > occHighWater;
     treeHighWater.resize(std::max(treeHighWater.size(), caps.size()), 0);
     for (std::size_t i = 0; i < caps.size(); ++i) {
         if (caps[i] > treeHighWater[i]) {
@@ -111,7 +179,7 @@ TemporalPreprocessState::BundlePool::absorb(const PreprocessBundle &built)
             rose = true;
         }
     }
-    occHighWater = std::max(occHighWater, built.rawOcc.capacity());
+    occHighWater = std::max(occHighWater, occ_cap);
     if (rose)
         for (PreprocessBundle *idle : free_list)
             fill(*idle);
@@ -121,9 +189,12 @@ void
 TemporalPreprocessState::BundlePool::fill(PreprocessBundle &bundle) const
 {
     bool grew = bundle.tree.reserveCapacities(treeHighWater);
-    if (bundle.rawOcc.capacity() < occHighWater) {
-        bundle.rawOcc.reserve(occHighWater);
-        grew = true;
+    for (std::vector<OccupiedCell> *occ :
+         {&bundle.rawOcc, &bundle.occScratch}) {
+        if (occ->capacity() < occHighWater) {
+            occ->reserve(occHighWater);
+            grew = true;
+        }
     }
     if (grew)
         FrameWorkspace::noteGrowth();
@@ -166,81 +237,50 @@ std::shared_ptr<PreprocessBundle>
 TemporalPreprocessState::processFrame(const PointCloud &raw)
 {
     HGPCN_ASSERT(!raw.empty(), "cannot preprocess an empty frame");
-    std::lock_guard<std::mutex> lock(mu);
+    // The frame's one scan of its bounds, outside the lock: it decides
+    // the path and roots whichever build runs.
+    const Aabb cube = raw.bounds().cubified();
 
+    std::unique_lock<std::mutex> lock(mu);
+    const std::uint64_t seq = ++admitted;
     std::shared_ptr<PreprocessBundle> bundle = leaseBundle(pool);
     HGPCN_ASSERT(bundle.get() != prev.get(),
                  "pool leased the carried frame's bundle");
-
-    const Octree *prev_tree =
-        (cfg.temporalCache && prev != nullptr) ? &prev->tree : nullptr;
-    const bool incremental =
-        builder.update(raw, prev_tree, cfg.octree, bundle->tree);
+    bundle->rawKnnBuilt = false;
+    bundle->rawOccLevel = -1;
 
     FrameAttribution fa;
-    fa.incremental = incremental;
-
-    ++st.frames;
-    if (incremental) {
-        ++st.octreeHits;
-        const PointDelta &delta = builder.delta();
-        fa.retained = delta.retained();
-        fa.inserted = delta.insertedNew.size();
-        fa.evicted = delta.evictedOld.size();
-        fa.nodesReused = builder.nodesReused();
-        fa.nodesErected = builder.nodesErected();
-        st.retainedPoints += fa.retained;
-        st.insertedPoints += fa.inserted;
-        st.evictedPoints += fa.evicted;
-        st.nodesReused += fa.nodesReused;
-        st.nodesErected += fa.nodesErected;
+    if (cfg.temporalCache && prev != nullptr &&
+        IncrementalOctreeBuilder::aligns(cube, &prev->tree, cfg.octree)) {
+        // The incremental path reads the carry and the builder's
+        // scratch, so it runs under the lock (and may still fall back
+        // to a scratch build when the diff cannot be proven).
+        fa.incremental = builder.update(raw, cube, &prev->tree,
+                                        cfg.octree, bundle->tree);
+        if (fa.incremental) {
+            const PointDelta &delta = builder.delta();
+            fa.retained = delta.retained();
+            fa.inserted = delta.insertedNew.size();
+            fa.evicted = delta.evictedOld.size();
+            fa.nodesReused = builder.nodesReused();
+            fa.nodesErected = builder.nodesErected();
+        }
+        if (cfg.cacheIndices) {
+            buildIndices(*bundle, fa.incremental ? prev.get() : nullptr,
+                         fa.incremental ? &builder.delta() : nullptr,
+                         cfg.knn, fa);
+        }
     } else {
-        ++st.octreeMisses;
+        // A certain miss reads nothing shared: build from scratch
+        // without the lock, alongside other frames' misses.
+        lock.unlock();
+        bundle->tree.rebuild(raw, cfg.octree, cube);
+        if (cfg.cacheIndices)
+            buildIndices(*bundle, nullptr, nullptr, cfg.knn, fa);
+        lock.lock();
     }
 
-    if (cfg.cacheIndices) {
-        const Octree &tree = bundle->tree;
-        std::span<const Vec3> positions =
-            tree.reorderedCloud().positions();
-
-        bool knn_incremental = false;
-        if (incremental && prev != nullptr && prev->rawKnnBuilt) {
-            knn_incremental = bundle->rawKnn.rebuildFrom(
-                prev->rawKnn, positions, builder.delta());
-        }
-        if (!knn_incremental)
-            bundle->rawKnn.rebuild(positions, cfg.knn);
-        bundle->rawKnnBuilt = true;
-        ++(knn_incremental ? st.knnIncremental : st.knnScratch);
-
-        const int level =
-            VoxelGrid::autoLevel(positions.size(), tree.depth());
-        bool occ_incremental = false;
-        if (incremental && prev != nullptr &&
-            prev->rawOccLevel == level) {
-            // Re-growth of warmed scratch or output storage breaks
-            // the zero-alloc steady state, like the octree's own.
-            const std::size_t dirty_cap = occ_dirty.capacity();
-            const std::size_t out_cap = bundle->rawOcc.capacity();
-            occ_incremental = patchOccupiedCells(
-                tree, level, prev->tree, prev->rawOcc,
-                builder.delta(), bundle->rawOcc, occ_dirty);
-            if ((dirty_cap > 0 && occ_dirty.capacity() > dirty_cap) ||
-                (out_cap > 0 && bundle->rawOcc.capacity() > out_cap))
-                FrameWorkspace::noteGrowth();
-        }
-        if (!occ_incremental)
-            buildOccupiedCells(tree, level, bundle->rawOcc);
-        bundle->rawOccLevel = level;
-        ++(occ_incremental ? st.occIncremental : st.occScratch);
-        fa.indicesCached = true;
-        fa.knnIncremental = knn_incremental;
-        fa.occIncremental = occ_incremental;
-    } else {
-        bundle->rawKnnBuilt = false;
-        bundle->rawOccLevel = -1;
-    }
-
+    countFrame(st, fa);
     // Raise the pool's high water now, not when the bundle returns:
     // a run's last frame stays carried into the next run, and the
     // idle bundles must already fit it by then.
@@ -248,12 +288,16 @@ TemporalPreprocessState::processFrame(const PointCloud &raw)
         std::lock_guard<std::mutex> pool_lock(pool->mu);
         pool->absorb(*bundle);
     }
-
     if (metrics != nullptr)
         recordMetrics(*metrics, fa);
     recordTrace(st.frames, obsShard, fa);
 
-    prev = bundle;
+    // A miss finishing after a later-admitted frame published, or
+    // after reset(), must not roll the carry back.
+    if (seq > published) {
+        published = seq;
+        prev = bundle;
+    }
     return bundle;
 }
 
@@ -271,6 +315,7 @@ TemporalPreprocessState::reset()
 {
     std::lock_guard<std::mutex> lock(mu);
     prev.reset();
+    published = admitted; // frames still building stay uncarried
 }
 
 TemporalPreprocessState::Stats

@@ -32,9 +32,18 @@
  * no bundle regrows, whichever frame it serves — keeping the steady
  * state free of arena-backing allocation (growth counted via
  * FrameWorkspace::noteGrowth, pinned by tests/test_runtime.cc).
- * Thread safety: processFrame() serializes under a mutex; frames
- * arriving out of order only lower the hit rate, never change
- * outputs.
+ * Thread safety: processFrame() may be called from several threads.
+ * Each frame computes its root bounds outside the lock, then takes an
+ * admission number under it and learns its path. A frame that aligns
+ * with the carry (bit-equal root bounds, same depth and leaf
+ * capacity) updates incrementally under the lock, serialized with the
+ * other aligned frames. Any other frame is a certain miss: it builds
+ * its octree, KNN buckets and occupancy list from scratch outside the
+ * lock, alongside other misses, and re-locks only to count its
+ * stats, raise the pool's high water and publish itself as the carry
+ * — unless a later-admitted frame has published already, or reset()
+ * came after its admission. Frames arriving out of order only lower
+ * the hit rate, never change outputs.
  */
 
 #ifndef HGPCN_CORE_TEMPORAL_PREPROCESS_H
@@ -67,6 +76,9 @@ struct PreprocessBundle
     bool rawKnnBuilt = false;
     std::vector<OccupiedCell> rawOcc; //!< occupancy at rawOccLevel
     int rawOccLevel = -1;      //!< -1 = not built
+    /** rawOcc's build scratch: the cell sort's buffer, or the dirty
+     * cells of a patch. */
+    std::vector<OccupiedCell> occScratch;
 };
 
 /** Per-stream carried preprocessing state; see file comment. */
@@ -109,13 +121,15 @@ class TemporalPreprocessState
 
     /**
      * Build the frame's indices, reusing the previous frame's where
-     * the diff allows. The returned bundle stays valid as long as
+     * the diff allows (see the file comment for which frames run
+     * concurrently). The returned bundle stays valid as long as
      * the caller holds it (its storage returns to the pool on
      * release, possibly after this state is destroyed).
      */
     std::shared_ptr<PreprocessBundle> processFrame(const PointCloud &raw);
 
-    /** Drop the carried frame (the next frame builds from scratch). */
+    /** Drop the carried frame (the next frame builds from scratch;
+     * frames still building when it is called are not carried). */
     void reset();
 
     /**
@@ -156,8 +170,9 @@ class TemporalPreprocessState
         std::vector<std::unique_ptr<PreprocessBundle>> owned;
         std::vector<PreprocessBundle *> free_list;
         /** Element-wise maximum of every built bundle's octree
-         * capacities (Octree::capacities()) and occupancy-list
-         * capacity; every idle bundle is grown to them. */
+         * capacities (Octree::capacities()) and occupancy-list /
+         * occupancy-scratch capacity; every idle bundle is grown to
+         * them. */
         std::vector<std::size_t> treeHighWater;
         std::size_t occHighWater = 0;
 
@@ -178,8 +193,10 @@ class TemporalPreprocessState
 
     mutable std::mutex mu;
     IncrementalOctreeBuilder builder;
-    std::vector<OccupiedCell> occ_dirty; //!< patchOccupiedCells scratch
     std::shared_ptr<PreprocessBundle> prev; //!< keeps prev frame alive
+    std::uint64_t admitted = 0;  //!< frames admitted so far
+    std::uint64_t published = 0; //!< admission number of prev (or of
+                                 //!< the last frame before reset())
     Stats st;
     MetricsRegistry *metrics = nullptr; //!< optional telemetry mirror
     std::int64_t obsShard = -1;         //!< shard tag for trace events

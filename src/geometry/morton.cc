@@ -9,19 +9,6 @@ namespace hgpcn
 namespace morton
 {
 
-Code
-expandBits3(std::uint32_t v)
-{
-    // Classic 21-bit interleave-by-3 bit smear.
-    Code x = v & 0x1fffffull;
-    x = (x | x << 32) & 0x1f00000000ffffull;
-    x = (x | x << 16) & 0x1f0000ff0000ffull;
-    x = (x | x << 8) & 0x100f00f00f00f00full;
-    x = (x | x << 4) & 0x10c30c30c30c30c3ull;
-    x = (x | x << 2) & 0x1249249249249249ull;
-    return x;
-}
-
 std::uint32_t
 compactBits3(Code v)
 {
@@ -58,14 +45,6 @@ compactBits2(Code v)
     return static_cast<std::uint32_t>(x);
 }
 
-Code
-encode3(CellCoord x, CellCoord y, CellCoord z, int depth)
-{
-    HGPCN_ASSERT(depth >= 1 && depth <= kMaxDepth3d, "depth=", depth);
-    // X occupies the most significant bit of each 3-bit group.
-    return (expandBits3(x) << 2) | (expandBits3(y) << 1) | expandBits3(z);
-}
-
 void
 decode3(Code code, int depth, CellCoord &x, CellCoord &y, CellCoord &z)
 {
@@ -88,36 +67,6 @@ decode2(Code code, int depth, CellCoord &x, CellCoord &y)
     HGPCN_ASSERT(depth >= 1 && depth <= kMaxDepth2d, "depth=", depth);
     x = compactBits2(code >> 1);
     y = compactBits2(code);
-}
-
-void
-cellOf(const Vec3 &p, const Aabb &root, int depth, CellCoord &x,
-       CellCoord &y, CellCoord &z)
-{
-    const std::uint32_t cells = 1u << depth;
-    const Vec3 e = root.extent();
-    auto axis = [cells](float v, float lo, float len) -> CellCoord {
-        float t = len > 0.0f ? (v - lo) / len : 0.0f;
-        if (t < 0.0f)
-            t = 0.0f;
-        auto c = static_cast<std::int64_t>(t * static_cast<float>(cells));
-        if (c >= static_cast<std::int64_t>(cells))
-            c = cells - 1;
-        if (c < 0)
-            c = 0;
-        return static_cast<CellCoord>(c);
-    };
-    x = axis(p.x, root.lo.x, e.x);
-    y = axis(p.y, root.lo.y, e.y);
-    z = axis(p.z, root.lo.z, e.z);
-}
-
-Code
-pointCode3(const Vec3 &p, const Aabb &root, int depth)
-{
-    CellCoord x = 0, y = 0, z = 0;
-    cellOf(p, root, depth, x, y, z);
-    return encode3(x, y, z, depth);
 }
 
 float

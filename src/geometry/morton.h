@@ -19,6 +19,7 @@
 #include <bit>
 #include <cstdint>
 
+#include "common/logging.h"
 #include "geometry/aabb.h"
 #include "geometry/vec3.h"
 
@@ -40,7 +41,18 @@ using CellCoord = std::uint32_t;
 using Code = std::uint64_t;
 
 /** Spread the low 21 bits of @p v so consecutive bits are 3 apart. */
-Code expandBits3(std::uint32_t v);
+inline Code
+expandBits3(std::uint32_t v)
+{
+    // Classic 21-bit interleave-by-3 bit smear.
+    Code x = v & 0x1fffffull;
+    x = (x | x << 32) & 0x1f00000000ffffull;
+    x = (x | x << 16) & 0x1f0000ff0000ffull;
+    x = (x | x << 8) & 0x100f00f00f00f00full;
+    x = (x | x << 4) & 0x10c30c30c30c30c3ull;
+    x = (x | x << 2) & 0x1249249249249249ull;
+    return x;
+}
 
 /** Inverse of expandBits3: gather every third bit. */
 std::uint32_t compactBits3(Code v);
@@ -60,7 +72,13 @@ std::uint32_t compactBits2(Code v);
  * @param x,y,z Cell coordinates in [0, 2^depth).
  * @param depth Octree depth (1..kMaxDepth3d).
  */
-Code encode3(CellCoord x, CellCoord y, CellCoord z, int depth);
+inline Code
+encode3(CellCoord x, CellCoord y, CellCoord z, int depth)
+{
+    HGPCN_ASSERT(depth >= 1 && depth <= kMaxDepth3d, "depth=", depth);
+    // X occupies the most significant bit of each 3-bit group.
+    return (expandBits3(x) << 2) | (expandBits3(y) << 1) | expandBits3(z);
+}
 
 /** Decode a 3*depth-bit Morton code back into cell coordinates. */
 void decode3(Code code, int depth, CellCoord &x, CellCoord &y, CellCoord &z);
@@ -124,17 +142,54 @@ xorMagnitude(Code a, Code b)
 }
 
 /**
+ * Cell of coordinate @p v along one axis of @p cells cells spanning
+ * [lo, lo + len). The grid position is clamped in float before the
+ * integer conversion, so every input — outside the root, ±Inf, huge
+ * or NaN — maps to a cell in [0, cells): below or NaN to 0, at or
+ * past the end to cells - 1.
+ */
+inline CellCoord
+axisCell(float v, float lo, float len, std::uint32_t cells)
+{
+    const float t = len > 0.0f ? (v - lo) / len : 0.0f;
+    const float f = t * static_cast<float>(cells);
+    if (!(f > 0.0f))
+        return 0;
+    if (f >= static_cast<float>(cells))
+        return cells - 1;
+    return static_cast<CellCoord>(f);
+}
+
+/**
  * Map a point to its integer cell coordinates at @p depth inside the
  * (cubified) root voxel @p root.
  *
- * Points must lie inside @p root; coordinates are clamped to the grid
- * so boundary points land in the last cell.
+ * Points should lie inside @p root; coordinates are clamped to the
+ * grid (axisCell()) so boundary points land in the last cell.
  */
-void cellOf(const Vec3 &p, const Aabb &root, int depth, CellCoord &x,
-            CellCoord &y, CellCoord &z);
+inline void
+cellOf(const Vec3 &p, const Aabb &root, int depth, CellCoord &x,
+       CellCoord &y, CellCoord &z)
+{
+    const std::uint32_t cells = 1u << depth;
+    const Vec3 e = root.extent();
+    x = axisCell(p.x, root.lo.x, e.x, cells);
+    y = axisCell(p.y, root.lo.y, e.y, cells);
+    z = axisCell(p.z, root.lo.z, e.z, cells);
+}
 
-/** Convenience: full-depth m-code of point @p p inside @p root. */
-Code pointCode3(const Vec3 &p, const Aabb &root, int depth);
+/**
+ * Full-depth m-code of point @p p inside @p root: encode3() of
+ * cellOf(). The octree build calls it per point with the depth it
+ * checked once, so @p depth (1..kMaxDepth3d) is not re-checked here.
+ */
+inline Code
+pointCode3(const Vec3 &p, const Aabb &root, int depth)
+{
+    CellCoord x = 0, y = 0, z = 0;
+    cellOf(p, root, depth, x, y, z);
+    return (expandBits3(x) << 2) | (expandBits3(y) << 1) | expandBits3(z);
+}
 
 /**
  * @return center of the voxel identified by @p code at @p level

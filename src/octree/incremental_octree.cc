@@ -412,24 +412,38 @@ IncrementalOctreeBuilder::copySubtree(NodeIndex self, NodeIndex old_idx)
 }
 
 bool
+IncrementalOctreeBuilder::aligns(const Aabb &cube, const Octree *prev,
+                                 const Octree::Config &config)
+{
+    return prev != nullptr && !prev->codes.empty() &&
+           prev->cfg.maxDepth == config.maxDepth &&
+           prev->cfg.leafCapacity == config.leafCapacity &&
+           sameBounds(cube, prev->root_bounds);
+}
+
+bool
 IncrementalOctreeBuilder::update(const PointCloud &cloud,
                                  const Octree *prev,
                                  const Octree::Config &config,
                                  Octree &out)
 {
+    return update(cloud, cloud.bounds().cubified(), prev, config, out);
+}
+
+bool
+IncrementalOctreeBuilder::update(const PointCloud &cloud,
+                                 const Aabb &cube, const Octree *prev,
+                                 const Octree::Config &config,
+                                 Octree &out)
+{
     HGPCN_ASSERT(prev != &out,
                  "incremental update cannot rebuild in place");
+    HGPCN_ASSERT(!cloud.empty(), "cannot build an octree over no points");
     nodes_reused = 0;
     nodes_erected = 0;
 
-    const bool aligned =
-        prev != nullptr && !cloud.empty() &&
-        !prev->codes.empty() &&
-        prev->cfg.maxDepth == config.maxDepth &&
-        prev->cfg.leafCapacity == config.leafCapacity &&
-        sameBounds(cloud.bounds().cubified(), prev->root_bounds);
-    if (!aligned) {
-        out.rebuild(cloud, config);
+    if (!aligns(cube, prev, config)) {
+        out.rebuild(cloud, config, cube);
         return false;
     }
 
@@ -445,7 +459,7 @@ IncrementalOctreeBuilder::update(const PointCloud &cloud,
     if (!mergeOrder(cloud)) {
         old_tree = nullptr;
         new_tree = nullptr;
-        out.rebuild(cloud, config);
+        out.rebuild(cloud, config, cube);
         return false;
     }
 

@@ -73,6 +73,25 @@ class IncrementalOctreeBuilder
     bool update(const PointCloud &cloud, const Octree *prev,
                 const Octree::Config &config, Octree &out);
 
+    /**
+     * update() for a frame whose root voxel @p cube
+     * (cloud.bounds().cubified()) the caller already computed, so
+     * neither the alignment check nor a fallback build rescans it.
+     */
+    bool update(const PointCloud &cloud, const Aabb &cube,
+                const Octree *prev, const Octree::Config &config,
+                Octree &out);
+
+    /**
+     * @return true when a frame rooted at @p cube may update
+     * incrementally from @p prev under @p config: @p prev is a
+     * non-empty tree with bit-equal root bounds and the same depth
+     * and leaf capacity. When false, update() certainly rebuilds
+     * from scratch — so a caller can tell a miss before it starts.
+     */
+    static bool aligns(const Aabb &cube, const Octree *prev,
+                       const Octree::Config &config);
+
     /** @return the cross-frame delta of the last incremental update. */
     const PointDelta &delta() const { return delta_; }
 

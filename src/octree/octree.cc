@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "core/frame_workspace.h"
 
 namespace hgpcn
@@ -15,43 +16,6 @@ namespace
 /** Octree::forEachBuffer() entries before the per-level build
  * scratch. */
 constexpr std::size_t kFixedBuffers = 11;
-
-/**
- * LSD radix sort of (code, index) pairs by code, 8 bits per pass.
- * Only the passes covering @p key_bits run, and passes where every
- * key shares the byte are skipped. @p scratch is the ping-pong
- * buffer; both vectors keep their storage for reuse.
- */
-void
-radixSortPairs(std::vector<std::pair<morton::Code, PointIndex>> &keyed,
-               int key_bits,
-               std::vector<std::pair<morton::Code, PointIndex>> &scratch)
-{
-    const std::size_t n = keyed.size();
-    scratch.resize(n);
-    auto *src = &keyed;
-    auto *dst = &scratch;
-    const int passes = (key_bits + 7) / 8;
-    for (int pass = 0; pass < passes; ++pass) {
-        const int shift = pass * 8;
-        std::size_t counts[256] = {};
-        for (const auto &kv : *src)
-            ++counts[(kv.first >> shift) & 0xff];
-        if (counts[(*src)[0].first >> shift & 0xff] == n)
-            continue; // all keys share this byte
-        std::size_t offsets[256];
-        std::size_t running = 0;
-        for (int b = 0; b < 256; ++b) {
-            offsets[b] = running;
-            running += counts[b];
-        }
-        for (const auto &kv : *src)
-            (*dst)[offsets[(kv.first >> shift) & 0xff]++] = kv;
-        std::swap(src, dst);
-    }
-    if (src != &keyed)
-        keyed.swap(scratch);
-}
 
 } // namespace
 
@@ -122,6 +86,13 @@ Octree::reserveCapacities(std::span<const std::size_t> caps)
 void
 Octree::rebuild(const PointCloud &cloud, const Config &config)
 {
+    rebuild(cloud, config, cloud.bounds().cubified());
+}
+
+void
+Octree::rebuild(const PointCloud &cloud, const Config &config,
+                const Aabb &cube)
+{
     HGPCN_ASSERT(config.maxDepth >= 1 &&
                      config.maxDepth <= morton::kMaxDepth3d,
                  "maxDepth=", config.maxDepth);
@@ -130,7 +101,7 @@ Octree::rebuild(const PointCloud &cloud, const Config &config)
     const std::size_t cap_before = backingCapacity();
 
     cfg = config;
-    root_bounds = cloud.bounds().cubified();
+    root_bounds = cube;
     build_stats.clear();
     max_level = 0;
     leaf_total = 0;
@@ -153,10 +124,12 @@ Octree::rebuild(const PointCloud &cloud, const Config &config)
 
     // SFC ordering: sorting by m-code realises the Space-Filling-Curve
     // traversal order of Fig. 5(b).
+    const std::vector<std::pair<morton::Code, PointIndex>> *sorted = &keyed;
     if (config.useRadixSort) {
-        radixSortPairs(keyed, 3 * config.maxDepth, scratch.radix);
-        // Three touches per element per byte pass (count, read,
-        // scatter).
+        sorted = &radixSort(keyed, scratch.radix, 3 * config.maxDepth,
+                            [](const auto &kv) { return kv.first; });
+        // The modeled sorter is byte-wise: three touches per element
+        // per byte pass (count, read, scatter).
         build_stats.add("octree.sort_ops",
                         n * static_cast<std::uint64_t>(
                                 (3 * config.maxDepth + 7) / 8) *
@@ -172,8 +145,8 @@ Octree::rebuild(const PointCloud &cloud, const Config &config)
     codes.resize(n);
     perm.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        codes[i] = keyed[i].first;
-        perm[i] = keyed[i].second;
+        codes[i] = (*sorted)[i].first;
+        perm[i] = (*sorted)[i].second;
     }
 
     // Host-memory pre-configuration: write the reorganized copy so

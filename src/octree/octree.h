@@ -131,6 +131,14 @@ class Octree
      */
     void rebuild(const PointCloud &cloud, const Config &config);
 
+    /**
+     * rebuild() with the root voxel already known: @p cube must be
+     * cloud.bounds().cubified(), computed by a caller that needed it
+     * anyway, so the frame's bounds are scanned once.
+     */
+    void rebuild(const PointCloud &cloud, const Config &config,
+                 const Aabb &cube);
+
     /** @return build parameters used. */
     const Config &config() const { return cfg; }
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 
 namespace hgpcn
 {
@@ -167,11 +168,32 @@ cellLess(const GridCell &a, const GridCell &b)
     return a.z < b.z;
 }
 
+/**
+ * Sort distinct @p cells of @p level into cellLess() order in place:
+ * one radix sort on the packed key x | y | z (level bits each, x
+ * most significant), @p scratch as its ping-pong buffer.
+ */
+void
+sortCells(std::vector<OccupiedCell> &cells, int level,
+          std::vector<OccupiedCell> &scratch)
+{
+    const auto key = [level](const OccupiedCell &c) {
+        return static_cast<std::uint64_t>(c.cell.x) << (2 * level) |
+               static_cast<std::uint64_t>(c.cell.y) << level |
+               static_cast<std::uint64_t>(c.cell.z);
+    };
+    const std::vector<OccupiedCell> &sorted =
+        radixSort(cells, scratch, 3 * level, key);
+    if (&sorted != &cells)
+        std::copy(sorted.begin(), sorted.end(), cells.begin());
+}
+
 } // namespace
 
 void
 buildOccupiedCells(const Octree &tree, int level,
-                   std::vector<OccupiedCell> &out)
+                   std::vector<OccupiedCell> &out,
+                   std::vector<OccupiedCell> &scratch)
 {
     out.clear();
     const std::vector<morton::Code> &codes = tree.pointCodes();
@@ -203,10 +225,7 @@ buildOccupiedCells(const Octree &tree, int level,
     }
     // Ring scans must emit cells in the same (x, y, z) order the
     // per-cell walk visits them in.
-    std::sort(out.begin(), out.end(),
-              [](const OccupiedCell &a, const OccupiedCell &b) {
-                  return cellLess(a.cell, b.cell);
-              });
+    sortCells(out, level, scratch);
 }
 
 namespace
@@ -295,10 +314,8 @@ patchOccupiedCells(const Octree &new_tree, int level,
                          static_cast<PointIndex>(first),
                          static_cast<PointIndex>(cursor)});
     }
-    std::sort(dirty.begin(), dirty.end(),
-              [](const OccupiedCell &a, const OccupiedCell &b) {
-                  return cellLess(a.cell, b.cell);
-              });
+    // out is rewritten below, so it lends its storage to the sort.
+    sortCells(dirty, level, out);
 
     // Merge clean entries (prev list order, already (x, y, z)
     // sorted) with the dirty ones, dropping emptied cells. A clean
@@ -340,7 +357,7 @@ VoxelGrid::occupiedCells() const
     if (occ_built)
         return occ;
     occ_built = true;
-    buildOccupiedCells(*octree, lvl, occ);
+    buildOccupiedCells(*octree, lvl, occ, occ_scratch);
     return occ;
 }
 

@@ -82,7 +82,7 @@ class VoxelGrid
     std::size_t
     capacity() const
     {
-        return occ.capacity() + table.capacity();
+        return occ.capacity() + occ_scratch.capacity() + table.capacity();
     }
 
     /** @return level viewed. */
@@ -191,6 +191,7 @@ class VoxelGrid
     /** Lazy occupied-cell list (single-threaded use until
      * prepare()). */
     mutable std::vector<OccupiedCell> occ;
+    mutable std::vector<OccupiedCell> occ_scratch; //!< occ's sort buffer
     mutable bool occ_built = false;
     /** Lazy open-addressed (linear probing) table: packed cell
      * x | y << 21 | z << 42 -> [first, last); power-of-two size at
@@ -244,10 +245,22 @@ VoxelGrid::forEachRingCell(const GridCell &center, int ring,
 /**
  * Compute the occupied cells of @p level over @p tree into @p out —
  * the list occupiedCells() builds lazily, as a free function so
- * cross-frame caches can own the storage. @p out keeps capacity.
+ * cross-frame caches can own the storage. @p scratch is the cell
+ * sort's ping-pong buffer (ends holding out.size() stale entries);
+ * both keep their capacity.
  */
 void buildOccupiedCells(const Octree &tree, int level,
-                        std::vector<OccupiedCell> &out);
+                        std::vector<OccupiedCell> &out,
+                        std::vector<OccupiedCell> &scratch);
+
+/** buildOccupiedCells() with a throwaway scratch, for one-off lists. */
+inline void
+buildOccupiedCells(const Octree &tree, int level,
+                   std::vector<OccupiedCell> &out)
+{
+    std::vector<OccupiedCell> scratch;
+    buildOccupiedCells(tree, level, out, scratch);
+}
 
 /**
  * Incrementally produce the occupied-cell list of @p new_tree at
@@ -262,6 +275,8 @@ void buildOccupiedCells(const Octree &tree, int level,
  *
  * @param dirty Caller-owned scratch for the dirty cells; keeps its
  *   capacity across calls (at most inserted + evicted entries).
+ *   @p out serves as their sort's ping-pong buffer before it is
+ *   rewritten.
  * @return false when patching cannot engage (level 0, or the trees'
  * depths differ); @p out is then untouched.
  */

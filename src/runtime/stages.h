@@ -44,8 +44,9 @@ class OctreeBuildStage : public PipelineStage
      * @param carry_state Optional cross-frame preprocessing cache
      *        (borrowed, core/temporal_preprocess.h): frames build
      *        their octree incrementally against the previous frame.
-     *        Bit-identical outputs; the carry serializes this stage
-     *        across workers (frames queue on its mutex).
+     *        Bit-identical outputs; frames that update from the
+     *        carry take turns on its mutex, misses build in
+     *        parallel across workers.
      */
     explicit OctreeBuildStage(const PreprocessingEngine &engine,
                               std::string stage_resource = "cpu",

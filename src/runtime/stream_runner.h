@@ -194,8 +194,9 @@ class StreamRunner
          * (core/temporal_preprocess.h): each frame's octree is
          * rebuilt incrementally against the previous frame's and
          * the storage is pooled. Wall-clock only — every output bit
-         * is identical either way; the carry serializes the build
-         * stage across buildWorkers (frames queue on its mutex). */
+         * is identical either way. Frames that can update from the
+         * carry take turns on its mutex; frames that miss it build
+         * from scratch in parallel across buildWorkers. */
         bool temporalCache = true;
 
         /** Cross-sensor micro-batching: frames coalesced per

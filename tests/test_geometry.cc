@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/rng.h"
 #include "geometry/aabb.h"
 #include "geometry/morton.h"
@@ -219,6 +222,72 @@ TEST(Morton, CellOfClampsToGrid)
     EXPECT_EQ(z, 7u);
     morton::cellOf({0.0f, 0.0f, 0.0f}, root, 3, x, y, z);
     EXPECT_EQ(x, 0u);
+}
+
+TEST(Morton, CellOfMapsNonFiniteAndFarCoordinatesIntoTheGrid)
+{
+    // Grid positions whose integer conversion would be undefined
+    // clamp like their finite neighbours: NaN to cell 0, +Inf and
+    // huge coordinates to the last cell, -Inf to cell 0.
+    const Aabb root({0, 0, 0}, {1, 1, 1});
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float huge = std::numeric_limits<float>::max();
+    const struct
+    {
+        float v;
+        std::uint32_t cell;
+    } cases[] = {{nan, 0u},    {-nan, 0u},   {inf, 7u},
+                 {-inf, 0u},   {huge, 7u},   {-huge, 0u},
+                 {1e30f, 7u},  {-1e30f, 0u}, {2.0f, 7u},
+                 {-0.5f, 0u},  {-0.0f, 0u},  {0.999f, 7u},
+                 {0.5f, 4u},   {0.1249f, 0u}};
+    for (const auto &c : cases) {
+        std::uint32_t x, y, z;
+        morton::cellOf({c.v, c.v, c.v}, root, 3, x, y, z);
+        EXPECT_EQ(x, c.cell) << c.v;
+        EXPECT_EQ(y, c.cell) << c.v;
+        EXPECT_EQ(z, c.cell) << c.v;
+    }
+    // A point past the deepest grid's end still lands in range.
+    std::uint32_t x, y, z;
+    morton::cellOf({huge, nan, -inf}, root, morton::kMaxDepth3d, x, y, z);
+    EXPECT_EQ(x, (1u << morton::kMaxDepth3d) - 1);
+    EXPECT_EQ(y, 0u);
+    EXPECT_EQ(z, 0u);
+    // A degenerate (zero-extent) root maps every point to cell 0.
+    morton::cellOf({5.0f, nan, inf}, Aabb({1, 1, 1}, {1, 1, 1}), 4, x, y,
+                   z);
+    EXPECT_EQ(x, 0u);
+    EXPECT_EQ(y, 0u);
+    EXPECT_EQ(z, 0u);
+}
+
+TEST(Morton, CellOfKeepsEveryInRangeCell)
+{
+    // Cells of in-range coordinates are the truncated grid position,
+    // clamped to the last cell — the mapping every pinned digest was
+    // recorded with.
+    const Aabb root({-3, 2, 0.5f}, {5, 10, 8.5f});
+    Rng rng(37);
+    for (int depth : {1, 4, 10, 21}) {
+        const std::uint32_t cells = 1u << depth;
+        for (int i = 0; i < 2000; ++i) {
+            const Vec3 p{rng.uniform(-3.0f, 5.0f), rng.uniform(2.0f, 10.0f),
+                         rng.uniform(0.5f, 8.5f)};
+            const auto expect = [cells](float v, float lo) {
+                const float f = (v - lo) / 8.0f * static_cast<float>(cells);
+                const auto c = static_cast<std::int64_t>(f);
+                return static_cast<std::uint32_t>(
+                    std::clamp<std::int64_t>(c, 0, cells - 1));
+            };
+            std::uint32_t x, y, z;
+            morton::cellOf(p, root, depth, x, y, z);
+            EXPECT_EQ(x, expect(p.x, -3.0f));
+            EXPECT_EQ(y, expect(p.y, 2.0f));
+            EXPECT_EQ(z, expect(p.z, 0.5f));
+        }
+    }
 }
 
 TEST(Morton, PointCodeConsistentWithCellOf)

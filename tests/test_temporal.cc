@@ -17,6 +17,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <thread>
 
 #include "common/rng.h"
 #include "core/frame_workspace.h"
@@ -697,6 +698,165 @@ TEST(TemporalState, ResetForcesScratchRebuild)
     const TemporalPreprocessState::Stats st = carry.stats();
     EXPECT_EQ(st.octreeMisses, 2u); // frame 0 and the post-reset frame
     EXPECT_EQ(st.octreeHits, 1u);
+}
+
+// ------------------------------------------------- concurrent misses
+
+/** A bundle built with or without a carry must equal the carry-less
+ * scratch build of its frame: tree, KNN buckets and occupancy. */
+void
+expectBundleMatchesScratch(const PreprocessBundle &bundle,
+                           const PointCloud &cloud,
+                           const TemporalPreprocessState::Config &tc)
+{
+    const Octree fresh = Octree::build(cloud, tc.octree);
+    expectTreesIdentical(bundle.tree, fresh);
+    ASSERT_TRUE(bundle.rawKnnBuilt);
+    SpatialHashKnn knn;
+    knn.rebuild(fresh.reorderedCloud().positions(), tc.knn);
+    const PointCloud queries = randomCloud(16, 5);
+    expectGatherIdentical(bundle.rawKnn.gatherAt(queries.positions(), 8),
+                          knn.gatherAt(queries.positions(), 8));
+    const int level = VoxelGrid::autoLevel(cloud.size(), fresh.depth());
+    ASSERT_EQ(bundle.rawOccLevel, level);
+    std::vector<OccupiedCell> occ;
+    buildOccupiedCells(fresh, level, occ);
+    ASSERT_EQ(bundle.rawOcc.size(), occ.size());
+    for (std::size_t i = 0; i < occ.size(); ++i) {
+        EXPECT_EQ(bundle.rawOcc[i].cell, occ[i].cell);
+        EXPECT_EQ(bundle.rawOcc[i].first, occ[i].first);
+        EXPECT_EQ(bundle.rawOcc[i].last, occ[i].last);
+    }
+}
+
+/** Frame @p i of an incoherent stream: its own random cloud, offset
+ * so that no two frames share root bounds (every frame misses). */
+PointCloud
+incoherentFrame(std::size_t i, std::size_t points)
+{
+    PointCloud cloud = randomCloud(points, 1000 + i);
+    const float off = 0.37f * static_cast<float>(i);
+    for (PointIndex p = 0; p < cloud.size(); ++p)
+        cloud.position(p) = cloud.position(p) + Vec3{off, -off, off};
+    return cloud;
+}
+
+bool
+sameStats(const TemporalPreprocessState::Stats &a,
+          const TemporalPreprocessState::Stats &b)
+{
+    return a.frames == b.frames && a.octreeHits == b.octreeHits &&
+           a.octreeMisses == b.octreeMisses &&
+           a.retainedPoints == b.retainedPoints &&
+           a.insertedPoints == b.insertedPoints &&
+           a.evictedPoints == b.evictedPoints &&
+           a.nodesReused == b.nodesReused &&
+           a.nodesErected == b.nodesErected &&
+           a.knnIncremental == b.knnIncremental &&
+           a.knnScratch == b.knnScratch &&
+           a.occIncremental == b.occIncremental &&
+           a.occScratch == b.occScratch;
+}
+
+TEST(TemporalState, ConcurrentMissesMatchScratchAndSerialStats)
+{
+    // Misses build outside the carry's lock: three threads feed
+    // incoherent frames at once, then a coherent run follows on the
+    // carry they leave. Every bundle must equal its carry-less build,
+    // and the counters must equal a serial run of the same frames.
+    constexpr std::size_t kThreads = 3;
+    constexpr std::size_t kPerThread = 4;
+    constexpr std::size_t kPoints = 1500;
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(10, 16);
+
+    std::vector<PointCloud> incoherent;
+    for (std::size_t i = 0; i < kThreads * kPerThread; ++i)
+        incoherent.push_back(incoherentFrame(i, kPoints));
+    CoherentDrive::Config dc;
+    dc.points = kPoints;
+    dc.churnFraction = 0.05;
+    dc.seed = 97;
+    const CoherentDrive drive(dc);
+    std::vector<PointCloud> coherent;
+    for (std::size_t t = 0; t < 5; ++t)
+        coherent.push_back(drive.generate(t).cloud);
+
+    TemporalPreprocessState carry(tc);
+    std::vector<std::shared_ptr<PreprocessBundle>> bundles(
+        incoherent.size());
+    std::vector<std::thread> workers;
+    for (std::size_t w = 0; w < kThreads; ++w) {
+        workers.emplace_back([&, w] {
+            for (std::size_t f = w; f < incoherent.size(); f += kThreads)
+                bundles[f] = carry.processFrame(incoherent[f]);
+        });
+    }
+    for (std::thread &t : workers)
+        t.join();
+    for (std::size_t f = 0; f < incoherent.size(); ++f)
+        expectBundleMatchesScratch(*bundles[f], incoherent[f], tc);
+    for (const PointCloud &frame : coherent) {
+        expectBundleMatchesScratch(*carry.processFrame(frame), frame,
+                                   tc);
+    }
+
+    TemporalPreprocessState serial(tc);
+    for (const PointCloud &frame : incoherent)
+        serial.processFrame(frame);
+    for (const PointCloud &frame : coherent)
+        serial.processFrame(frame);
+    EXPECT_TRUE(sameStats(carry.stats(), serial.stats()));
+    EXPECT_EQ(carry.stats().octreeMisses, incoherent.size() + 1);
+    EXPECT_EQ(carry.stats().octreeHits, coherent.size() - 1);
+}
+
+TEST(TemporalState, SlowMissNeverReplacesANewerCarry)
+{
+    // A large frame admitted first misses slowly; a small frame
+    // admitted after it publishes first. The carry must stay the
+    // newer frame: a repeat of it hits.
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(10, 16);
+    TemporalPreprocessState carry(tc);
+    const PointCloud slow = incoherentFrame(1, 200000);
+    const PointCloud fast = incoherentFrame(2, 300);
+
+    std::shared_ptr<PreprocessBundle> slow_bundle;
+    std::thread slow_miss([&] { slow_bundle = carry.processFrame(slow); });
+    // The pool starts empty: its first bundle is the slow frame's
+    // lease, taken at admission.
+    while (carry.pooledBundles() == 0)
+        std::this_thread::yield();
+    carry.processFrame(fast);
+    slow_miss.join();
+    expectBundleMatchesScratch(*slow_bundle, slow, tc);
+
+    carry.processFrame(fast);
+    const TemporalPreprocessState::Stats st = carry.stats();
+    EXPECT_EQ(st.octreeMisses, 2u);
+    EXPECT_EQ(st.octreeHits, 1u) << "the slow miss replaced the carry";
+}
+
+TEST(TemporalState, MissInFlightDuringResetStaysUncarried)
+{
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(10, 16);
+    TemporalPreprocessState carry(tc);
+    const PointCloud slow = incoherentFrame(3, 200000);
+
+    std::thread slow_miss([&] { carry.processFrame(slow); });
+    while (carry.pooledBundles() == 0)
+        std::this_thread::yield();
+    carry.reset();
+    slow_miss.join();
+
+    // Whether the miss finished before or after reset(), the carry
+    // is empty: a repeat of the frame misses again.
+    carry.processFrame(slow);
+    const TemporalPreprocessState::Stats st = carry.stats();
+    EXPECT_EQ(st.octreeMisses, 2u);
+    EXPECT_EQ(st.octreeHits, 0u) << "a reset-crossing miss republished";
 }
 
 // -------------------------------------------------- edge conditions
