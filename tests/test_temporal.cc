@@ -741,21 +741,14 @@ incoherentFrame(std::size_t i, std::size_t points)
     return cloud;
 }
 
-bool
-sameStats(const TemporalPreprocessState::Stats &a,
-          const TemporalPreprocessState::Stats &b)
+/** Every counter of @p st, in declaration order. */
+std::array<std::uint64_t, 12>
+statsFields(const TemporalPreprocessState::Stats &st)
 {
-    return a.frames == b.frames && a.octreeHits == b.octreeHits &&
-           a.octreeMisses == b.octreeMisses &&
-           a.retainedPoints == b.retainedPoints &&
-           a.insertedPoints == b.insertedPoints &&
-           a.evictedPoints == b.evictedPoints &&
-           a.nodesReused == b.nodesReused &&
-           a.nodesErected == b.nodesErected &&
-           a.knnIncremental == b.knnIncremental &&
-           a.knnScratch == b.knnScratch &&
-           a.occIncremental == b.occIncremental &&
-           a.occScratch == b.occScratch;
+    return {st.frames,          st.octreeHits,     st.octreeMisses,
+            st.retainedPoints,  st.insertedPoints, st.evictedPoints,
+            st.nodesReused,     st.nodesErected,   st.knnIncremental,
+            st.knnScratch,      st.occIncremental, st.occScratch};
 }
 
 TEST(TemporalState, ConcurrentMissesMatchScratchAndSerialStats)
@@ -806,7 +799,7 @@ TEST(TemporalState, ConcurrentMissesMatchScratchAndSerialStats)
         serial.processFrame(frame);
     for (const PointCloud &frame : coherent)
         serial.processFrame(frame);
-    EXPECT_TRUE(sameStats(carry.stats(), serial.stats()));
+    EXPECT_EQ(statsFields(carry.stats()), statsFields(serial.stats()));
     EXPECT_EQ(carry.stats().octreeMisses, incoherent.size() + 1);
     EXPECT_EQ(carry.stats().octreeHits, coherent.size() - 1);
 }
@@ -991,12 +984,7 @@ deltaDigest(const std::vector<PointCloud> &frames,
     TemporalPreprocessState carry(tc);
     for (const PointCloud &frame : frames)
         carry.processFrame(frame);
-    const TemporalPreprocessState::Stats st = carry.stats();
-    for (const std::uint64_t v :
-         {st.frames, st.octreeHits, st.octreeMisses, st.retainedPoints,
-          st.insertedPoints, st.evictedPoints, st.nodesReused,
-          st.nodesErected, st.knnIncremental, st.knnScratch,
-          st.occIncremental, st.occScratch})
+    for (const std::uint64_t v : statsFields(carry.stats()))
         fnv.value(v);
     return fnv.h;
 }
