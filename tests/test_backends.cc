@@ -4,7 +4,8 @@
  * registry, the four built-in backends against the engines/batch
  * models they lift, the cost-model service estimate, the
  * backend-parameterized StreamRunner and heterogeneous ShardedRunner
- * fleets with per-backend report attribution. The fleet cases run
+ * fleets with per-backend report attribution, and digests pinning
+ * every built-in's solo and batched outputs. The fleet cases run
  * under ThreadSanitizer and AddressSanitizer in CI
  * (.github/workflows/ci.yml).
  */
@@ -27,6 +28,7 @@
 #include "datasets/sensor_stream.h"
 #include "serving/placement.h"
 #include "serving/sharded_runner.h"
+#include "report_digest.h"
 #include "sim/device_model.h"
 
 namespace hgpcn
@@ -254,6 +256,66 @@ TEST(ExecutionBackend, ServiceEstimateIsDeterministicAndCached)
     // The probe is the backend's own cycle model on a K-point frame.
     EXPECT_DOUBLE_EQ(first,
                      a.infer(backendProbeCloud(256)).totalSec());
+}
+
+// ------------------------------------------------- Fixed outputs
+
+/** Labels and modeled seconds (by bit pattern) of one frame. */
+void
+hashInference(digest::Fnv1a &fnv, const BackendInference &r)
+{
+    fnv.value(r.output.labels.size());
+    for (std::size_t label : r.output.labels)
+        fnv.value(label);
+    fnv.value(r.dsSec);
+    fnv.value(r.fcSec);
+    fnv.value(r.totalSec());
+    fnv.value(r.dsFcOverlap);
+}
+
+/** FNV-1a over two solo infer() calls and one 3-frame inferBatch()
+ * of registry backend @p name: pins every modeled number and label
+ * of both execution paths. */
+std::uint64_t
+backendDigest(const char *name)
+{
+    const PointNet2 net(tinyClassifier());
+    const auto backend = makeBackend(name, InferenceEngine::Config{}, net);
+    digest::Fnv1a fnv;
+    for (std::size_t points : {256u, 160u})
+        hashInference(fnv, backend->infer(backendProbeCloud(points)));
+
+    std::vector<PointCloud> clouds;
+    for (std::size_t points : {256u, 224u, 192u})
+        clouds.push_back(backendProbeCloud(points));
+    std::vector<const PointCloud *> ptrs;
+    for (const PointCloud &c : clouds)
+        ptrs.push_back(&c);
+    const BatchInference batch = backend->inferBatch(ptrs);
+    for (const BackendInference &f : batch.frames)
+        hashInference(fnv, f);
+    fnv.value(batch.batchSec);
+    return fnv.h;
+}
+
+TEST(BackendDigest, Hgpcn)
+{
+    EXPECT_EQ(backendDigest("hgpcn"), 0x14215042c6b654bcull);
+}
+
+TEST(BackendDigest, Mesorasi)
+{
+    EXPECT_EQ(backendDigest("mesorasi"), 0x9dbabbf53a24c9d3ull);
+}
+
+TEST(BackendDigest, PointAcc)
+{
+    EXPECT_EQ(backendDigest("pointacc"), 0x2f32c916d49a2274ull);
+}
+
+TEST(BackendDigest, CpuBrute)
+{
+    EXPECT_EQ(backendDigest("cpu-brute"), 0x92b979d4e7181af5ull);
 }
 
 // -------------------------------------- Backend-parameterized runner
