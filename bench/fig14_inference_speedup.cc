@@ -10,8 +10,8 @@
  * Mesorasi, 1.3x-10.2x vs PointACC — growing with input size.
  */
 
-#include "baselines/mesorasi.h"
-#include "baselines/point_acc.h"
+#include "backends/mesorasi_backend.h"
+#include "backends/point_acc_backend.h"
 #include "bench/bench_util.h"
 #include "core/inference_engine.h"
 #include "datasets/dataset_suite.h"
@@ -43,10 +43,7 @@ run()
         "paper: 6.4x-21x vs Jetson NX, 2.2x-16.5x vs Mesorasi, "
         "1.3x-10.2x vs PointACC");
 
-    const SimConfig sim = SimConfig::defaults();
     const InferenceEngine engine;
-    const PointAccSim point_acc(sim);
-    const MesorasiSim mesorasi(sim);
     const DeviceModel jetson(DeviceModel::jetsonXavierNx());
 
     TablePrinter table({"task", "K", "HgPCN", "Jetson NX", "Mesorasi",
@@ -57,6 +54,8 @@ run()
         const Frame frame = task.rawFrame(0);
         const PointCloud input = sampledInput(frame, task.inputSize);
         const PointNet2 net(task.spec);
+        const MesorasiBackend mesorasi(engine.config(), net);
+        const PointAccBackend point_acc(engine.config(), net);
 
         // HgPCN path: VEG data structuring on the DSU, FCU GEMMs.
         const InferenceResult hgpcn = engine.run(net, input);
@@ -69,8 +68,8 @@ run()
 
         const double jetson_sec = jetson.inferenceSec(brute.trace);
         const double mesorasi_sec =
-            mesorasi.run(brute.trace).totalSec();
-        const double pacc_sec = point_acc.run(brute.trace).totalSec();
+            mesorasi.time(brute.trace).totalSec();
+        const double pacc_sec = point_acc.time(brute.trace).totalSec();
 
         table.addRow({task.dataset, std::to_string(task.inputSize),
                       TablePrinter::fmtTime(hgpcn_sec),

@@ -14,7 +14,7 @@
 
 #include <cstdio>
 
-#include "baselines/point_acc.h"
+#include "backends/point_acc_backend.h"
 #include "core/hgpcn_system.h"
 #include "datasets/kitti_like.h"
 #include "example_util.h"
@@ -45,8 +45,8 @@ main(int argc, char **argv)
     RunOptions brute_opts;
     brute_opts.ds = DsMethod::BruteKnn;
     const RunOutput brute = net.run(input, brute_opts);
-    const PointAccSim point_acc(SimConfig::defaults());
-    const double pacc_sec = point_acc.run(brute.trace).totalSec();
+    const PointAccBackend point_acc(InferenceEngine::Config{}, net);
+    const double pacc_sec = point_acc.time(brute.trace).totalSec();
 
     // Back end B: the full HgPCN Inference Engine.
     const InferenceEngine engine;

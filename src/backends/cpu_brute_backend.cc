@@ -1,64 +1,16 @@
 #include "backends/cpu_brute_backend.h"
 
-#include "core/frame_workspace.h"
-
-#include <utility>
-
 namespace hgpcn
 {
 
 BackendInference
-CpuBruteBackend::infer(const PointCloud &input,
-                       FrameWorkspace *workspace) const
+CpuBruteBackend::time(const ExecutionTrace &trace) const
 {
-    RunOptions opts;
-    opts.ds = DsMethod::BruteKnn;
-    opts.centroid = centroid;
-    opts.seed = seed;
-    opts.workspace = workspace;
-    if (workspace != nullptr)
-        opts.intraOpThreads = workspace->intraOpThreads;
-    RunOutput out = net_.run(input, opts);
-
-    BackendInference result;
-    result.backend = nm;
-    result.dsSec = dev.dsSec(out.trace);
-    result.fcSec = dev.fcSec(out.trace);
-    result.dsFcOverlap = false; // serial on a general-purpose core
-    result.output = std::move(out);
-    return result;
-}
-
-BatchInference
-CpuBruteBackend::inferBatch(std::span<const PointCloud *const> inputs,
-                            FrameWorkspace *workspace) const
-{
-    RunOptions opts;
-    opts.ds = DsMethod::BruteKnn;
-    opts.centroid = centroid;
-    opts.seed = seed;
-    opts.workspace = workspace;
-    if (workspace != nullptr)
-        opts.intraOpThreads = workspace->intraOpThreads;
-    std::vector<RunOutput> outs = net_.runBatch(inputs, opts);
-
-    BatchInference batch;
-    batch.frames.reserve(outs.size());
-    for (RunOutput &out : outs) {
-        BackendInference bi;
-        bi.backend = nm;
-        bi.dsSec = dev.dsSec(out.trace);
-        bi.fcSec = dev.fcSec(out.trace);
-        bi.dsFcOverlap = false;
-        bi.output = std::move(out);
-        batch.frames.push_back(std::move(bi));
-    }
-    std::vector<const BackendInference *> ptrs;
-    ptrs.reserve(batch.frames.size());
-    for (const BackendInference &f : batch.frames)
-        ptrs.push_back(&f);
-    batch.batchSec = batchServiceSec(ptrs);
-    return batch;
+    BackendInference out;
+    out.dsSec = dev.dsSec(trace);
+    out.fcSec = dev.fcSec(trace);
+    out.dsFcOverlap = false; // serial on a general-purpose core
+    return out;
 }
 
 double

@@ -3,10 +3,10 @@
  * CpuBruteBackend: host-CPU brute-force reference backend.
  *
  * The no-accelerator floor of every comparison: the real PointNet++
- * functional path with brute-force KNN, timed by the host-CPU device
- * model (effective rates over the recorded workload counters). DS
- * and FC do not overlap on a general-purpose core, so the total is
- * their serial sum — DeviceModel::inferenceSec exactly.
+ * functional path with brute-force KNN, timed by the paper's Xeon
+ * W-2255 device model (effective rates over the recorded workload
+ * counters). DS and FC do not overlap on a general-purpose core, so
+ * the total is their serial sum — DeviceModel::inferenceSec exactly.
  */
 
 #ifndef HGPCN_BACKENDS_CPU_BRUTE_BACKEND_H
@@ -20,37 +20,28 @@ namespace hgpcn
 {
 
 /** Brute-force PointNet++ on the host CPU behind the interface. */
-class CpuBruteBackend : public ExecutionBackend
+class CpuBruteBackend : public ModeledBackend
 {
   public:
     /**
+     * Occupies "cpu.brute", a dedicated host core pool separate
+     * from the octree-build workers' "cpu" resource.
+     *
      * @param engine_cfg Functional parameters (centroid/seed; the
      *        ds method is forced to brute KNN).
      * @param net Deployed network replica (borrowed).
-     * @param cpu Host device model (default: the paper's Xeon
-     *        W-2255 baseline).
      */
     CpuBruteBackend(const InferenceEngine::Config &engine_cfg,
-                    const PointNet2 &net,
-                    const DeviceSpec &cpu = DeviceModel::xeonW2255())
-        : dev(cpu), net_(net), centroid(engine_cfg.centroid),
-          seed(engine_cfg.seed)
+                    const PointNet2 &net)
+        : ModeledBackend("cpu-brute", "cpu.brute", net,
+                         DsMethod::BruteKnn, engine_cfg.centroid,
+                         engine_cfg.seed),
+          dev(DeviceModel::xeonW2255())
     {
     }
 
-    const std::string &name() const override { return nm; }
-    /** A dedicated host core pool, separate from the octree-build
-     * workers' "cpu" resource. */
-    const std::string &resource() const override { return res; }
-    BackendInference infer(const PointCloud &input,
-                           FrameWorkspace *workspace =
-                               nullptr) const override;
-
-    /** One PointNet2::runBatch pass (brute KNN); per-frame outputs
-     * bit-identical to solo infer(). */
-    BatchInference inferBatch(std::span<const PointCloud *const> inputs,
-                              FrameWorkspace *workspace =
-                                  nullptr) const override;
+    /** Serial DS + FC on the host device model. */
+    BackendInference time(const ExecutionTrace &trace) const override;
 
     /** Serial DS sum + one batched GEMM pass: MAC time is rate-
      * linear, so batching only merges the per-op dispatch overhead
@@ -58,15 +49,8 @@ class CpuBruteBackend : public ExecutionBackend
     double batchServiceSec(std::span<const BackendInference *const>
                                frames) const override;
 
-    const PointNet2 &model() const override { return net_; }
-
   private:
     DeviceModel dev;
-    const PointNet2 &net_;
-    CentroidMethod centroid;
-    std::uint64_t seed;
-    std::string nm = "cpu-brute";
-    std::string res = "cpu.brute";
 };
 
 } // namespace hgpcn

@@ -1,7 +1,10 @@
 #include "backends/execution_backend.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/frame_workspace.h"
 #include "obs/trace.h"
 
 namespace hgpcn
@@ -34,6 +37,22 @@ backendProbeCloud(std::size_t points)
     return cloud;
 }
 
+namespace
+{
+
+/** Charge @p batch's frames as one batch of @p backend. */
+void
+chargeBatch(const ExecutionBackend &backend, BatchInference &batch)
+{
+    std::vector<const BackendInference *> ptrs;
+    ptrs.reserve(batch.frames.size());
+    for (const BackendInference &f : batch.frames)
+        ptrs.push_back(&f);
+    batch.batchSec = backend.batchServiceSec(ptrs);
+}
+
+} // namespace
+
 BatchInference
 ExecutionBackend::inferBatch(std::span<const PointCloud *const> inputs,
                              FrameWorkspace *workspace) const
@@ -47,11 +66,7 @@ ExecutionBackend::inferBatch(std::span<const PointCloud *const> inputs,
     out.frames.reserve(inputs.size());
     for (const PointCloud *input : inputs)
         out.frames.push_back(infer(*input, workspace));
-    std::vector<const BackendInference *> ptrs;
-    ptrs.reserve(out.frames.size());
-    for (const BackendInference &f : out.frames)
-        ptrs.push_back(&f);
-    out.batchSec = batchServiceSec(ptrs);
+    chargeBatch(*this, out);
     return out;
 }
 
@@ -77,6 +92,57 @@ ExecutionBackend::estimateServiceSec() const
         probe_sec = infer(backendProbeCloud(k)).totalSec();
     });
     return probe_sec;
+}
+
+ModeledBackend::ModeledBackend(std::string name, std::string resource,
+                               const PointNet2 &net, DsMethod ds,
+                               CentroidMethod centroid,
+                               std::uint64_t seed)
+    : nm(std::move(name)), res(std::move(resource)), net_(net)
+{
+    functional.ds = ds;
+    functional.centroid = centroid;
+    functional.seed = seed;
+}
+
+RunOptions
+ModeledBackend::runOptions(FrameWorkspace *workspace) const
+{
+    RunOptions opts = functional;
+    opts.workspace = workspace;
+    if (workspace != nullptr)
+        opts.intraOpThreads = workspace->intraOpThreads;
+    return opts;
+}
+
+BackendInference
+ModeledBackend::timed(RunOutput out) const
+{
+    BackendInference result = time(out.trace);
+    result.backend = nm;
+    result.output = std::move(out);
+    return result;
+}
+
+BackendInference
+ModeledBackend::infer(const PointCloud &input,
+                      FrameWorkspace *workspace) const
+{
+    return timed(net_.run(input, runOptions(workspace)));
+}
+
+BatchInference
+ModeledBackend::inferBatch(std::span<const PointCloud *const> inputs,
+                           FrameWorkspace *workspace) const
+{
+    std::vector<RunOutput> outs =
+        net_.runBatch(inputs, runOptions(workspace));
+    BatchInference batch;
+    batch.frames.reserve(outs.size());
+    for (RunOutput &out : outs)
+        batch.frames.push_back(timed(std::move(out)));
+    chargeBatch(*this, batch);
+    return batch;
 }
 
 } // namespace hgpcn

@@ -15,10 +15,11 @@
  * backend they are handed; ShardedRunner composes heterogeneous
  * fleets of them (docs/RUNTIME.md §backends).
  *
- * Concrete backends: HgpcnBackend (DSU/FCU engine), MesorasiBackend
- * (mobile-GPU delayed aggregation), PointAccBackend (full-range
- * bitonic Mapping Unit) and CpuBruteBackend (host-CPU reference).
- * backend_registry.h maps names to factories.
+ * Concrete backends, each one ModeledBackend: HgpcnBackend (DSU/FCU
+ * engine), MesorasiBackend (mobile-GPU delayed aggregation),
+ * PointAccBackend (full-range bitonic Mapping Unit) and
+ * CpuBruteBackend (host-CPU reference). backend_registry.h maps
+ * names to factories.
  */
 
 #ifndef HGPCN_BACKENDS_EXECUTION_BACKEND_H
@@ -63,7 +64,7 @@ const char *inferenceStatusName(InferenceStatus status);
  * Every modeled accelerator has a data-structuring side (neighbor
  * search) and a feature-computation side (the PCN's GEMMs); whether
  * the two overlap is an architectural property the backend reports,
- * so totalSec() reproduces each batch model's arithmetic exactly.
+ * so totalSec() reproduces each device model's arithmetic exactly.
  */
 struct BackendInference
 {
@@ -164,12 +165,13 @@ class ExecutionBackend
      * Execute the deployed network over a micro-batch of frames
      * coalesced from different sensors.
      *
-     * The base implementation loops infer() and charges the serial
-     * sum — correct for any backend. Accelerated backends override
-     * it to share one weight pass and one workspace arena
-     * reservation across the batch; they must keep every frame's
-     * functional output and recorded trace bit-identical to a solo
-     * infer() of that frame.
+     * The base implementation loops infer() under one
+     * "infer:<name>:batch<N>" wall span and charges
+     * batchServiceSec() — correct for any backend. ModeledBackend
+     * overrides it to share one weight pass and one workspace arena
+     * reservation across the batch; an override must keep every
+     * frame's functional output and recorded trace bit-identical to
+     * a solo infer() of that frame.
      */
     virtual BatchInference
     inferBatch(std::span<const PointCloud *const> inputs,
@@ -205,6 +207,73 @@ class ExecutionBackend
   private:
     mutable std::once_flag probe_once;
     mutable double probe_sec = 0.0;
+};
+
+/**
+ * Base of the built-in backends: one modeled device that executes
+ * the deployed network functionally and times the recorded trace
+ * with its own cycle model.
+ *
+ * infer() is one PointNet2::run and inferBatch() one
+ * PointNet2::runBatch followed by batchServiceSec(); both pass the
+ * workspace and its intra-op thread budget through, and neither
+ * records a wall span (callers that want one wrap the backend). A
+ * device supplies only time() and, when batching amortizes its
+ * work, a batchServiceSec() override.
+ */
+class ModeledBackend : public ExecutionBackend
+{
+  public:
+    const std::string &name() const override { return nm; }
+    const std::string &resource() const override { return res; }
+    const PointNet2 &model() const override { return net_; }
+
+    BackendInference infer(const PointCloud &input,
+                           FrameWorkspace *workspace =
+                               nullptr) const override;
+
+    /** One PointNet2::runBatch pass: shared per-layer weight pass,
+     * one arena reservation, per-frame outputs and traces
+     * bit-identical to solo infer(). */
+    BatchInference inferBatch(std::span<const PointCloud *const> inputs,
+                              FrameWorkspace *workspace =
+                                  nullptr) const override;
+
+    /**
+     * The device's cycle model over one frame's recorded workload.
+     *
+     * @param trace Execution trace of a run with this backend's ds
+     *        method.
+     * @return dsSec, fcSec and dsFcOverlap; backend name and output
+     *         are left empty.
+     */
+    virtual BackendInference time(const ExecutionTrace &trace) const = 0;
+
+  protected:
+    /**
+     * @param name Registry name.
+     * @param resource Device occupied on the virtual timeline.
+     * @param net Deployed network replica (borrowed).
+     * @param ds Data-structuring method the device executes.
+     * @param centroid Central-point selection.
+     * @param seed Inference seed (centroid picks).
+     */
+    ModeledBackend(std::string name, std::string resource,
+                   const PointNet2 &net, DsMethod ds,
+                   CentroidMethod centroid, std::uint64_t seed);
+
+  private:
+    /** The functional options with @p workspace's thread budget. */
+    RunOptions runOptions(FrameWorkspace *workspace) const;
+
+    /** time() over @p out's trace, with the name and output
+     * attached. */
+    BackendInference timed(RunOutput out) const;
+
+    std::string nm;
+    std::string res;
+    const PointNet2 &net_;
+    RunOptions functional;
 };
 
 /** Seeded synthetic probe cloud: @p points uniform in the unit

@@ -1,63 +1,17 @@
 #include "backends/hgpcn_backend.h"
 
-#include "core/frame_workspace.h"
-
-#include <utility>
-
 namespace hgpcn
 {
 
 BackendInference
-HgpcnBackend::infer(const PointCloud &input,
-                    FrameWorkspace *workspace) const
+HgpcnBackend::time(const ExecutionTrace &trace) const
 {
-    // Same conditioning as the pre-backend InferenceStage: the input
-    // is already normalized, so the model builds its own level-0
-    // octree (still costed in the trace) rather than reusing the
-    // pre-processing tree.
-    InferenceResult r =
-        eng.run(net_, input, nullptr, workspace,
-                workspace != nullptr ? workspace->intraOpThreads : 1);
+    const InferenceResult r = eng.time(trace);
     BackendInference out;
-    out.backend = nm;
     out.dsSec = r.dsu.pipelinedSec;
     out.fcSec = r.fcu.totalSec();
     out.dsFcOverlap = true; // DSU/FCU overlap through the BF buffer
-    out.output = std::move(r.output);
     return out;
-}
-
-BatchInference
-HgpcnBackend::inferBatch(std::span<const PointCloud *const> inputs,
-                         FrameWorkspace *workspace) const
-{
-    RunOptions opts;
-    opts.centroid = eng.config().centroid;
-    opts.ds = eng.config().ds;
-    opts.seed = eng.config().seed;
-    opts.workspace = workspace;
-    opts.intraOpThreads =
-        workspace != nullptr ? workspace->intraOpThreads : 1;
-    std::vector<RunOutput> outs = net_.runBatch(inputs, opts);
-
-    BatchInference batch;
-    batch.frames.reserve(outs.size());
-    for (RunOutput &out : outs) {
-        InferenceResult r = eng.timeOutput(std::move(out));
-        BackendInference bi;
-        bi.backend = nm;
-        bi.dsSec = r.dsu.pipelinedSec;
-        bi.fcSec = r.fcu.totalSec();
-        bi.dsFcOverlap = true;
-        bi.output = std::move(r.output);
-        batch.frames.push_back(std::move(bi));
-    }
-    std::vector<const BackendInference *> ptrs;
-    ptrs.reserve(batch.frames.size());
-    for (const BackendInference &f : batch.frames)
-        ptrs.push_back(&f);
-    batch.batchSec = batchServiceSec(ptrs);
-    return batch;
 }
 
 double

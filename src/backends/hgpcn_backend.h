@@ -2,11 +2,11 @@
  * @file
  * HgpcnBackend: the paper's Inference Engine as an ExecutionBackend.
  *
- * Wraps the DSU + FCU engine (core/inference_engine.h) without
- * changing its numbers: dsSec is the DSU's pipelined latency, fcSec
- * the FCU's, and the two overlap through the BF-stage buffer —
- * exactly InferenceResult::totalSec(). A StreamRunner handed this
- * backend reproduces the engine-owning runner bit for bit
+ * Times each frame with the DSU + FCU engine's cycle models
+ * (core/inference_engine.h) without changing its numbers: dsSec is
+ * the DSU's pipelined latency, fcSec the FCU's, and the two overlap
+ * through the BF-stage buffer — exactly InferenceResult::totalSec().
+ * infer() reproduces InferenceEngine::run bit for bit
  * (tests/test_backends.cc pins it).
  */
 
@@ -20,32 +20,28 @@ namespace hgpcn
 {
 
 /** The FPGA DSU/FCU engine behind the backend interface. */
-class HgpcnBackend : public ExecutionBackend
+class HgpcnBackend : public ModeledBackend
 {
   public:
     /**
-     * @param engine Engine to wrap (copied; an InferenceEngine is
-     *        its configuration).
+     * Shares the HgPCN fabric ("fpga") with the Down-sampling Unit.
+     *
+     * @param engine Engine to time with (copied; an InferenceEngine
+     *        is its configuration, whose ds/centroid/seed drive the
+     *        functional run).
      * @param net Deployed network replica (borrowed).
      */
     HgpcnBackend(const InferenceEngine &engine, const PointNet2 &net)
-        : eng(engine), net_(net)
+        : ModeledBackend("hgpcn", "fpga", net, engine.config().ds,
+                         engine.config().centroid,
+                         engine.config().seed),
+          eng(engine)
     {
     }
 
-    const std::string &name() const override { return nm; }
-    /** Shares the HgPCN fabric with the Down-sampling Unit. */
-    const std::string &resource() const override { return res; }
-    BackendInference infer(const PointCloud &input,
-                           FrameWorkspace *workspace =
-                               nullptr) const override;
-
-    /** One PointNet2::runBatch pass: shared per-layer weight pass,
-     * one arena reservation, per-frame outputs and traces
-     * bit-identical to solo infer(). */
-    BatchInference inferBatch(std::span<const PointCloud *const> inputs,
-                              FrameWorkspace *workspace =
-                                  nullptr) const override;
+    /** InferenceEngine::time(): DSU and FCU overlap through the BF
+     * buffer. */
+    BackendInference time(const ExecutionTrace &trace) const override;
 
     /** DSU passes run back-to-back (summed); the FCU runs the
      * layer-merged batched pass (FcuSim::runStacked); the two
@@ -54,16 +50,8 @@ class HgpcnBackend : public ExecutionBackend
     double batchServiceSec(std::span<const BackendInference *const>
                                frames) const override;
 
-    const PointNet2 &model() const override { return net_; }
-
-    /** @return the wrapped engine (e.g. for serial comparisons). */
-    const InferenceEngine &engine() const { return eng; }
-
   private:
     InferenceEngine eng;
-    const PointNet2 &net_;
-    std::string nm = "hgpcn";
-    std::string res = "fpga";
 };
 
 } // namespace hgpcn

@@ -1,64 +1,64 @@
 /**
  * @file
- * MesorasiBackend: the Mesorasi [6] baseline lifted from a batch
- * timing model (src/baselines/mesorasi.h) into a stream-servable
- * ExecutionBackend.
+ * MesorasiBackend: the Mesorasi [6] baseline (paper Section VII-D).
+ *
+ * Mesorasi performs data structuring on a mobile GPU and feature
+ * computation with *delayed aggregation*: the per-point MLPs run on
+ * the unique input points before neighborhood aggregation, removing
+ * the (centroids*k)/points redundancy of grouped execution. DS and
+ * FC are overlapped, but — as the paper stresses in Section VII-D —
+ * "the inference speed is still largely limited by the latency of
+ * the data structuring step" on the GPU.
  *
  * The functional path is the real PointNet++ execution with
- * brute-force KNN — the workload Mesorasi's mobile GPU actually
- * runs — so labels and traces stay comparable to every other
- * backend; the latency comes from MesorasiSim applied to that
- * frame's trace (GPU data structuring overlapped with
- * delayed-aggregation feature computation). Per-frame numbers match
- * the batch model exactly (tests/test_backends.cc).
+ * brute-force KNN — the workload Mesorasi's GPU actually runs — so
+ * labels and traces stay comparable to every other backend.
  */
 
 #ifndef HGPCN_BACKENDS_MESORASI_BACKEND_H
 #define HGPCN_BACKENDS_MESORASI_BACKEND_H
 
 #include "backends/execution_backend.h"
-#include "baselines/mesorasi.h"
 #include "core/inference_engine.h"
+#include "sim/device_model.h"
+#include "sim/sim_config.h"
 
 namespace hgpcn
 {
 
 /** Mesorasi-style GPU delayed aggregation behind the interface. */
-class MesorasiBackend : public ExecutionBackend
+class MesorasiBackend : public ModeledBackend
 {
   public:
     /**
+     * Occupies its own "gpu" — never contends with the HgPCN
+     * fabric.
+     *
      * @param engine_cfg Platform parameters: sim drives the FC-side
      *        fabric model, centroid/seed the functional execution
      *        (the ds method is forced to brute KNN — that is what
      *        the GPU executes).
      * @param net Deployed network replica (borrowed).
-     * @param gpu Device running the DS step (paper pairing: a
-     *        TX2-class mobile Pascal GPU).
      */
     MesorasiBackend(const InferenceEngine::Config &engine_cfg,
-                    const PointNet2 &net,
-                    const DeviceSpec &gpu = DeviceModel::tx2MobileGpu())
-        : sim(engine_cfg.sim, gpu), net_(net),
-          centroid(engine_cfg.centroid), seed(engine_cfg.seed)
+                    const PointNet2 &net)
+        : ModeledBackend("mesorasi", "gpu", net, DsMethod::BruteKnn,
+                         engine_cfg.centroid, engine_cfg.seed),
+          cfg(engine_cfg.sim), gpu(DeviceModel::tx2MobileGpu())
     {
     }
 
-    const std::string &name() const override { return nm; }
-    /** Its own GPU — never contends with the HgPCN fabric. */
-    const std::string &resource() const override { return res; }
-    BackendInference infer(const PointCloud &input,
-                           FrameWorkspace *workspace =
-                               nullptr) const override;
-    const PointNet2 &model() const override { return net_; }
+    /**
+     * DS on the paired GPU — a TX2-class mobile Pascal GPU, weaker
+     * than the Xavier NX baseline device — overlapped with
+     * delayed-aggregation FC on the fabric's systolic model.
+     * @p trace must carry brute-force DS workload.
+     */
+    BackendInference time(const ExecutionTrace &trace) const override;
 
   private:
-    MesorasiSim sim;
-    const PointNet2 &net_;
-    CentroidMethod centroid;
-    std::uint64_t seed;
-    std::string nm = "mesorasi";
-    std::string res = "gpu";
+    SimConfig cfg;
+    DeviceModel gpu;
 };
 
 } // namespace hgpcn

@@ -1,32 +1,41 @@
 /**
  * @file
- * PointAccBackend: the PointACC [16] baseline lifted from a batch
- * timing model (src/baselines/point_acc.h) into a stream-servable
- * ExecutionBackend.
+ * PointAccBackend: the PointACC [16] baseline (paper Section VII-D).
  *
- * Functional path: real PointNet++ with brute-force KNN — the exact
- * DS workload PointACC's Mapping Unit executes (full-range distance
- * + bitonic top-K per centroid). Latency: PointAccSim over that
- * frame's trace, Mapping Unit overlapped with the shared 16x16
- * systolic feature computation. Per-frame numbers match the batch
- * model exactly (tests/test_backends.cc).
+ * PointACC pairs a 16x16 systolic array with a Mapping Unit that
+ * performs exact data structuring: for every central point it
+ * computes the distance to *every* input point and bitonic-sorts the
+ * full candidate list for the top K (Section VII-D: "the searched
+ * range of PointACC's bitonic sorter is over the entire input point
+ * cloud"). DS and FC are overlapped. The architectural difference to
+ * HgPCN's DSU is therefore exactly the sorter workload — the entire
+ * cloud versus VEG's last ring Nn (Fig. 15).
+ *
+ * The model runs at the same fabric clock and systolic geometry as
+ * HgPCN so that feature computation cancels out of the comparison,
+ * as the paper's setup intends. The functional path is real
+ * PointNet++ with brute-force KNN — the exact DS workload the
+ * Mapping Unit executes.
  */
 
 #ifndef HGPCN_BACKENDS_POINT_ACC_BACKEND_H
 #define HGPCN_BACKENDS_POINT_ACC_BACKEND_H
 
 #include "backends/execution_backend.h"
-#include "baselines/point_acc.h"
 #include "core/inference_engine.h"
+#include "sim/sim_config.h"
 
 namespace hgpcn
 {
 
 /** PointACC's Mapping Unit + systolic array behind the interface. */
-class PointAccBackend : public ExecutionBackend
+class PointAccBackend : public ModeledBackend
 {
   public:
     /**
+     * Occupies its own "pointacc" die — no contention with the
+     * front end.
+     *
      * @param engine_cfg Platform parameters (sim: fabric clock and
      *        systolic geometry, shared with HgPCN so FC cancels out
      *        of the comparison; centroid/seed: functional picks).
@@ -34,26 +43,22 @@ class PointAccBackend : public ExecutionBackend
      */
     PointAccBackend(const InferenceEngine::Config &engine_cfg,
                     const PointNet2 &net)
-        : sim(engine_cfg.sim), net_(net),
-          centroid(engine_cfg.centroid), seed(engine_cfg.seed)
+        : ModeledBackend("pointacc", "pointacc", net,
+                         DsMethod::BruteKnn, engine_cfg.centroid,
+                         engine_cfg.seed),
+          cfg(engine_cfg.sim)
     {
     }
 
-    const std::string &name() const override { return nm; }
-    /** Its own accelerator die — no contention with the front end. */
-    const std::string &resource() const override { return res; }
-    BackendInference infer(const PointCloud &input,
-                           FrameWorkspace *workspace =
-                               nullptr) const override;
-    const PointNet2 &model() const override { return net_; }
+    /**
+     * Mapping Unit (dsSec) overlapped with systolic FC. @p trace
+     * must have been produced with brute-force data structuring
+     * (DsMethod::BruteKnn).
+     */
+    BackendInference time(const ExecutionTrace &trace) const override;
 
   private:
-    PointAccSim sim;
-    const PointNet2 &net_;
-    CentroidMethod centroid;
-    std::uint64_t seed;
-    std::string nm = "pointacc";
-    std::string res = "pointacc";
+    SimConfig cfg;
 };
 
 } // namespace hgpcn

@@ -5,8 +5,9 @@ namespace hgpcn
 
 HgPcnSystem::HgPcnSystem(const Config &config, const PointNet2Spec &spec)
     : cfg(config), net(std::make_unique<PointNet2>(spec)),
-      preproc(config.preprocess), infer(config.inference),
-      be(std::make_unique<HgpcnBackend>(infer, *net))
+      preproc(config.preprocess),
+      be(std::make_unique<HgpcnBackend>(
+          InferenceEngine(config.inference), *net))
 {
     if (spec.inputPoints != 0)
         cfg.inputPoints = spec.inputPoints;

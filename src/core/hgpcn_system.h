@@ -67,9 +67,6 @@ class HgPcnSystem
     /** @return the pre-processing engine (for composing runners). */
     const PreprocessingEngine &preprocessor() const { return preproc; }
 
-    /** @return the inference engine (for composing runners). */
-    const InferenceEngine &inferencer() const { return infer; }
-
     /** @return the engine as an ExecutionBackend — what this
      * system's serial and streamed paths both execute on, and what
      * a heterogeneous fleet swaps out per shard. */
@@ -82,7 +79,6 @@ class HgPcnSystem
     Config cfg;
     std::unique_ptr<PointNet2> net;
     PreprocessingEngine preproc;
-    InferenceEngine infer;
     /** The engine behind the backend interface; references *net,
      * which the unique_ptr keeps address-stable. */
     std::unique_ptr<HgpcnBackend> be;

@@ -24,14 +24,21 @@ InferenceEngine::run(const PointNet2 &model, const PointCloud &input,
 InferenceResult
 InferenceEngine::timeOutput(RunOutput output) const
 {
-    InferenceResult result;
+    InferenceResult result = time(output.trace);
     result.output = std::move(output);
+    return result;
+}
+
+InferenceResult
+InferenceEngine::time(const ExecutionTrace &trace) const
+{
+    InferenceResult result;
 
     // DSU: time every gather of the network on the pipeline model.
     // Brute-force gathers (if configured) produce no VEG traces; for
     // those the DSU degenerates to a full-range sort, which we
     // approximate by one trace whose last ring is the whole input.
-    for (const GatherOp &op : result.output.trace.gathers) {
+    for (const GatherOp &op : trace.gathers) {
         DsuPipelineResult part;
         const DsuPipelineSim dsu(cfg.sim, /*octree_levels=*/
                                  op.traces.empty() ? 0 : 10);
@@ -55,7 +62,7 @@ InferenceEngine::timeOutput(RunOutput output) const
 
     // FCU: all GEMMs on the systolic model.
     const FcuSim fcu(cfg.sim);
-    result.fcu = fcu.run(result.output.trace);
+    result.fcu = fcu.run(trace);
     return result;
 }
 

@@ -89,12 +89,15 @@ class InferenceEngine
                         int intra_op_threads = 1) const;
 
     /**
-     * Attach the DSU/FCU timing to an already-computed functional
-     * output — the cycle-model half of run(). The batched backend
-     * path executes several frames functionally in one pass
+     * The DSU/FCU timing of one recorded trace — the cycle-model
+     * half of run(); the result's output is left empty. The batched
+     * backend path executes several frames functionally in one pass
      * (PointNet2::runBatch) and then times each frame's trace here,
      * so per-frame modeled numbers match solo run() exactly.
      */
+    InferenceResult time(const ExecutionTrace &trace) const;
+
+    /** time() over @p output's trace, with @p output attached. */
     InferenceResult timeOutput(RunOutput output) const;
 
     /** @return configured parameters. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -218,14 +217,6 @@ ElasticRunner::ElasticRunner(const HgPcnSystem::Config &system,
                  cfg.autoscaler.maxShards, "]");
 }
 
-std::string
-ElasticRunner::backendNameFor(std::size_t s) const
-{
-    if (cfg.fleet.backends.empty())
-        return "hgpcn";
-    return cfg.fleet.backends[s % cfg.fleet.backends.size()];
-}
-
 double
 ElasticRunner::capacityFps() const
 {
@@ -233,23 +224,13 @@ ElasticRunner::capacityFps() const
     if (cfg.fleet.assumedServiceSec > 0.0)
         return static_cast<double>(active) /
                cfg.fleet.assumedServiceSec;
-    // Same-named backends estimate identically (identical engine
-    // config + spec): probe once per distinct name.
-    std::map<std::string, double> estimate_of;
     double fps = 0.0;
+    const std::vector<double> service_sec = runner.shardServiceSec();
     for (std::size_t s = 0; s < active; ++s) {
-        const ExecutionBackend &backend = runner.shardBackend(s);
-        auto it = estimate_of.find(backend.name());
-        if (it == estimate_of.end()) {
-            it = estimate_of
-                     .emplace(backend.name(),
-                              backend.estimateServiceSec())
-                     .first;
-        }
-        HGPCN_ASSERT(it->second > 0.0,
-                     "backend ", backend.name(),
+        HGPCN_ASSERT(service_sec[s] > 0.0, "backend ",
+                     runner.shardBackend(s).name(),
                      " service-time estimate must be positive");
-        fps += 1.0 / it->second;
+        fps += 1.0 / service_sec[s];
     }
     return fps;
 }
@@ -453,7 +434,7 @@ ElasticRunner::serve(const SensorStream &stream,
 
     std::vector<std::string> shard_backends(peak);
     for (std::size_t s = 0; s < peak; ++s)
-        shard_backends[s] = backendNameFor(s);
+        shard_backends[s] = runner.backendNameFor(s);
     out.serving =
         mergeEpochResults(stream, std::move(outcomes),
                           cfg.fleet.placement, shard_backends);

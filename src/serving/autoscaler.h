@@ -268,9 +268,6 @@ class ElasticRunner
     /** Modeled fleet throughput at the current width: Σ over
      * active shards of 1 / service-time estimate. */
     double capacityFps() const;
-    /** Backend registry name of shard @p s (the ShardedRunner
-     * cycling rule, replicated for the merge attribution). */
-    std::string backendNameFor(std::size_t s) const;
 
     Config cfg;
     ShardedRunner runner;

@@ -97,6 +97,28 @@ ShardedRunner::setShardCount(std::size_t shards)
     active = shards;
 }
 
+std::vector<double>
+ShardedRunner::shardServiceSec() const
+{
+    if (cfg.assumedServiceSec > 0.0)
+        return std::vector<double>(active, cfg.assumedServiceSec);
+    std::map<std::string, double> estimate_of;
+    std::vector<double> out;
+    out.reserve(active);
+    for (std::size_t s = 0; s < active; ++s) {
+        const ExecutionBackend &backend = *fleet[s]->backend;
+        auto it = estimate_of.find(backend.name());
+        if (it == estimate_of.end()) {
+            it = estimate_of
+                     .emplace(backend.name(),
+                              backend.estimateServiceSec())
+                     .first;
+        }
+        out.push_back(it->second);
+    }
+    return out;
+}
+
 const ExecutionBackend &
 ShardedRunner::shardBackend(std::size_t shard) const
 {
@@ -134,31 +156,14 @@ ShardedRunner::serve(const SensorStream &stream,
 
     // Dispatch: deterministic placement over the tagged stream.
     // LeastLoaded retires each shard's modeled backlog at that
-    // shard's service time: the explicit override when set, else
-    // each backend's own cost-model estimate — so join-shortest-
-    // queue stops assuming homogeneous shards. Every shard is built
-    // from the same engine config and spec, so same-named backends
-    // estimate identically: probe once per distinct backend name.
+    // shard's service time, so join-shortest-queue stops assuming
+    // homogeneous shards; fault resolution (below) needs the same
+    // estimates for its deadline arithmetic.
+    const bool faulted =
+        cfg.faultPlan != nullptr && !cfg.faultPlan->empty();
     std::vector<double> service_sec;
-    if (cfg.placement == PlacementPolicy::LeastLoaded) {
-        service_sec.reserve(n_shards);
-        std::map<std::string, double> estimate_of;
-        for (std::size_t s = 0; s < n_shards; ++s) {
-            if (cfg.assumedServiceSec > 0.0) {
-                service_sec.push_back(cfg.assumedServiceSec);
-                continue;
-            }
-            const std::string &name = fleet[s]->backend->name();
-            auto it = estimate_of.find(name);
-            if (it == estimate_of.end()) {
-                it = estimate_of
-                         .emplace(name, fleet[s]->backend
-                                            ->estimateServiceSec())
-                         .first;
-            }
-            service_sec.push_back(it->second);
-        }
-    }
+    if (cfg.placement == PlacementPolicy::LeastLoaded || faulted)
+        service_sec = shardServiceSec();
     std::vector<std::size_t> assignment = assignShards(
         stream, n_shards, cfg.placement, service_sec);
 
@@ -168,8 +173,6 @@ ShardedRunner::serve(const SensorStream &stream,
     // wall-clock pipeline then merely executes a schedule that is
     // already deterministic. Skipped entirely for an empty plan, so
     // the zero-fault serve is byte-identical to a pre-fault build.
-    const bool faulted =
-        cfg.faultPlan != nullptr && !cfg.faultPlan->empty();
     std::vector<FrameFaultDirective> directives;
     bool have_directives = false;
     MetricsRegistry fault_metrics;
@@ -178,31 +181,8 @@ ShardedRunner::serve(const SensorStream &stream,
         backend_names.reserve(n_shards);
         for (std::size_t s = 0; s < n_shards; ++s)
             backend_names.push_back(fleet[s]->backend->name());
-        // Deadline arithmetic needs per-shard service estimates;
-        // reuse the placement probes when LeastLoaded already paid
-        // for them, probing once per distinct backend otherwise.
-        std::vector<double> fault_svc = service_sec;
-        if (fault_svc.empty()) {
-            fault_svc.reserve(n_shards);
-            std::map<std::string, double> estimate_of;
-            for (std::size_t s = 0; s < n_shards; ++s) {
-                if (cfg.assumedServiceSec > 0.0) {
-                    fault_svc.push_back(cfg.assumedServiceSec);
-                    continue;
-                }
-                auto it = estimate_of.find(backend_names[s]);
-                if (it == estimate_of.end()) {
-                    it = estimate_of
-                             .emplace(backend_names[s],
-                                      fleet[s]->backend
-                                          ->estimateServiceSec())
-                             .first;
-                }
-                fault_svc.push_back(it->second);
-            }
-        }
         FaultResolution res = resolveFaultSchedule(
-            stream, assignment, backend_names, fault_svc,
+            stream, assignment, backend_names, service_sec,
             *cfg.faultPlan, cfg.faultTolerance, healthState);
         assignment = std::move(res.assignment);
         directives = std::move(res.directives);

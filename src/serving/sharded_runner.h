@@ -172,6 +172,21 @@ class ShardedRunner
     /** @return shard @p shard's execution backend. */
     const ExecutionBackend &shardBackend(std::size_t shard) const;
 
+    /**
+     * @return per-shard modeled service seconds of the active
+     * fleet: Config::assumedServiceSec when set, else each shard's
+     * backend cost-model estimate
+     * (ExecutionBackend::estimateServiceSec). Every shard is built
+     * from the same engine config and spec, so same-named backends
+     * estimate identically: each distinct name is probed once.
+     */
+    std::vector<double> shardServiceSec() const;
+
+    /** @return backend registry name of shard @p s, active, parked
+     * or not yet built: Config::backends cycled, "hgpcn" when
+     * empty. */
+    std::string backendNameFor(std::size_t s) const;
+
     /** Forget all circuit-breaker history: the next serve starts
      * with pristine Closed breakers. Must not race a serve. */
     void resetHealth();
@@ -206,9 +221,6 @@ class ShardedRunner
               const std::string &backend_name,
               const StreamRunner::Config &runner_cfg);
     };
-
-    /** Backend registry name of shard @p s (cycling rule). */
-    std::string backendNameFor(std::size_t s) const;
 
     Config cfg;
     HgPcnSystem::Config system;     //!< for deferred shard builds

@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the execution-backend subsystem (src/backends): the
- * registry, the four built-in backends against the engines/batch
- * models they lift, the cost-model service estimate, the
- * backend-parameterized StreamRunner and heterogeneous ShardedRunner
- * fleets with per-backend report attribution, and digests pinning
- * every built-in's solo and batched outputs. The fleet cases run
- * under ThreadSanitizer and AddressSanitizer in CI
+ * registry, the four built-in backends against the engine and
+ * device models that time them, the cost-model service estimate,
+ * the backend-parameterized StreamRunner and heterogeneous
+ * ShardedRunner fleets with per-backend report attribution, and
+ * digests pinning every built-in's solo and batched outputs. The
+ * fleet cases run under ThreadSanitizer and AddressSanitizer in CI
  * (.github/workflows/ci.yml).
  */
 
@@ -22,8 +22,6 @@
 #include "backends/hgpcn_backend.h"
 #include "backends/mesorasi_backend.h"
 #include "backends/point_acc_backend.h"
-#include "baselines/mesorasi.h"
-#include "baselines/point_acc.h"
 #include "core/hgpcn_system.h"
 #include "datasets/sensor_stream.h"
 #include "serving/placement.h"
@@ -185,7 +183,7 @@ TEST(HgpcnBackend, MatchesInferenceEngineBitForBit)
     EXPECT_DOUBLE_EQ(lifted.totalSec(), serial.totalSec());
 }
 
-TEST(MesorasiBackend, MatchesBatchTimingModelPerFrame)
+TEST(MesorasiBackend, InferTimesTheBruteTrace)
 {
     const PointNet2 net(tinyClassifier());
     const InferenceEngine::Config cfg;
@@ -193,18 +191,17 @@ TEST(MesorasiBackend, MatchesBatchTimingModelPerFrame)
     const PointCloud input = backendProbeCloud(256);
 
     const RunOutput brute = bruteRun(net, input, cfg);
-    const MesorasiResult batch =
-        MesorasiSim(cfg.sim).run(brute.trace);
+    const BackendInference timed = backend.time(brute.trace);
 
     const BackendInference lifted = backend.infer(input);
     EXPECT_EQ(lifted.backend, "mesorasi");
     EXPECT_EQ(lifted.output.labels, brute.labels);
-    EXPECT_DOUBLE_EQ(lifted.dsSec, batch.dsSec);
-    EXPECT_DOUBLE_EQ(lifted.fcSec, batch.fcSec);
-    EXPECT_DOUBLE_EQ(lifted.totalSec(), batch.totalSec());
+    EXPECT_DOUBLE_EQ(lifted.dsSec, timed.dsSec);
+    EXPECT_DOUBLE_EQ(lifted.fcSec, timed.fcSec);
+    EXPECT_DOUBLE_EQ(lifted.totalSec(), timed.totalSec());
 }
 
-TEST(PointAccBackend, MatchesBatchTimingModelPerFrame)
+TEST(PointAccBackend, InferTimesTheBruteTrace)
 {
     const PointNet2 net(tinyClassifier());
     const InferenceEngine::Config cfg;
@@ -212,15 +209,14 @@ TEST(PointAccBackend, MatchesBatchTimingModelPerFrame)
     const PointCloud input = backendProbeCloud(256);
 
     const RunOutput brute = bruteRun(net, input, cfg);
-    const PointAccResult batch =
-        PointAccSim(cfg.sim).run(brute.trace);
+    const BackendInference timed = backend.time(brute.trace);
 
     const BackendInference lifted = backend.infer(input);
     EXPECT_EQ(lifted.backend, "pointacc");
     EXPECT_EQ(lifted.output.labels, brute.labels);
-    EXPECT_DOUBLE_EQ(lifted.dsSec, batch.mappingSec);
-    EXPECT_DOUBLE_EQ(lifted.fcSec, batch.fcSec);
-    EXPECT_DOUBLE_EQ(lifted.totalSec(), batch.totalSec());
+    EXPECT_DOUBLE_EQ(lifted.dsSec, timed.dsSec);
+    EXPECT_DOUBLE_EQ(lifted.fcSec, timed.fcSec);
+    EXPECT_DOUBLE_EQ(lifted.totalSec(), timed.totalSec());
 }
 
 TEST(CpuBruteBackend, SerialSumMatchesDeviceModel)

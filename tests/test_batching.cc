@@ -18,8 +18,7 @@
 #include <memory>
 #include <vector>
 
-#include "backends/cpu_brute_backend.h"
-#include "backends/hgpcn_backend.h"
+#include "backends/backend_registry.h"
 #include "core/frame_workspace.h"
 #include "core/hgpcn_system.h"
 #include "datasets/kitti_like.h"
@@ -288,17 +287,16 @@ TEST(TimelineBatching, MaxBatchOneMatchesLegacySchedule)
 
 // ------------------------------------------- Backend batch contract
 
+/** The registry's built-in backends, each held to the contract. */
+constexpr const char *kBuiltinBackends[] = {"hgpcn", "mesorasi",
+                                            "pointacc", "cpu-brute"};
+
 TEST(BackendBatching, BatchServiceSecOfOneFrameEqualsSolo)
 {
     const PointNet2 net(tinyClassifier(), 42);
-    const InferenceEngine::Config ecfg;
-    const InferenceEngine engine(ecfg);
-    const HgpcnBackend hg(engine, net);
-    const CpuBruteBackend cpu(ecfg, net);
     const PointCloud cloud = randomCloud(256, 7);
-    for (const ExecutionBackend *be :
-         {static_cast<const ExecutionBackend *>(&hg),
-          static_cast<const ExecutionBackend *>(&cpu)}) {
+    for (const char *name : kBuiltinBackends) {
+        const auto be = makeBackend(name, InferenceEngine::Config{}, net);
         const BackendInference solo = be->infer(cloud);
         const BackendInference *ptr = &solo;
         EXPECT_DOUBLE_EQ(be->batchServiceSec({&ptr, 1}),
@@ -310,10 +308,6 @@ TEST(BackendBatching, BatchServiceSecOfOneFrameEqualsSolo)
 TEST(BackendBatching, InferBatchFramesBitIdenticalToSolo)
 {
     const PointNet2 net(tinyClassifier(), 42);
-    const InferenceEngine::Config ecfg;
-    const InferenceEngine engine(ecfg);
-    const HgpcnBackend hg(engine, net);
-    const CpuBruteBackend cpu(ecfg, net);
     std::vector<PointCloud> clouds;
     for (std::uint64_t s = 0; s < 3; ++s)
         clouds.push_back(randomCloud(256, 20 + s));
@@ -321,9 +315,8 @@ TEST(BackendBatching, InferBatchFramesBitIdenticalToSolo)
     for (const PointCloud &c : clouds)
         ptrs.push_back(&c);
 
-    for (const ExecutionBackend *be :
-         {static_cast<const ExecutionBackend *>(&hg),
-          static_cast<const ExecutionBackend *>(&cpu)}) {
+    for (const char *name : kBuiltinBackends) {
+        const auto be = makeBackend(name, InferenceEngine::Config{}, net);
         const BatchInference batch = be->inferBatch(ptrs);
         ASSERT_EQ(batch.frames.size(), clouds.size());
         double solo_sum = 0.0;
