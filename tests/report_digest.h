@@ -4,7 +4,7 @@
  * pin every field of a report at once. Doubles are taken by bit
  * pattern, so a digest moves on any change of a single output bit —
  * the hand-computed merge tests pin a few fields each, these pin all
- * of them.
+ * of them. metricsDigest does the same for a run's metrics snapshot.
  */
 
 #ifndef HGPCN_TESTS_REPORT_DIGEST_H
@@ -192,6 +192,33 @@ servingDigest(const ServingResult &served)
         fnv.value(sf.shard);
         fnv.value(sf.latencySec);
         fnv.value(sf.doneSec);
+    }
+    return fnv.h;
+}
+
+/** Every entry of a metrics snapshot: name, kind, count, value,
+ * min, max, bounds and buckets. Counters whose count is 0 are
+ * skipped, so registering a counter that stays at zero does not
+ * move the digest. */
+inline std::uint64_t
+metricsDigest(const MetricsSnapshot &snap)
+{
+    Fnv1a fnv;
+    for (const auto &[name, v] : snap.values) {
+        if (v.kind == MetricValue::Kind::Counter && v.count == 0)
+            continue;
+        fnv.str(name);
+        fnv.value(static_cast<int>(v.kind));
+        fnv.value(v.count);
+        fnv.value(v.value);
+        fnv.value(v.min);
+        fnv.value(v.max);
+        fnv.value(v.bounds.size());
+        for (const double b : v.bounds)
+            fnv.value(b);
+        fnv.value(v.buckets.size());
+        for (const std::uint64_t c : v.buckets)
+            fnv.value(c);
     }
     return fnv.h;
 }

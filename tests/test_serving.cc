@@ -524,7 +524,10 @@ TEST(ShardedRunner, EmptyStreamYieldsEmptyReport)
 // Every field of each report and every served frame's placement and
 // schedule, FNV-1a over the bits (tests/report_digest.h). Recorded
 // before the two serving merges were folded onto shared slice
-// helpers; a merge refactor must leave every one unchanged.
+// helpers; a merge refactor must leave every one unchanged. The
+// metrics digests pin each run's MetricsSnapshot the same way
+// (counters at 0 skipped), and the fault-free runs must tally no
+// failed, retried or degraded frame.
 
 TEST(ServingDigest, HashBySensorServe)
 {
@@ -536,6 +539,11 @@ TEST(ServingDigest, HashBySensorServe)
     const ServingResult served = runner.serve(tinyLidarStream(3, 4));
     ASSERT_EQ(served.report.framesProcessed, 12u);
     EXPECT_EQ(digest::servingDigest(served), 0x915d2c71381e9d89ull);
+    EXPECT_EQ(digest::metricsDigest(served.metrics),
+              0x9494869ff25060a5ull);
+    EXPECT_EQ(served.metrics.countOf("frames.failed"), 0u);
+    EXPECT_EQ(served.metrics.countOf("frames.retried"), 0u);
+    EXPECT_EQ(served.metrics.countOf("frames.degraded"), 0u);
 }
 
 TEST(ServingDigest, LeastLoadedMixedFleetServe)
@@ -552,6 +560,11 @@ TEST(ServingDigest, LeastLoadedMixedFleetServe)
     ASSERT_EQ(served.report.backends.size(), 2u);
     ASSERT_GT(served.report.backends[1].framesDone, 0u);
     EXPECT_EQ(digest::servingDigest(served), 0xc00fbcfa17e6901dull);
+    EXPECT_EQ(digest::metricsDigest(served.metrics),
+              0xb6a6232b6be4030eull);
+    EXPECT_EQ(served.metrics.countOf("frames.failed"), 0u);
+    EXPECT_EQ(served.metrics.countOf("frames.retried"), 0u);
+    EXPECT_EQ(served.metrics.countOf("frames.degraded"), 0u);
 }
 
 TEST(ServingDigest, FaultedServe)
@@ -574,6 +587,8 @@ TEST(ServingDigest, FaultedServe)
     ASSERT_GT(served.report.framesFailed, 0u);
     ASSERT_GT(served.report.framesRetried, 0u);
     EXPECT_EQ(digest::servingDigest(served), 0x656ddcf31560162cull);
+    EXPECT_EQ(digest::metricsDigest(served.metrics),
+              0xd4c67588a3e011ddull);
 }
 
 TEST(RuntimeDigest, BatchRun)
@@ -586,6 +601,11 @@ TEST(RuntimeDigest, BatchRun)
         tinyLidarStream(1, 12).framesOfSensor(0), rc);
     ASSERT_EQ(rt.report.framesProcessed, 12u);
     EXPECT_EQ(digest::runtimeDigest(rt), 0x6c474ab9914fc313ull);
+    EXPECT_EQ(digest::metricsDigest(rt.metrics),
+              0x22ea3db186984682ull);
+    EXPECT_EQ(rt.metrics.countOf("frames.failed"), 0u);
+    EXPECT_EQ(rt.metrics.countOf("frames.retried"), 0u);
+    EXPECT_EQ(rt.metrics.countOf("frames.degraded"), 0u);
 }
 
 TEST(RuntimeDigest, PacedRun)
@@ -597,6 +617,11 @@ TEST(RuntimeDigest, PacedRun)
         StreamRunner::Config{});
     ASSERT_TRUE(rt.report.paced);
     EXPECT_EQ(digest::runtimeDigest(rt), 0xe419bfcd0c286ffbull);
+    EXPECT_EQ(digest::metricsDigest(rt.metrics),
+              0xe32270be8961bd00ull);
+    EXPECT_EQ(rt.metrics.countOf("frames.failed"), 0u);
+    EXPECT_EQ(rt.metrics.countOf("frames.retried"), 0u);
+    EXPECT_EQ(rt.metrics.countOf("frames.degraded"), 0u);
 }
 
 } // namespace
