@@ -94,21 +94,20 @@ percentileNearestRank(const std::vector<double> &sorted, double q)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-LatencySummary
-summarizeLatencies(std::vector<double> samples)
+void
+LatencySummary::summarizeLatencies(std::vector<double> samples)
 {
-    LatencySummary s;
+    *this = LatencySummary{};
     if (samples.empty())
-        return s;
+        return;
     for (const double x : samples)
-        s.mean += x;
-    s.mean /= static_cast<double>(samples.size());
+        meanLatencySec += x;
+    meanLatencySec /= static_cast<double>(samples.size());
     std::sort(samples.begin(), samples.end());
-    s.p50 = percentileNearestRank(samples, 0.50);
-    s.p95 = percentileNearestRank(samples, 0.95);
-    s.p99 = percentileNearestRank(samples, 0.99);
-    s.max = samples.back();
-    return s;
+    p50LatencySec = percentileNearestRank(samples, 0.50);
+    p95LatencySec = percentileNearestRank(samples, 0.95);
+    p99LatencySec = percentileNearestRank(samples, 0.99);
+    maxLatencySec = samples.back();
 }
 
 } // namespace hgpcn

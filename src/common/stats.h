@@ -103,23 +103,27 @@ class ConcurrentStatSet
 double percentileNearestRank(const std::vector<double> &sorted,
                              double q);
 
-/** Mean, nearest-rank percentiles and maximum of a latency sample. */
+/**
+ * Mean, nearest-rank percentiles and maximum of a latency sample, in
+ * seconds: the latency fields of RuntimeReport, ServingReport and its
+ * per-sensor and per-backend slices, declared once here.
+ */
 struct LatencySummary
 {
-    double mean = 0;
-    double p50 = 0;
-    double p95 = 0;
-    double p99 = 0;
-    double max = 0;
-};
+    double meanLatencySec = 0;
+    double p50LatencySec = 0;
+    double p95LatencySec = 0;
+    double p99LatencySec = 0;
+    double maxLatencySec = 0;
 
-/**
- * Summarize @p samples: the mean is summed in the order given, then
- * the sample is sorted for the percentiles (percentileNearestRank)
- * and the maximum. All zeros for an empty sample. The one latency
- * summary behind RuntimeReport and every ServingReport slice.
- */
-LatencySummary summarizeLatencies(std::vector<double> samples);
+    /**
+     * Fill every field from @p samples: the mean is summed in the
+     * order given, then the sample is sorted for the percentiles
+     * (percentileNearestRank) and the maximum. All zeros for an
+     * empty sample.
+     */
+    void summarizeLatencies(std::vector<double> samples);
+};
 
 } // namespace hgpcn
 

@@ -43,9 +43,8 @@ namespace hgpcn
 /** Micro-batching knobs, plumbed from StreamRunner::Config. */
 struct BatchPolicy
 {
-    /** Frames coalesced per inference pass (1 = batching off; the
-     * pipeline and timeline then run their pre-batching paths,
-     * byte-identical to a build without this feature). */
+    /** Frames coalesced per inference pass (1 = batching off: the
+     * pipeline and timeline dispatch every frame alone). */
     std::size_t maxBatch = 1;
 
     /**

@@ -40,10 +40,11 @@ constexpr double kMinSpanSec = 1e-12;
  * @param t0 Global virtual time of local second 0 (the first
  *        frame's sensor stamp when paced) — shard timelines land on
  *        the fleet clock with no extra plumbing.
- * @param faults Optional per-frame fault directives aligned with
- *        timeline.frames; retry/fail/degrade markers are emitted as
- *        instants (the charged time already lives inside the exec
- *        span, so the tiling decomposition above is undisturbed).
+ * @param tasks The scheduled tasks, aligned with timeline.frames;
+ *        each fault directive's retry/fail/degrade markers are
+ *        emitted as instants (the charged time already lives inside
+ *        the exec span, so the tiling decomposition above is
+ *        undisturbed).
  */
 void
 emitVirtualTrace(Tracer &tracer, const TimelineResult &timeline,
@@ -51,7 +52,7 @@ emitVirtualTrace(Tracer &tracer, const TimelineResult &timeline,
                  double t0, std::int64_t shard,
                  const std::vector<std::int64_t> &frame_ids,
                  const std::vector<std::int64_t> &sensor_ids,
-                 const std::vector<FrameFaultDirective> *faults)
+                 const std::vector<std::unique_ptr<FrameTask>> &tasks)
 {
     const std::string scope = traceScope(shard);
     const std::size_t n_stages = stages.size();
@@ -72,8 +73,8 @@ emitVirtualTrace(Tracer &tracer, const TimelineResult &timeline,
                            "overload", scope + "/source", ids);
             continue;
         }
-        if (faults != nullptr && !(*faults)[j].clean()) {
-            const FrameFaultDirective &d = (*faults)[j];
+        const FrameFaultDirective &d = tasks[j]->fault;
+        if (!d.clean()) {
             const std::string track =
                 scope + "/" + stages[last].name;
             if (d.attempts > 1) {
@@ -221,6 +222,18 @@ pipelineConfig(const StreamRunner::Config &cfg)
 
 } // namespace
 
+void
+FrameCounts::addCounts(const FrameCounts &other)
+{
+    framesIn += other.framesIn;
+    framesProcessed += other.framesProcessed;
+    framesDropped += other.framesDropped;
+    framesAbandoned += other.framesAbandoned;
+    framesFailed += other.framesFailed;
+    framesRetried += other.framesRetried;
+    framesDegraded += other.framesDegraded;
+}
+
 std::string
 RuntimeReport::toString() const
 {
@@ -235,7 +248,7 @@ RuntimeReport::toString() const
     if (framesAbandoned > 0)
         oss << ", " << framesAbandoned << " abandoned (stopped)";
     oss << (paced ? ", sensor-paced" : ", batch") << "\n";
-    // Absent on fault-free runs, keeping legacy output exact.
+    // Printed only when some frame failed, retried or degraded.
     if (framesFailed > 0 || framesRetried > 0 || framesDegraded > 0) {
         oss << "faults: " << framesFailed << " failed | "
             << framesRetried << " retried | " << framesDegraded
@@ -254,8 +267,7 @@ RuntimeReport::toString() const
         << p50LatencySec * 1e3 << " | p95 " << p95LatencySec * 1e3
         << " | p99 " << p99LatencySec * 1e3 << " | max "
         << maxLatencySec * 1e3 << "\n";
-    // Absent at maxBatch == 1, keeping the report byte-identical to
-    // a build without batching.
+    // Printed only when batching is on (maxBatch > 1).
     if (configuredMaxBatch > 1) {
         oss << "batching: max " << configuredMaxBatch
             << " | dispatches " << batchCount << " | batched "
@@ -270,7 +282,7 @@ RuntimeReport::toString() const
             << "%, queue mean " << st.meanQueueDepth << " peak "
             << st.peakQueueDepth << "\n";
     }
-    // Absent without a temporal carry, keeping legacy output exact.
+    // Printed only when a temporal carry attributed some frame.
     if (temporalSubtreeReusePct >= 0.0 || temporalKnnHitPct >= 0.0) {
         oss << "temporal: subtree reuse ";
         if (temporalSubtreeReusePct >= 0.0)
@@ -451,23 +463,20 @@ StreamRunner::run(const std::vector<Frame> &frames,
     // frame occupied the device (the schedule charged it) but
     // delivers nothing, so it moves from "processed" to "failed" —
     // conservation: in == processed + dropped + abandoned + failed.
-    std::size_t n_failed = 0;
-    if (faults != nullptr) {
-        for (std::size_t j = 0; j < completed.size(); ++j) {
-            if (timeline.frames[j].dropped)
-                continue;
-            const FrameFaultDirective &d = completed[j]->fault;
-            if (d.failed) {
-                ++n_failed;
-                out.failedFrames.push_back(completed[j]->index);
-                continue;
-            }
-            if (d.attempts > 1)
-                out.retriedFrames.push_back(completed[j]->index);
-            if (d.degraded)
-                out.degradedFrames.push_back(completed[j]->index);
+    for (std::size_t j = 0; j < completed.size(); ++j) {
+        if (timeline.frames[j].dropped)
+            continue;
+        const FrameFaultDirective &d = completed[j]->fault;
+        if (d.failed) {
+            out.failedFrames.push_back(completed[j]->index);
+            continue;
         }
+        if (d.attempts > 1)
+            out.retriedFrames.push_back(completed[j]->index);
+        if (d.degraded)
+            out.degradedFrames.push_back(completed[j]->index);
     }
+    const std::size_t n_failed = out.failedFrames.size();
 
     // Publish the schedule into the run's metrics registry; the
     // report reads these back from the snapshot below, so adding a
@@ -479,15 +488,9 @@ StreamRunner::run(const std::vector<Frame> &frames,
     metricsReg.counter("frames.dropped").add(timeline.dropped);
     metricsReg.counter("frames.abandoned")
         .add(frames.size() - completed.size());
-    if (faults != nullptr) {
-        // Registered only on faulted runs: the zero-fault metrics
-        // snapshot stays byte-identical to a pre-fault build.
-        metricsReg.counter("frames.failed").add(n_failed);
-        metricsReg.counter("frames.retried")
-            .add(out.retriedFrames.size());
-        metricsReg.counter("frames.degraded")
-            .add(out.degradedFrames.size());
-    }
+    metricsReg.counter("frames.failed").add(n_failed);
+    metricsReg.counter("frames.retried").add(out.retriedFrames.size());
+    metricsReg.counter("frames.degraded").add(out.degradedFrames.size());
     metricsReg.gauge("timeline.makespan_sec")
         .add(timeline.makespanSec);
     Histogram &latency_hist = metricsReg.histogram(
@@ -545,16 +548,9 @@ StreamRunner::run(const std::vector<Frame> &frames,
             if (trace_ids)
                 sensor_ids[j] = trace_ids->sensor[idx];
         }
-        std::vector<FrameFaultDirective> fault_by_j;
-        if (faults != nullptr) {
-            fault_by_j.reserve(completed.size());
-            for (const auto &task : completed)
-                fault_by_j.push_back(task->fault);
-        }
         emitVirtualTrace(Tracer::global(), timeline, tl.stages,
                          paced ? t0 : 0.0, cfg.traceShard,
-                         frame_ids, sensor_ids,
-                         faults != nullptr ? &fault_by_j : nullptr);
+                         frame_ids, sensor_ids, completed);
     }
 
     // Assemble the report — counts come from the frozen snapshot
@@ -580,11 +576,7 @@ StreamRunner::run(const std::vector<Frame> &frames,
         evaluateRealTime(rep.sustainedFps, rep.generationFps);
     rep.stages = timeline.stages;
     rep.configuredMaxBatch = cfg.maxBatch;
-    rep.batchCount = timeline.batchCount;
-    rep.batchedFrames = timeline.batchedFrames;
-    rep.soloFrames = timeline.soloFrames;
-    rep.meanBatchSize = timeline.meanBatchSize;
-    rep.maxBatchSize = timeline.maxBatchSize;
+    static_cast<BatchStats &>(rep) = timeline;
 
     std::vector<double> latencies;
     latencies.reserve(timeline.processed);
@@ -604,12 +596,7 @@ StreamRunner::run(const std::vector<Frame> &frames,
         latencies.push_back(tf.latencySec);
         out.frames.push_back(std::move(pf));
     }
-    const LatencySummary lat = summarizeLatencies(std::move(latencies));
-    rep.meanLatencySec = lat.mean;
-    rep.p50LatencySec = lat.p50;
-    rep.p95LatencySec = lat.p95;
-    rep.p99LatencySec = lat.p99;
-    rep.maxLatencySec = lat.max;
+    rep.summarizeLatencies(std::move(latencies));
 
     // Temporal-cache attribution, read back from the registry the
     // carry wrote into during the functional run.

@@ -49,29 +49,37 @@ struct ProcessedFrame
     E2eResult result;       //!< functional outputs + cycle breakdown
 };
 
-/** Stream-level performance report (virtual-time, deterministic). */
-struct RuntimeReport
+/**
+ * Frame tallies of a run or a serve, declared once for RuntimeReport
+ * and ServingReport. Conservation: framesIn == framesProcessed +
+ * framesDropped + framesAbandoned + framesFailed (a serve adds its
+ * shed frames). Retried and degraded frames are subsets of
+ * framesProcessed.
+ */
+struct FrameCounts
 {
     std::size_t framesIn = 0;        //!< offered by the source
     std::size_t framesProcessed = 0;
     std::size_t framesDropped = 0;   //!< overload-policy victims
     std::size_t framesAbandoned = 0; //!< lost to requestStop()
+    std::size_t framesFailed = 0;    //!< retries/deadline exhausted
+    std::size_t framesRetried = 0;   //!< completed with > 1 attempt
+    std::size_t framesDegraded = 0;  //!< completed at reduced fidelity
 
-    // Fault-tolerance attribution (zero without a fault schedule).
-    // Conservation: in == processed + dropped + abandoned + failed.
-    std::size_t framesFailed = 0;   //!< retries/deadline exhausted
-    std::size_t framesRetried = 0;  //!< completed with > 1 attempt
-    std::size_t framesDegraded = 0; //!< completed at reduced fidelity
+    /** Add each of @p other's counts to this one's. */
+    void addCounts(const FrameCounts &other);
+};
 
+/**
+ * Stream-level performance report (virtual-time, deterministic):
+ * frame tallies, the per-frame latency (arrival to completion)
+ * distribution and the inference stage's batch occupancy, plus the
+ * fields below.
+ */
+struct RuntimeReport : FrameCounts, LatencySummary, BatchStats
+{
     double makespanSec = 0;   //!< first arrival -> last completion
     double sustainedFps = 0;  //!< processed / makespan
-
-    /** Per-frame latency (arrival to completion) distribution. */
-    double meanLatencySec = 0;
-    double p50LatencySec = 0;
-    double p95LatencySec = 0;
-    double p99LatencySec = 0;
-    double maxLatencySec = 0;
 
     /** Sensor rate from timestamps (0 when unpaced or <2 frames). */
     double generationFps = 0;
@@ -93,15 +101,9 @@ struct RuntimeReport
     double temporalSubtreeReusePct = -1;
     double temporalKnnHitPct = -1;
 
-    // Batch-occupancy attribution of the inference stage, from the
-    // virtual schedule. Defaults (and an absent toString() line)
-    // when configuredMaxBatch == 1.
+    /** StreamRunner::Config::maxBatch; the BatchStats stay zero
+     * (and toString() prints no batching line) when it is 1. */
     std::size_t configuredMaxBatch = 1;
-    std::size_t batchCount = 0;    //!< coalesced dispatches
-    std::size_t batchedFrames = 0; //!< frames served in batches >= 2
-    std::size_t soloFrames = 0;    //!< frames dispatched alone
-    double meanBatchSize = 0;
-    std::size_t maxBatchSize = 0;
 
     /** Render a multi-line human-readable summary. */
     std::string toString() const;
@@ -121,9 +123,10 @@ struct RuntimeResult
     MetricsSnapshot metrics;
 
     /** Stream-local indices of frames that terminally failed /
-     * completed after retries / completed degraded. Empty without a
-     * fault schedule; the serving layer maps them to global frame
-     * indices for per-sensor and per-backend attribution. */
+     * completed after retries / completed degraded. Empty when
+     * every directive is clean; the serving layer maps them to
+     * global frame indices for per-sensor and per-backend
+     * attribution. */
     std::vector<std::size_t> failedFrames;
     std::vector<std::size_t> retriedFrames;
     std::vector<std::size_t> degradedFrames;
@@ -201,8 +204,8 @@ class StreamRunner
 
         /** Cross-sensor micro-batching: frames coalesced per
          * inference pass (runtime/batching_stage.h). 1 (default)
-         * disables batching — pipeline, timeline and report are
-         * byte-identical to a build without the feature. > 1 makes
+         * disables batching: every frame is dispatched alone and
+         * the report's BatchStats stay zero. > 1 makes
          * the inference stage the coalescing point: per-frame
          * outputs and modeled numbers stay bit-identical; only the
          * schedule (shared device occupancy) moves. */
@@ -250,9 +253,9 @@ class StreamRunner
      *        backoff and slowdown are charged as virtual time on
      *        the inference stage, degraded frames run with their
      *        reduced sample budget, failed frames are scheduled but
-     *        excluded from completions. Null (or all-clean
-     *        directives) leaves the run byte-identical to a build
-     *        without the fault layer.
+     *        excluded from completions. Null means every frame is
+     *        clean: a clean directive charges no time and changes
+     *        no output.
      */
     RuntimeResult run(const std::vector<Frame> &frames,
                       const FrameTaskCallback &on_frame = {},

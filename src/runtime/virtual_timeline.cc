@@ -401,4 +401,17 @@ simulateTimeline(const TimelineConfig &cfg,
     return out;
 }
 
+void
+BatchStats::mergeBatches(const BatchStats &other)
+{
+    batchCount += other.batchCount;
+    batchedFrames += other.batchedFrames;
+    soloFrames += other.soloFrames;
+    maxBatchSize = std::max(maxBatchSize, other.maxBatchSize);
+    meanBatchSize =
+        batchCount > 0 ? static_cast<double>(batchedFrames + soloFrames) /
+                             static_cast<double>(batchCount)
+                       : 0.0;
+}
+
 } // namespace hgpcn

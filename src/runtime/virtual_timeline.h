@@ -160,8 +160,27 @@ struct TimelineBatch
     std::vector<std::size_t> members; //!< frame indices, FIFO order
 };
 
-/** Result of one simulation. */
-struct TimelineResult
+/**
+ * Batch-occupancy attribution of the last stage: the batch fields of
+ * TimelineResult and RuntimeReport, declared once here. Zeros when
+ * batching is off.
+ */
+struct BatchStats
+{
+    std::size_t batchCount = 0;    //!< dispatches (incl. solo)
+    std::size_t batchedFrames = 0; //!< frames in batches of >= 2
+    std::size_t soloFrames = 0;    //!< frames dispatched alone
+    double meanBatchSize = 0;      //!< frames / batchCount
+    std::size_t maxBatchSize = 0;  //!< largest dispatch observed
+
+    /** Fold @p other in: the counts sum, the peak takes the larger,
+     * and the mean is re-derived from the summed counts. */
+    void mergeBatches(const BatchStats &other);
+};
+
+/** Result of one simulation; its BatchStats are filled only when
+ * cfg.batch.maxBatch > 1. */
+struct TimelineResult : BatchStats
 {
     std::vector<TimelineFrame> frames; //!< parallel to the input
     std::vector<TimelineBatch> batches; //!< dispatch log (batching only)
@@ -169,14 +188,6 @@ struct TimelineResult
     std::size_t dropped = 0;
     double makespanSec = 0; //!< first arrival -> last completion
     std::vector<TimelineStageStats> stages;
-
-    // Batch-occupancy attribution of the last stage, filled only
-    // when cfg.batch.maxBatch > 1 (zeros otherwise).
-    std::size_t batchCount = 0;    //!< dispatches (incl. solo)
-    std::size_t batchedFrames = 0; //!< frames in batches of >= 2
-    std::size_t soloFrames = 0;    //!< frames dispatched alone
-    double meanBatchSize = 0;      //!< processed / batchCount
-    std::size_t maxBatchSize = 0;  //!< largest dispatch observed
 };
 
 /**

@@ -174,9 +174,8 @@ ElasticResult::decisionLog() const
             for (std::size_t i = 0; i < ep.shedSensors.size(); ++i)
                 oss << (i ? "," : "") << ep.shedSensors[i];
         }
-        // Fault-tolerance fields print only when live, so the
-        // zero-fault decision log stays byte-identical to a
-        // pre-fault build.
+        // Fault-tolerance fields print only for an epoch that
+        // degraded frames or flagged degraded sensors.
         if (ep.framesDegraded > 0 || !ep.degradedSensors.empty()) {
             oss << " degraded=" << ep.framesDegraded;
             if (!ep.degradedSensors.empty()) {

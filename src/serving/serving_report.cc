@@ -33,20 +33,6 @@ sustainedFpsOf(std::size_t done, double first_offer, double last_done)
     return span > 0.0 ? static_cast<double>(done) / span : 0.0;
 }
 
-/** Copy @p lat onto a report or slice; slices without a mean field
- * take the percentiles and the maximum only. */
-template <typename Slice>
-void
-setLatency(Slice &slice, const LatencySummary &lat)
-{
-    if constexpr (requires { slice.meanLatencySec; })
-        slice.meanLatencySec = lat.mean;
-    slice.p50LatencySec = lat.p50;
-    slice.p95LatencySec = lat.p95;
-    slice.p99LatencySec = lat.p99;
-    slice.maxLatencySec = lat.max;
-}
-
 /** Position of every frame within its own sensor's sequence. */
 std::vector<std::size_t>
 sensorPositions(const SensorStream &stream)
@@ -77,7 +63,7 @@ summarizeAggregate(ServingReport &rep, const SensorStream &stream,
         latencies.push_back(sf.latencySec);
         max_done = std::max(max_done, sf.doneSec);
     }
-    setLatency(rep, summarizeLatencies(std::move(latencies)));
+    rep.summarizeLatencies(std::move(latencies));
     rep.makespanSec = max_done - global_start;
     rep.sustainedFps =
         sustainedFpsOf(rep.framesProcessed, global_start, max_done);
@@ -120,7 +106,7 @@ summarizeSensors(ServingReport &rep, const SensorStream &stream,
             sr.sustainedFps = sustainedFpsOf(
                 sr.framesDone, rep.paced ? stamps[k].front() : 0.0,
                 last_done[k]);
-            setLatency(sr, summarizeLatencies(std::move(lat[k])));
+            sr.summarizeLatencies(std::move(lat[k]));
         }
         // The fixed Section VII-E semantics: a batch serve races no
         // sensor, so the verdict is n/a, never a vacuous YES.
@@ -188,7 +174,7 @@ finishBackends(ServingReport &rep, const std::vector<ServedFrame> &frames,
         if (br.framesDone > 0) {
             br.sustainedFps = sustainedFpsOf(
                 br.framesDone, first_offer[b], last_done[b]);
-            setLatency(br, summarizeLatencies(std::move(lat[b])));
+            br.summarizeLatencies(std::move(lat[b]));
         }
         br.realTime = evaluateRealTime(
             br.sustainedFps, rep.paced ? br.offeredFps : 0.0);
@@ -219,7 +205,7 @@ ServingReport::toString() const
     if (framesFailed > 0)
         oss << ", " << framesFailed << " failed";
     oss << "\n";
-    // Absent on fault-free serves, keeping legacy output exact.
+    // Printed only when some frame retried or degraded.
     if (framesRetried > 0 || framesDegraded > 0)
         oss << "fault-tolerance: " << framesRetried << " retried | "
             << framesDegraded << " degraded\n";
@@ -244,8 +230,7 @@ ServingReport::toString() const
                 << static_cast<int>(st.utilization * 100.0 + 0.5)
                 << "%";
         }
-        // Batch-occupancy attribution; absent at maxBatch == 1 so
-        // non-batched serves render byte-identically to before.
+        // Batch-occupancy attribution, when batching is on.
         if (r.configuredMaxBatch > 1) {
             oss.precision(2);
             oss << " | batch mean " << r.meanBatchSize << " peak "
@@ -309,24 +294,19 @@ mergeShardOutcomes(const SensorStream &stream,
     rep.placement = policy;
     rep.shardCount = outcomes.size();
     rep.sensorCount = stream.sensorCount;
-    rep.framesIn = stream.size();
     const std::vector<std::size_t> sensor_index = sensorPositions(stream);
 
     rep.paced = true;
     for (const ShardOutcome &oc : outcomes) {
         const RuntimeReport &r = oc.result.report;
-        rep.framesProcessed += r.framesProcessed;
-        rep.framesDropped += r.framesDropped;
-        rep.framesAbandoned += r.framesAbandoned;
-        rep.framesFailed += r.framesFailed;
-        rep.framesRetried += r.framesRetried;
-        rep.framesDegraded += r.framesDegraded;
+        rep.addCounts(r);
         if (r.framesIn > 0)
             rep.paced = rep.paced && r.paced;
         rep.shardReports.push_back(r);
         rep.shardBackends.push_back(oc.backend);
         out.metrics.merge(oc.result.metrics);
     }
+    rep.framesIn = stream.size();
 
     // Re-anchor every shard clock onto the global timeline and
     // collect the completed frames.
@@ -428,7 +408,6 @@ mergeEpochResults(const SensorStream &stream,
     ServingReport &rep = out.report;
     rep.placement = policy;
     rep.sensorCount = stream.sensorCount;
-    rep.framesIn = stream.size();
 
     // Peak fleet width: every per-shard view is indexed by shard,
     // sized to the widest the fleet ever was (shard s keeps its
@@ -448,12 +427,7 @@ mergeEpochResults(const SensorStream &stream,
         stream.sensorCount);
     for (const EpochOutcome &ep : outcomes) {
         const ServingReport &er = ep.result.report;
-        rep.framesProcessed += er.framesProcessed;
-        rep.framesDropped += er.framesDropped;
-        rep.framesAbandoned += er.framesAbandoned;
-        rep.framesFailed += er.framesFailed;
-        rep.framesRetried += er.framesRetried;
-        rep.framesDegraded += er.framesDegraded;
+        rep.addCounts(er);
         // Epoch sub-streams keep the full stream's sensor space, so
         // per-sensor fault attributions sum index-wise.
         for (std::size_t k = 0;
@@ -476,6 +450,9 @@ mergeEpochResults(const SensorStream &stream,
         }
         out.metrics.merge(ep.result.metrics);
     }
+    // The epochs counted only the frames admission let through;
+    // the serve was offered the whole stream.
+    rep.framesIn = stream.size();
 
     // Collect completions onto global indices. Epoch serves stamp
     // completions on the global clock already (paced shard clocks
@@ -540,26 +517,12 @@ mergeEpochResults(const SensorStream &stream,
         for (std::size_t s = 0; s < ers.size(); ++s) {
             RuntimeReport &agg = rep.shardReports[s];
             const RuntimeReport &er = ers[s];
-            agg.framesIn += er.framesIn;
-            agg.framesProcessed += er.framesProcessed;
-            agg.framesDropped += er.framesDropped;
-            agg.framesAbandoned += er.framesAbandoned;
-            agg.framesFailed += er.framesFailed;
-            agg.framesRetried += er.framesRetried;
-            agg.framesDegraded += er.framesDegraded;
+            agg.addCounts(er);
             agg.paced = rep.paced;
             agg.policy = er.policy;
-            // Batch-occupancy attribution: counts sum across the
-            // epochs, the configured cap and the observed peak take
-            // the max, and the mean is re-derived from the summed
-            // counts once every epoch is in.
             agg.configuredMaxBatch = std::max(
                 agg.configuredMaxBatch, er.configuredMaxBatch);
-            agg.batchCount += er.batchCount;
-            agg.batchedFrames += er.batchedFrames;
-            agg.soloFrames += er.soloFrames;
-            agg.maxBatchSize =
-                std::max(agg.maxBatchSize, er.maxBatchSize);
+            agg.mergeBatches(er);
             shard_span[s] += er.makespanSec;
             // An epoch in which this shard served nothing reports
             // no stages; it contributes span but no busy time.
@@ -604,12 +567,6 @@ mergeEpochResults(const SensorStream &stream,
                 ? static_cast<double>(agg.framesProcessed) /
                       shard_span[s]
                 : 0.0;
-        if (agg.batchCount > 0) {
-            agg.meanBatchSize =
-                static_cast<double>(agg.batchedFrames +
-                                    agg.soloFrames) /
-                static_cast<double>(agg.batchCount);
-        }
         for (TimelineStageStats &st : agg.stages) {
             const double capacity =
                 static_cast<double>(st.units) * shard_span[s];
@@ -622,7 +579,7 @@ mergeEpochResults(const SensorStream &stream,
         }
         // Sorted first, so the shard mean sums in ascending order.
         std::sort(shard_lat[s].begin(), shard_lat[s].end());
-        setLatency(agg, summarizeLatencies(std::move(shard_lat[s])));
+        agg.summarizeLatencies(std::move(shard_lat[s]));
         agg.realTime = RealTimeVerdict::NotApplicable;
     }
 

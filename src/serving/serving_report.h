@@ -29,8 +29,10 @@
  * What the two merges share, written once in serving_report.cc:
  * the aggregate view, the per-sensor slices, the grouping of shards
  * into backends by name and each backend's done/missed counts,
- * sustained rate, latency distribution and verdict. Every latency
- * summary is summarizeLatencies (common/stats.h).
+ * sustained rate, latency distribution and verdict. Every report
+ * and slice derives its latency fields from LatencySummary
+ * (common/stats.h), and both reports their frame tallies from
+ * FrameCounts (runtime/stream_runner.h), each merged with one call.
  *
  * Where they differ:
  *
@@ -71,8 +73,9 @@
 namespace hgpcn
 {
 
-/** One sensor's slice of a serve. */
-struct SensorServingReport
+/** One sensor's slice of a serve; the latency distribution is of
+ * its completions. */
+struct SensorServingReport : LatencySummary
 {
     std::size_t sensor = 0;
     /** Distinct shards that completed frames of this sensor (1
@@ -99,18 +102,13 @@ struct SensorServingReport
     /** Completed / (first offer -> last completion), global clock. */
     double sustainedFps = 0;
 
-    double p50LatencySec = 0;
-    double p95LatencySec = 0;
-    double p99LatencySec = 0;
-    double maxLatencySec = 0;
-
     /** Section VII-E, per sensor; NotApplicable when unpaced. */
     RealTimeVerdict realTime = RealTimeVerdict::NotApplicable;
 };
 
 /** One execution backend's slice of a serve (union of the shards
- * that run it). */
-struct BackendServingReport
+ * that run it); the latency distribution is of its completions. */
+struct BackendServingReport : LatencySummary
 {
     std::string backend;        //!< registry name ("hgpcn", ...)
     std::size_t shards = 0;     //!< fleet replicas of this backend
@@ -128,39 +126,27 @@ struct BackendServingReport
      * clock. */
     double sustainedFps = 0;
 
-    double p50LatencySec = 0;
-    double p95LatencySec = 0;
-    double p99LatencySec = 0;
-    double maxLatencySec = 0;
-
     /** Section VII-E against the routed traffic's rate;
      * NotApplicable when unpaced. */
     RealTimeVerdict realTime = RealTimeVerdict::NotApplicable;
 };
 
-/** Aggregate + per-shard + per-sensor + per-backend serving report. */
-struct ServingReport
+/**
+ * Aggregate + per-shard + per-sensor + per-backend serving report.
+ * The frame tallies sum the shards' (framesIn is the whole stream);
+ * the latency distribution is merged across all shards.
+ */
+struct ServingReport : FrameCounts, LatencySummary
 {
     PlacementPolicy placement = PlacementPolicy::HashBySensor;
     std::size_t shardCount = 0;
     std::size_t sensorCount = 0;
 
-    std::size_t framesIn = 0;
-    std::size_t framesProcessed = 0;
-    std::size_t framesDropped = 0;
-    std::size_t framesAbandoned = 0;
     /** Refused by admission control before dispatch (elastic
      * serving; conservation: framesIn == framesProcessed +
      * framesDropped + framesAbandoned + framesShed +
      * framesFailed). */
     std::size_t framesShed = 0;
-
-    /** Fault-tolerance attribution (zero without a fault plan).
-     * Failed frames join the conservation identity above; retried
-     * and degraded frames are subsets of framesProcessed. */
-    std::size_t framesFailed = 0;
-    std::size_t framesRetried = 0;
-    std::size_t framesDegraded = 0;
 
     bool paced = true; //!< every shard ran sensor-paced
 
@@ -168,13 +154,6 @@ struct ServingReport
     double makespanSec = 0;
     /** Global sustained throughput: processed / makespan. */
     double sustainedFps = 0;
-
-    /** Latency distribution merged across all shards. */
-    double meanLatencySec = 0;
-    double p50LatencySec = 0;
-    double p95LatencySec = 0;
-    double p99LatencySec = 0;
-    double maxLatencySec = 0;
 
     /** Per-shard reports, indexed by shard, on shard-local clocks. */
     std::vector<RuntimeReport> shardReports;

@@ -171,10 +171,9 @@ ShardedRunner::serve(const SensorStream &stream,
     // crashed/tripped shards and fix every frame's retry/backoff/
     // degradation outcome before any functional work runs — the
     // wall-clock pipeline then merely executes a schedule that is
-    // already deterministic. Skipped entirely for an empty plan, so
-    // the zero-fault serve is byte-identical to a pre-fault build.
-    std::vector<FrameFaultDirective> directives;
-    bool have_directives = false;
+    // already deterministic. Every frame gets a directive; without
+    // a fault plan each one is clean.
+    std::vector<FrameFaultDirective> directives(stream.size());
     MetricsRegistry fault_metrics;
     if (faulted) {
         std::vector<std::string> backend_names;
@@ -186,7 +185,6 @@ ShardedRunner::serve(const SensorStream &stream,
             *cfg.faultPlan, cfg.faultTolerance, healthState);
         assignment = std::move(res.assignment);
         directives = std::move(res.directives);
-        have_directives = true;
         fault_metrics.counter("fault.failovers")
             .add(res.failovers.size());
         fault_metrics.counter("fault.frames_redirected")
@@ -223,27 +221,19 @@ ShardedRunner::serve(const SensorStream &stream,
                      "sensor: ",
                      degrade_sensors->size(), " vs ",
                      stream.sensorCount);
-        if (!have_directives)
-            directives.assign(stream.size(), FrameFaultDirective{});
-        have_directives = true;
         for (std::size_t i = 0; i < stream.size(); ++i) {
             if ((*degrade_sensors)[stream.sensors[i]] &&
                 !directives[i].failed)
                 directives[i].degraded = true;
         }
     }
-    if (have_directives) {
-        const double frac =
-            cfg.faultTolerance.degradedSampleFraction;
-        const auto degraded_k = static_cast<std::size_t>(std::max(
-            1.0,
-            std::floor(static_cast<double>(runnerCfg.inputPoints) *
-                           frac +
-                       0.5)));
-        for (FrameFaultDirective &d : directives) {
-            if (d.degraded && d.samplePoints == 0)
-                d.samplePoints = degraded_k;
-        }
+    const auto degraded_k = static_cast<std::size_t>(std::max(
+        1.0, std::floor(static_cast<double>(runnerCfg.inputPoints) *
+                            cfg.faultTolerance.degradedSampleFraction +
+                        0.5)));
+    for (FrameFaultDirective &d : directives) {
+        if (d.degraded && d.samplePoints == 0)
+            d.samplePoints = degraded_k;
     }
 
     std::vector<std::vector<Frame>> sub(n_shards);
@@ -253,8 +243,7 @@ ShardedRunner::serve(const SensorStream &stream,
         const std::size_t s = assignment[i];
         sub[s].push_back(stream.frames[i]);
         outcomes[s].globalIndex.push_back(i);
-        if (have_directives)
-            shard_faults[s].push_back(directives[i]);
+        shard_faults[s].push_back(directives[i]);
     }
 
     // Trace the placement decisions (virtual clock, at the frame's
@@ -297,8 +286,7 @@ ShardedRunner::serve(const SensorStream &stream,
     threads.reserve(n_shards);
     for (std::size_t s = 0; s < n_shards; ++s) {
         threads.emplace_back([this, s, &sub, &outcomes, &on_frame,
-                              &trace_ids, &shard_faults,
-                              have_directives] {
+                              &trace_ids, &shard_faults] {
             Shard &shard = *fleet[s];
             if (stopped.load() || shard.stopRequested.load()) {
                 outcomes[s].result.report.framesIn = sub[s].size();
@@ -320,7 +308,7 @@ ShardedRunner::serve(const SensorStream &stream,
                 sub[s], hook,
                 trace_ids[s].frame.empty() ? nullptr
                                            : &trace_ids[s],
-                have_directives ? &shard_faults[s] : nullptr);
+                &shard_faults[s]);
         });
     }
     for (std::thread &t : threads)

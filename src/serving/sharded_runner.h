@@ -95,8 +95,8 @@ class ShardedRunner
         double assumedServiceSec = 0.0;
 
         /** Scripted fault schedule (borrowed; must outlive the
-         * runner). Null or empty: the fault layer is inert and
-         * every serve is byte-identical to a pre-fault build. */
+         * runner). Null or empty: every frame's directive is
+         * clean, so no fault time is charged. */
         const FaultPlan *faultPlan = nullptr;
 
         /** Retry/backoff/deadline/degradation parameters, used only

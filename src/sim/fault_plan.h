@@ -18,8 +18,8 @@
  * keyed splitmix64 draw, *before* the functional pipeline runs.
  * The resolved per-frame FrameFaultDirective is then charged as
  * virtual time by the runtime stages. A default-constructed (empty)
- * plan is inert: every directive is clean and every schedule is
- * byte-identical to a build without the fault layer.
+ * plan is inert: every directive is clean, and a clean directive
+ * charges no time and changes no output.
  */
 
 #ifndef HGPCN_SIM_FAULT_PLAN_H
@@ -133,8 +133,8 @@ class FaultPlan
     explicit FaultPlan(const Config &config);
 
     /** @return true when the plan injects nothing — the serving
-     * layer skips fault resolution entirely, keeping the zero-fault
-     * path byte-identical to a build without the feature. */
+     * layer then skips fault resolution and every frame keeps the
+     * clean directive. */
     bool empty() const;
 
     /** @return true when @p shard is crashed at virtual time @p t

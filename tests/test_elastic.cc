@@ -348,6 +348,13 @@ TEST(EpochMerge, HandComputedArithmetic)
         r.shardReports[0].framesIn = 2;
         r.shardReports[0].framesProcessed = 2;
         r.shardReports[0].makespanSec = 1.4;
+        // Batch occupancy: 2 dispatches (one of 3, one solo).
+        r.shardReports[0].configuredMaxBatch = 4;
+        r.shardReports[0].batchCount = 2;
+        r.shardReports[0].batchedFrames = 3;
+        r.shardReports[0].soloFrames = 1;
+        r.shardReports[0].meanBatchSize = 2.0;
+        r.shardReports[0].maxBatchSize = 3;
     }
     // Epoch 1 [1,2): frames 2 (s0, shard 0) and 3 (s1, shard 1)
     // admitted, frame 4 (s0) shed. Frame 3 completes at 1.2 —
@@ -368,6 +375,11 @@ TEST(EpochMerge, HandComputedArithmetic)
         r.shardReports[0].framesIn = 1;
         r.shardReports[0].framesProcessed = 1;
         r.shardReports[0].makespanSec = 0.3;
+        r.shardReports[0].configuredMaxBatch = 4;
+        r.shardReports[0].batchCount = 1;
+        r.shardReports[0].soloFrames = 1;
+        r.shardReports[0].meanBatchSize = 1.0;
+        r.shardReports[0].maxBatchSize = 1;
         r.shardReports[1].framesIn = 1;
         r.shardReports[1].framesProcessed = 1;
         r.shardReports[1].makespanSec = 0.1;
@@ -422,6 +434,17 @@ TEST(EpochMerge, HandComputedArithmetic)
     EXPECT_EQ(rep.shardReports[0].framesProcessed, 3u);
     EXPECT_NEAR(rep.shardReports[0].makespanSec, 1.7, 1e-12);
     EXPECT_EQ(rep.shardReports[1].framesProcessed, 1u);
+
+    // Batch occupancy of shard 0: counts sum, the peak and the cap
+    // take the larger, and the mean is re-derived from the summed
+    // counts (5 frames / 3 dispatches), not averaged (1.5).
+    const RuntimeReport &s0 = rep.shardReports[0];
+    EXPECT_EQ(s0.batchCount, 3u);
+    EXPECT_EQ(s0.batchedFrames, 3u);
+    EXPECT_EQ(s0.soloFrames, 2u);
+    EXPECT_DOUBLE_EQ(s0.meanBatchSize, 5.0 / 3.0);
+    EXPECT_EQ(s0.maxBatchSize, 3u);
+    EXPECT_EQ(s0.configuredMaxBatch, 4u);
 
     // Per-sensor slices: shed is attributed to sensor 0.
     ASSERT_EQ(rep.sensors.size(), 2u);
