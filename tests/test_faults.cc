@@ -28,6 +28,8 @@
 #include "serving/sharded_runner.h"
 #include "sim/fault_plan.h"
 
+#include "report_digest.h"
+
 namespace hgpcn
 {
 namespace
@@ -694,6 +696,51 @@ TEST(FaultServing, ElasticDegradeInsteadOfShedKeepsSensorsLive)
     EXPECT_NE(result.decisionLog().find("degradedSensors=1,2"),
               std::string::npos)
         << result.decisionLog();
+}
+
+TEST(FaultServing, ElasticFaultedServeDigest)
+{
+    // An elastic serve under a fault plan: shard 1 is down over
+    // [0.8, 1.4), across the epoch boundary at 1.0, inside an error
+    // storm over [0.5, 1.5). The epoch after the boundary reads the
+    // breaker history the first epoch wrote, so the digests pin how
+    // long that history lives: across the epochs of one serve, and
+    // not across serves.
+    HgPcnSystem::Config system;
+    const PointNet2Spec spec = tinyClassifier();
+
+    FaultPlan::Config plan_cfg;
+    plan_cfg.seed = 23;
+    plan_cfg.crashes.push_back({1, 0.8, 1.4});
+    plan_cfg.errors.push_back({"", 0.9, 0.5, 1.5});
+    const FaultPlan plan(plan_cfg);
+
+    ElasticRunner::Config cfg;
+    cfg.epochSec = 1.0;
+    cfg.fleet.shards = 2;
+    cfg.fleet.placement = PlacementPolicy::LeastLoaded;
+    cfg.fleet.faultPlan = &plan;
+    cfg.fleet.faultTolerance.breaker.openSec = 0.6;
+    cfg.autoscaler.minShards = 2;
+    cfg.autoscaler.maxShards = 2;
+    cfg.admission.enabled = false;
+
+    const SensorStream stream = evenStream(4, 12, 3.0);
+    ElasticRunner elastic(system, spec, cfg);
+    ElasticRunner fresh(system, spec, cfg);
+    const ElasticResult r1 = elastic.serve(stream);
+    const ElasticResult r2 = elastic.serve(stream); // same fleet
+    const ElasticResult r3 = fresh.serve(stream);   // fresh fleet
+
+    EXPECT_TRUE(identicalServes(r1.serving, r2.serving));
+    EXPECT_TRUE(identicalServes(r1.serving, r3.serving));
+    EXPECT_EQ(r1.decisionLog(), r2.decisionLog());
+    EXPECT_EQ(r1.decisionLog(), r3.decisionLog());
+    EXPECT_GT(r1.serving.metrics.countOf("fault.frames_redirected"),
+              0u);
+    EXPECT_EQ(digest::servingDigest(r1.serving), 0x32c991d5e973bd2cull);
+    EXPECT_EQ(digest::metricsDigest(r1.serving.metrics),
+              0x141dc1be7ddb5715ull);
 }
 
 // ------------------------------------------------------------ Traces
