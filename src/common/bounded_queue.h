@@ -1,13 +1,13 @@
 /**
  * @file
- * Bounded multi-producer/multi-consumer queue with overload policy.
+ * Bounded multi-producer/multi-consumer queue with back-pressure.
  *
  * The inter-stage channel of the streaming runtime (docs/RUNTIME.md):
- * a fixed-capacity FIFO whose behavior when full is configurable —
- * block the producer (back-pressure), evict the oldest element
- * (fresh data wins, the LiDAR driver default) or refuse the newest
- * (old work finishes first). close() releases every blocked producer
- * and consumer so a pipeline can shut down with items in flight.
+ * a fixed-capacity FIFO whose full state blocks the producer. It
+ * never drops: overload (OverloadPolicy) is decided on the virtual
+ * timeline (runtime/virtual_timeline.h), not on these wall-clock
+ * queues. close() releases every blocked producer and consumer so a
+ * pipeline can shut down with items in flight.
  */
 
 #ifndef HGPCN_COMMON_BOUNDED_QUEUE_H
@@ -22,11 +22,17 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/overload_policy.h"
 #include "obs/trace.h"
 
 namespace hgpcn
 {
+
+/** Result of one push() call. */
+enum class PushOutcome
+{
+    Pushed, //!< element admitted
+    Closed, //!< queue closed, element refused
+};
 
 /**
  * A mutex-and-condvar MPMC FIFO with a hard capacity.
@@ -48,26 +54,19 @@ class BoundedQueue
      *    admitted count as blocked — a producer woken by close()
      *    counts under closedPushes instead, so shutdown is not
      *    misread as back-pressure;
-     *  - droppedNewest + closedPushes == refused push() calls.
+     *  - closedPushes == refused push() calls.
      */
     struct Counters
     {
         std::uint64_t pushed = 0;       //!< elements admitted
         std::uint64_t popped = 0;       //!< elements consumed
-        std::uint64_t droppedOldest = 0;//!< evictions by DropOldest
-        std::uint64_t droppedNewest = 0;//!< refusals by DropNewest
         std::uint64_t blockedPushes = 0;//!< admitted pushes that waited
         std::uint64_t closedPushes = 0; //!< pushes refused by close()
         std::size_t peakSize = 0;       //!< max occupancy observed
     };
 
-    /**
-     * @param capacity Maximum occupancy; must be >= 1.
-     * @param policy Behavior when full.
-     */
-    explicit BoundedQueue(std::size_t capacity,
-                          OverloadPolicy policy = OverloadPolicy::Block)
-        : cap(capacity), overload(policy)
+    /** @param capacity Maximum occupancy; must be >= 1. */
+    explicit BoundedQueue(std::size_t capacity) : cap(capacity)
     {
         HGPCN_ASSERT(capacity >= 1, "queue capacity must be >= 1");
     }
@@ -89,13 +88,7 @@ class BoundedQueue
         trace_name = std::move(name);
     }
 
-    /**
-     * Offer @p value under the configured overload policy.
-     *
-     * Block policy waits for space (or for close()); the drop
-     * policies return immediately. The evicted element of
-     * DropOldest is destroyed inside the call.
-     */
+    /** Offer @p value, waiting for space (or for close()). */
     PushOutcome
     push(T value)
     {
@@ -105,31 +98,17 @@ class BoundedQueue
             return PushOutcome::Closed;
         }
 
-        PushOutcome outcome = PushOutcome::Pushed;
         if (items.size() >= cap) {
-            switch (overload) {
-              case OverloadPolicy::Block:
-                not_full.wait(lock, [this] {
-                    return closed || items.size() < cap;
-                });
-                // The wake reason decides the counter: a close()
-                // destroys the value without enqueueing it, which
-                // is shutdown, not back-pressure.
-                if (closed) {
-                    ++stats.closedPushes;
-                    return PushOutcome::Closed;
-                }
-                ++stats.blockedPushes;
-                break;
-              case OverloadPolicy::DropOldest:
-                items.pop_front();
-                ++stats.droppedOldest;
-                outcome = PushOutcome::DroppedOldest;
-                break;
-              case OverloadPolicy::DropNewest:
-                ++stats.droppedNewest;
-                return PushOutcome::DroppedNewest;
+            not_full.wait(lock,
+                          [this] { return closed || items.size() < cap; });
+            // The wake reason decides the counter: a close()
+            // destroys the value without enqueueing it, which is
+            // shutdown, not back-pressure.
+            if (closed) {
+                ++stats.closedPushes;
+                return PushOutcome::Closed;
             }
+            ++stats.blockedPushes;
         }
         items.push_back(std::move(value));
         ++stats.pushed;
@@ -138,7 +117,7 @@ class BoundedQueue
         lock.unlock();
         not_empty.notify_one();
         sampleDepth(depth);
-        return outcome;
+        return PushOutcome::Pushed;
     }
 
     /**
@@ -200,9 +179,6 @@ class BoundedQueue
     /** @return configured capacity. */
     std::size_t capacity() const { return cap; }
 
-    /** @return configured overload policy. */
-    OverloadPolicy policy() const { return overload; }
-
     /** @return a snapshot of the traffic counters. */
     Counters
     counters() const
@@ -236,7 +212,6 @@ class BoundedQueue
     }
 
     const std::size_t cap;
-    const OverloadPolicy overload;
 
     mutable std::mutex mu;
     std::condition_variable not_empty;

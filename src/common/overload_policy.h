@@ -1,11 +1,10 @@
 /**
  * @file
- * Overload semantics shared by the real bounded queue
- * (common/bounded_queue.h) and the virtual-time scheduler
+ * Overload semantics of the virtual-time scheduler
  * (runtime/virtual_timeline.h): what a full queue does with an
- * incoming element. Lives apart from the queue so the pure
- * arithmetic of the timeline does not depend on the threading
- * machinery.
+ * incoming frame. Overload is decided only on the virtual timeline;
+ * the runtime's wall-clock queues (common/bounded_queue.h) always
+ * block.
  */
 
 #ifndef HGPCN_COMMON_OVERLOAD_POLICY_H
@@ -36,15 +35,6 @@ overloadPolicyName(OverloadPolicy policy)
     }
     return "?";
 }
-
-/** Result of one push() call. */
-enum class PushOutcome
-{
-    Pushed,       //!< element admitted, nothing lost
-    DroppedOldest,//!< element admitted, front element evicted
-    DroppedNewest,//!< element refused
-    Closed,       //!< queue closed, element refused
-};
 
 } // namespace hgpcn
 

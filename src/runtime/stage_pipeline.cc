@@ -49,8 +49,8 @@ StagePipeline::run(std::vector<std::unique_ptr<FrameTask>> tasks,
         std::lock_guard<std::mutex> lock(queues_mu);
         queues.clear();
         for (std::size_t i = 0; i <= n_stages; ++i) {
-            queues.push_back(std::make_shared<TaskQueue>(
-                cfg.queueCapacity, OverloadPolicy::Block));
+            queues.push_back(
+                std::make_shared<TaskQueue>(cfg.queueCapacity));
             queues.back()->instrument(
                 &Tracer::global(),
                 i < n_stages ? specs[i].stage->name() : "collect");

@@ -24,15 +24,12 @@ fixed3(double v)
     return oss.str();
 }
 
-/** ElasticRunner's control epochs are per-epoch fleet serves over
- * one shared fleet history: circuit-breaker state must carry
- * across them (and is reset at every elastic serve() start). */
-ShardedRunner::Config
-persistentFleet(ShardedRunner::Config fleet)
-{
-    fleet.persistHealth = true;
-    return fleet;
-}
+/** Modeled-backlog tolerance, per active shard: an epoch is
+ * overloaded when its backlog exceeds this many frames per shard.
+ * A keeping-up pipeline always carries about a pipeline depth's
+ * worth of in-flight frames across the epoch boundary; only growth
+ * beyond that signals overload. */
+constexpr double kBacklogFramesPerShard = 4.0;
 
 } // namespace
 
@@ -67,8 +64,6 @@ Autoscaler::Autoscaler(const AutoscalerConfig &config) : cfg(config)
     HGPCN_ASSERT(cfg.behindTolerance >= 0.0 &&
                      cfg.behindTolerance < 1.0,
                  "behindTolerance must be in [0, 1)");
-    HGPCN_ASSERT(cfg.backlogPerShard >= 0.0,
-                 "backlogPerShard must be >= 0");
 }
 
 ScaleDecision
@@ -79,7 +74,7 @@ Autoscaler::step(const EpochSignals &signals)
         signals.offeredFps * (1.0 - cfg.behindTolerance);
     const bool backlogged =
         static_cast<double>(signals.backlogFrames) >
-        cfg.backlogPerShard *
+        kBacklogFramesPerShard *
             static_cast<double>(signals.activeShards);
     const bool overloaded = backlogged ||
                             signals.utilization > cfg.upUtilization ||
@@ -200,10 +195,8 @@ ElasticResult::decisionLog() const
 ElasticRunner::ElasticRunner(const HgPcnSystem::Config &system,
                              const PointNet2Spec &spec,
                              const Config &config)
-    : cfg(config),
-      runner(system, spec, persistentFleet(config.fleet))
+    : cfg(config), runner(system, spec, config.fleet)
 {
-    cfg.fleet.persistHealth = true; // mirror the fleet's reality
     HGPCN_ASSERT(cfg.epochSec > 0.0, "epoch length must be positive");
     HGPCN_ASSERT(cfg.fleet.runner.paceBySensor,
                  "elastic serving requires a sensor-paced runner "
@@ -219,18 +212,9 @@ ElasticRunner::ElasticRunner(const HgPcnSystem::Config &system,
 double
 ElasticRunner::capacityFps() const
 {
-    const std::size_t active = runner.shardCount();
-    if (cfg.fleet.assumedServiceSec > 0.0)
-        return static_cast<double>(active) /
-               cfg.fleet.assumedServiceSec;
     double fps = 0.0;
-    const std::vector<double> service_sec = runner.shardServiceSec();
-    for (std::size_t s = 0; s < active; ++s) {
-        HGPCN_ASSERT(service_sec[s] > 0.0, "backend ",
-                     runner.shardBackend(s).name(),
-                     " service-time estimate must be positive");
-        fps += 1.0 / service_sec[s];
-    }
+    for (const double service_sec : runner.shardServiceSec())
+        fps += 1.0 / service_sec;
     return fps;
 }
 
@@ -250,10 +234,10 @@ ElasticRunner::serve(const SensorStream &stream,
     // Reusable + deterministic: every serve starts from the
     // configured width and a fresh autoscaler.
     runner.setShardCount(cfg.fleet.shards);
-    // Breakers persist across the epochs *within* a serve
-    // (persistHealth) but never across serves.
-    runner.resetHealth();
     Autoscaler scaler(cfg.autoscaler);
+    // One breaker history for the serve: every epoch reads and
+    // extends it, and the next serve starts pristine.
+    std::vector<CircuitBreaker> health;
 
     std::vector<EpochOutcome> outcomes;
     std::size_t peak = runner.shardCount();
@@ -368,7 +352,8 @@ ElasticRunner::serve(const SensorStream &stream,
             // The epoch serve: an ordinary fleet serve over the
             // admitted sub-stream at the current width.
             outcome.result = runner.serve(
-                sub, {}, degrade_mode ? &degrade_flags : nullptr);
+                sub, {}, degrade_mode ? &degrade_flags : nullptr,
+                &health);
             log.framesDegraded =
                 outcome.result.report.framesDegraded;
 

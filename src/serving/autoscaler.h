@@ -78,12 +78,6 @@ struct AutoscalerConfig
     /** Falling-behind tolerance: sustained < offered * (1 - tol)
      * marks the epoch overloaded even at modest occupancy. */
     double behindTolerance = 0.05;
-    /** Modeled-backlog tolerance, per shard: an epoch is
-     * overloaded when backlogFrames > backlogPerShard *
-     * activeShards. A keeping-up pipeline always carries about a
-     * pipeline depth's worth of in-flight frames across the epoch
-     * boundary; only growth beyond that signals overload. */
-    double backlogPerShard = 4.0;
 };
 
 /** What one control epoch measured (all modeled arithmetic). */
@@ -98,8 +92,8 @@ struct EpochSignals
     double utilization = 0;
     /** Completions the virtual timeline placed beyond the epoch
      * end — modeled work the fleet did not retire in time (a
-     * pipeline depth's worth is normal; see
-     * AutoscalerConfig::backlogPerShard). */
+     * pipeline depth's worth, 4 frames per shard, is normal; see
+     * Autoscaler). */
     std::size_t backlogFrames = 0;
     /** Fleet width during the epoch. */
     std::size_t activeShards = 0;
@@ -128,17 +122,17 @@ struct ScaleDecision
 
 /**
  * The scaling state machine. Pure arithmetic over EpochSignals:
- * an epoch is *overloaded* when its modeled backlog exceeds
- * backlogPerShard per active shard, bottleneck occupancy is above
- * upUtilization, or sustained throughput is more than
- * behindTolerance below offered; it is *underloaded* when none of
- * that holds and occupancy is below downUtilization. Consecutive
- * overloaded (underloaded) epochs are counted; reaching
- * upHoldEpochs (downHoldEpochs) fires a scale action, clamped to
- * [minShards, maxShards], after which cooldownEpochs boundaries
- * pass before another action may fire (counters keep accumulating
- * through the cooldown, so a persistent overload acts the moment
- * the cooldown expires).
+ * an epoch is *overloaded* when its modeled backlog exceeds 4
+ * frames per active shard (about a pipeline depth), bottleneck
+ * occupancy is above upUtilization, or sustained throughput is
+ * more than behindTolerance below offered; it is *underloaded*
+ * when none of that holds and occupancy is below
+ * downUtilization. Consecutive overloaded (underloaded) epochs
+ * are counted; reaching upHoldEpochs (downHoldEpochs) fires a
+ * scale action, clamped to [minShards, maxShards], after which
+ * cooldownEpochs boundaries pass before another action may fire
+ * (counters keep accumulating through the cooldown, so a
+ * persistent overload acts the moment the cooldown expires).
  */
 class Autoscaler
 {
@@ -221,9 +215,7 @@ class ElasticRunner
         /** Control epoch length on the virtual timeline (> 0). */
         double epochSec = 1.0;
 
-        /** Fleet parameters; fleet.shards is the initial width and
-         * fleet.assumedServiceSec (> 0) overrides the per-backend
-         * cost-model service-time estimate in the capacity model.
+        /** Fleet parameters; fleet.shards is the initial width.
          * The runner must be sensor-paced (elastic control needs a
          * timeline; fatal otherwise). */
         ShardedRunner::Config fleet;
@@ -244,12 +236,12 @@ class ElasticRunner
 
     /**
      * Serve @p stream elastically (blocking). Reusable: every
-     * serve resets the fleet to the initial width, the autoscaler
-     * to its initial state and the fleet's circuit breakers to
-     * pristine Closed, so identical inputs produce identical
-     * results no matter what ran before. Within one serve, breaker
-     * health persists across the control epochs (the epochs share
-     * one fleet history).
+     * serve resets the fleet to the initial width and the
+     * autoscaler to its initial state, and starts with pristine
+     * Closed circuit breakers, so identical inputs produce
+     * identical results no matter what ran before. Within one
+     * serve, one set of breakers is passed to every control epoch
+     * (the epochs share one fleet history).
      *
      * @param stream Tagged multi-sensor stream, strictly
      *        increasing stamps (the pacing contract).
@@ -266,7 +258,7 @@ class ElasticRunner
 
   private:
     /** Modeled fleet throughput at the current width: Σ over
-     * active shards of 1 / service-time estimate. */
+     * ShardedRunner::shardServiceSec() of 1 / service time. */
     double capacityFps() const;
 
     Config cfg;

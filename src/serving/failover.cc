@@ -35,9 +35,8 @@ resolveFaultSchedule(const SensorStream &stream,
     HGPCN_ASSERT(assignment.size() == stream.size(),
                  "assignment/stream out of sync: ", assignment.size(),
                  " vs ", stream.size());
-    HGPCN_ASSERT(service_sec.empty() ||
-                     service_sec.size() == n_shards,
-                 "service_sec must be empty or one entry per shard");
+    HGPCN_ASSERT(service_sec.size() == n_shards,
+                 "service_sec must hold one entry per shard");
     HGPCN_ASSERT(cfg.maxAttempts >= 1, "need at least one attempt");
     HGPCN_ASSERT(cfg.degradedSampleFraction > 0.0 &&
                      cfg.degradedSampleFraction <= 1.0,
@@ -126,9 +125,7 @@ resolveFaultSchedule(const SensorStream &stream,
 
         // --- Retry loop with deterministic backoff/deadline. ---
         const std::string &backend = backend_names[serving];
-        const double svc =
-            (service_sec.empty() ? 0.0 : service_sec[serving]) *
-            d.slowdownMult;
+        const double svc = service_sec[serving] * d.slowdownMult;
         double backoff_next = cfg.backoffBaseSec;
         for (std::uint32_t a = 1;; ++a) {
             d.attempts = a;

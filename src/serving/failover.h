@@ -94,14 +94,14 @@ struct FaultResolution
  *        assignShards().
  * @param backend_names registry name per shard (keys the
  *        transient-error draws).
- * @param service_sec estimated solo inference service seconds per
- *        shard (deadline arithmetic); may be zeros when unknown —
- *        deadlines then only account backoff.
+ * @param service_sec estimated solo inference service seconds,
+ *        one entry per shard (deadline arithmetic); zeros make
+ *        deadlines account backoff only.
  * @param plan the scripted fault schedule (must be non-empty; the
  *        caller skips resolution entirely for an empty plan).
  * @param cfg retry/backoff/deadline/degradation parameters.
  * @param health per-shard breakers, resized to the fleet here;
- *        carried across calls when the caller persists them
+ *        carried across calls when the caller keeps the vector
  *        (ElasticRunner's epochs share one fleet history).
  */
 FaultResolution

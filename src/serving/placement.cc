@@ -54,11 +54,8 @@ assignLeastLoaded(const SensorStream &stream,
         const double t = stream.frames[i].timestamp;
         std::size_t best = 0;
         for (std::size_t s = 0; s < shard_count; ++s) {
-            if (service_sec[s] > 0.0) {
-                while (!retire_at[s].empty() &&
-                       retire_at[s].front() <= t)
-                    retire_at[s].pop_front();
-            }
+            while (!retire_at[s].empty() && retire_at[s].front() <= t)
+                retire_at[s].pop_front();
             if (retire_at[s].size() < retire_at[best].size())
                 best = s;
         }
@@ -70,20 +67,6 @@ assignLeastLoaded(const SensorStream &stream,
         assignment[i] = best;
     }
     return assignment;
-}
-
-/** Auto service estimate: shard-level inter-arrival time. */
-double
-autoServiceSec(const SensorStream &stream, std::size_t shard_count)
-{
-    if (stream.size() < 2)
-        return 0.0;
-    const double span = stream.frames.back().timestamp -
-                        stream.frames.front().timestamp;
-    if (span <= 0.0)
-        return 0.0;
-    return span / static_cast<double>(stream.size() - 1) *
-           static_cast<double>(shard_count);
 }
 
 } // namespace
@@ -120,28 +103,18 @@ assignShards(const SensorStream &stream, std::size_t shard_count,
             assignment[i] = static_cast<std::size_t>(
                 placementHash(stream.sensors[i]) % shard_count);
         break;
-      case PlacementPolicy::LeastLoaded: {
-        std::vector<double> service(shard_count, 0.0);
-        for (std::size_t s = 0; s < shard_count; ++s) {
-            if (s < service_sec_per_shard.size())
-                service[s] = service_sec_per_shard[s];
-            if (service[s] <= 0.0)
-                service[s] = autoServiceSec(stream, shard_count);
+      case PlacementPolicy::LeastLoaded:
+        HGPCN_ASSERT(service_sec_per_shard.size() == shard_count,
+                     "LeastLoaded needs one service time per shard");
+        for (const double svc : service_sec_per_shard) {
+            HGPCN_ASSERT(svc > 0.0, "LeastLoaded service time (",
+                         svc, ") must be positive");
         }
-        assignment = assignLeastLoaded(stream, shard_count, service);
+        assignment = assignLeastLoaded(stream, shard_count,
+                                       service_sec_per_shard);
         break;
-      }
     }
     return assignment;
-}
-
-std::vector<std::size_t>
-assignShards(const SensorStream &stream, std::size_t shard_count,
-             PlacementPolicy policy, double assumed_service_sec)
-{
-    return assignShards(
-        stream, shard_count, policy,
-        std::vector<double>(shard_count, assumed_service_sec));
 }
 
 } // namespace hgpcn

@@ -20,10 +20,10 @@
  *    deterministic stand-in a front-end would track). Service times
  *    are per shard, so a heterogeneous fleet (serving/sharded_runner.h)
  *    is modeled faithfully: a shard running a slower backend drains
- *    its backlog slower and is joined less often. ShardedRunner
- *    derives each shard's service time from its backend's
- *    cost-model estimate (ExecutionBackend::estimateServiceSec)
- *    unless explicitly overridden.
+ *    its backlog slower and is joined less often. The caller
+ *    supplies the service times; ShardedRunner passes
+ *    ShardedRunner::shardServiceSec(), each backend's cost-model
+ *    estimate unless explicitly overridden.
  */
 
 #ifndef HGPCN_SERVING_PLACEMENT_H
@@ -57,28 +57,19 @@ std::uint64_t placementHash(std::size_t sensor);
  * @param stream Tagged multi-sensor stream (interleaved order).
  * @param shard_count Number of shards (>= 1).
  * @param policy Dispatch policy.
- * @param service_sec_per_shard LeastLoaded only: modeled per-frame
- *        service time of each shard, after which an assigned frame
- *        retires from that shard's backlog — heterogeneous fleets
- *        pass each backend's cost-model estimate here. Empty, or
- *        any entry <= 0, selects the automatic estimate for that
- *        shard (the stream's mean inter-arrival scaled by
- *        shard_count); with no derivable estimate either, frames
- *        never retire and the policy degrades to pure
- *        join-shortest-queue by count. When non-empty, the size
- *        must equal @p shard_count.
+ * @param service_sec_per_shard LeastLoaded only (fatal unless it
+ *        holds one entry > 0 per shard): modeled per-frame service
+ *        time of each shard, after which an assigned frame retires
+ *        from that shard's backlog — heterogeneous fleets pass
+ *        each backend's cost-model estimate here. The other
+ *        policies ignore it; when non-empty, its size must equal
+ *        @p shard_count.
  * @return shard index per frame, parallel to stream.frames.
  */
 std::vector<std::size_t>
 assignShards(const SensorStream &stream, std::size_t shard_count,
              PlacementPolicy policy,
              const std::vector<double> &service_sec_per_shard = {});
-
-/** Convenience overload: one @p assumed_service_sec for every
- * shard (the homogeneous-fleet model). */
-std::vector<std::size_t>
-assignShards(const SensorStream &stream, std::size_t shard_count,
-             PlacementPolicy policy, double assumed_service_sec);
 
 } // namespace hgpcn
 

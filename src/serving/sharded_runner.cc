@@ -109,10 +109,10 @@ ShardedRunner::shardServiceSec() const
         const ExecutionBackend &backend = *fleet[s]->backend;
         auto it = estimate_of.find(backend.name());
         if (it == estimate_of.end()) {
-            it = estimate_of
-                     .emplace(backend.name(),
-                              backend.estimateServiceSec())
-                     .first;
+            const double estimate = backend.estimateServiceSec();
+            HGPCN_ASSERT(estimate > 0.0, "backend ", backend.name(),
+                         " service-time estimate must be positive");
+            it = estimate_of.emplace(backend.name(), estimate).first;
         }
         out.push_back(it->second);
     }
@@ -130,7 +130,8 @@ ShardedRunner::shardBackend(std::size_t shard) const
 ServingResult
 ShardedRunner::serve(const SensorStream &stream,
                      const ServingFrameCallback &on_frame,
-                     const std::vector<bool> *degrade_sensors)
+                     const std::vector<bool> *degrade_sensors,
+                     std::vector<CircuitBreaker> *health)
 {
     HGPCN_ASSERT(!serving.exchange(true),
                  "serve() reentered while a serve is in progress");
@@ -138,10 +139,6 @@ ShardedRunner::serve(const SensorStream &stream,
     stopped.store(false);
     for (std::size_t s = 0; s < active; ++s)
         fleet[s]->stopRequested.store(false);
-    // Breaker history belongs to one serve unless the caller opted
-    // into cross-serve persistence (ElasticRunner's epochs).
-    if (!cfg.persistHealth)
-        healthState.clear();
 
     const std::size_t n_shards = active;
     std::vector<ShardOutcome> outcomes(n_shards);
@@ -180,9 +177,13 @@ ShardedRunner::serve(const SensorStream &stream,
         backend_names.reserve(n_shards);
         for (std::size_t s = 0; s < n_shards; ++s)
             backend_names.push_back(fleet[s]->backend->name());
+        // Breaker history is the caller's; without one the serve
+        // starts pristine.
+        std::vector<CircuitBreaker> pristine;
         FaultResolution res = resolveFaultSchedule(
             stream, assignment, backend_names, service_sec,
-            *cfg.faultPlan, cfg.faultTolerance, healthState);
+            *cfg.faultPlan, cfg.faultTolerance,
+            health != nullptr ? *health : pristine);
         assignment = std::move(res.assignment);
         directives = std::move(res.directives);
         fault_metrics.counter("fault.failovers")
@@ -328,14 +329,6 @@ ShardedRunner::serve(const SensorStream &stream,
         out.metrics.merge(fault_metrics.snapshot());
     serving.store(false);
     return out;
-}
-
-void
-ShardedRunner::resetHealth()
-{
-    HGPCN_ASSERT(!serving.load(),
-                 "resetHealth must not race a serve in progress");
-    healthState.clear();
 }
 
 void

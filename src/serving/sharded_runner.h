@@ -27,7 +27,10 @@
  *
  * Restart contract (same as StagePipeline/StreamRunner):
  * requestStop()/requestStopShard() abort the serve in progress; a
- * later serve() starts fresh.
+ * later serve() starts fresh. The runner keeps no circuit-breaker
+ * history of its own: a serve starts with pristine breakers unless
+ * its caller passes one set of breakers in and carries it to the
+ * next serve (ElasticRunner does, across the epochs of one serve).
  *
  * Elastic fleets: setShardCount() grows or shrinks the fleet
  * between serves (never during one). Shrinking parks the trailing
@@ -89,9 +92,9 @@ class ShardedRunner
          * backend mix stable as it scales. */
         std::vector<std::string> backends;
 
-        /** LeastLoaded backlog-retirement estimate override; <= 0 =
-         * derive per shard from each backend's cost-model estimate
-         * (ExecutionBackend::estimateServiceSec). */
+        /** Per-shard service-time override, read only by
+         * shardServiceSec(); <= 0 = each backend's cost-model
+         * estimate (ExecutionBackend::estimateServiceSec). */
         double assumedServiceSec = 0.0;
 
         /** Scripted fault schedule (borrowed; must outlive the
@@ -103,12 +106,6 @@ class ShardedRunner
          * when a non-empty faultPlan is set (or degraded sensors
          * are passed to serve()). */
         FaultToleranceConfig faultTolerance;
-
-        /** true: circuit-breaker state carries across serve()
-         * calls (ElasticRunner's epochs share one fleet history);
-         * false: every serve starts with pristine breakers. Either
-         * way resetHealth() clears them on demand. */
-        bool persistHealth = false;
     };
 
     /**
@@ -138,11 +135,16 @@ class ShardedRunner
      *        at the reduced fidelity budget instead of full K —
      *        ElasticRunner's degrade-instead-of-shed admission.
      *        Composes with a fault plan; null changes nothing.
+     * @param health Optional per-shard circuit breakers, read and
+     *        updated by fault resolution so a caller can carry one
+     *        history across serves. Null: the serve starts with
+     *        pristine Closed breakers.
      */
     ServingResult serve(const SensorStream &stream,
                         const ServingFrameCallback &on_frame = {},
                         const std::vector<bool> *degrade_sensors =
-                            nullptr);
+                            nullptr,
+                        std::vector<CircuitBreaker> *health = nullptr);
 
     /** Abort the serve in progress on every shard (safe from any
      * thread, including the on_frame hook). */
@@ -174,10 +176,12 @@ class ShardedRunner
 
     /**
      * @return per-shard modeled service seconds of the active
-     * fleet: Config::assumedServiceSec when set, else each shard's
-     * backend cost-model estimate
-     * (ExecutionBackend::estimateServiceSec). Every shard is built
-     * from the same engine config and spec, so same-named backends
+     * fleet, each > 0 (fatal otherwise): Config::assumedServiceSec
+     * when set, else each shard's backend cost-model estimate
+     * (ExecutionBackend::estimateServiceSec). The one source of
+     * service times for LeastLoaded placement, fault deadlines and
+     * ElasticRunner's admission capacity. Every shard is built from
+     * the same engine config and spec, so same-named backends
      * estimate identically: each distinct name is probed once.
      */
     std::vector<double> shardServiceSec() const;
@@ -186,17 +190,6 @@ class ShardedRunner
      * or not yet built: Config::backends cycled, "hgpcn" when
      * empty. */
     std::string backendNameFor(std::size_t s) const;
-
-    /** Forget all circuit-breaker history: the next serve starts
-     * with pristine Closed breakers. Must not race a serve. */
-    void resetHealth();
-
-    /** @return the per-shard breakers after the last faulted serve
-     * (empty when no faulted serve ran since the last reset). */
-    const std::vector<CircuitBreaker> &health() const
-    {
-        return healthState;
-    }
 
     /** @return serving parameters. */
     const Config &config() const { return cfg; }
@@ -232,9 +225,6 @@ class ShardedRunner
      * fleet, the rest are parked by setShardCount(). */
     std::vector<std::unique_ptr<Shard>> fleet;
     std::size_t active = 0;
-    /** Per-shard circuit breakers, populated by faulted serves;
-     * cleared at serve() entry unless Config::persistHealth. */
-    std::vector<CircuitBreaker> healthState;
 };
 
 } // namespace hgpcn

@@ -22,8 +22,10 @@
 #include "backends/hgpcn_backend.h"
 #include "backends/mesorasi_backend.h"
 #include "backends/point_acc_backend.h"
+#include "common/rng.h"
 #include "core/hgpcn_system.h"
 #include "datasets/sensor_stream.h"
+#include "obs/trace.h"
 #include "serving/placement.h"
 #include "serving/sharded_runner.h"
 #include "report_digest.h"
@@ -162,6 +164,85 @@ TEST(BackendRegistry, CustomBackendRoundTrips)
     const BackendInference run = backend->infer(PointCloud{});
     EXPECT_DOUBLE_EQ(run.totalSec(), 3e-3); // serial: ds + fc
     EXPECT_DOUBLE_EQ(backend->estimateServiceSec(), 3e-3);
+}
+
+TEST(ExecutionBackend, BaseInferBatchLoopsSoloInfer)
+{
+    /** A backend that overrides only infer(): a real functional
+     * run with size-dependent modeled latencies, batched by the
+     * base inferBatch() loop. */
+    class SoloOnlyBackend : public ExecutionBackend
+    {
+      public:
+        explicit SoloOnlyBackend(const PointNet2 &net) : net_(net) {}
+        const std::string &name() const override { return nm; }
+        const std::string &resource() const override { return nm; }
+        BackendInference
+        infer(const PointCloud &input, FrameWorkspace *) const override
+        {
+            RunOptions opts;
+            opts.ds = DsMethod::BruteKnn;
+            BackendInference out;
+            out.backend = nm;
+            out.output = net_.run(input, opts);
+            out.dsSec = 1e-6 * static_cast<double>(input.size());
+            out.fcSec = 3e-6 * static_cast<double>(input.size());
+            out.dsFcOverlap = false;
+            return out;
+        }
+        const PointNet2 &model() const override { return net_; }
+
+      private:
+        const PointNet2 &net_;
+        std::string nm = "solo-only";
+    };
+
+    const PointNet2 net(tinyClassifier());
+    const SoloOnlyBackend solo_only(net);
+    const ExecutionBackend &backend = solo_only;
+    std::vector<PointCloud> clouds;
+    for (std::size_t f = 0; f < 3; ++f) {
+        Rng rng(90 + f);
+        PointCloud cloud;
+        for (std::size_t p = 0; p < 256 + 16 * f; ++p) {
+            cloud.add({rng.uniform(0.0f, 1.0f),
+                       rng.uniform(0.0f, 1.0f),
+                       rng.uniform(0.0f, 1.0f)});
+        }
+        clouds.push_back(std::move(cloud));
+    }
+    const std::vector<const PointCloud *> inputs = {
+        &clouds[0], &clouds[1], &clouds[2]};
+
+    Tracer::global().setEnabled(false);
+    Tracer::global().clear();
+    Tracer::global().setEnabled(true);
+    const BatchInference batch = backend.inferBatch(inputs);
+    Tracer::global().setEnabled(false);
+    std::size_t batch_spans = 0;
+    for (const TraceEvent &ev : Tracer::global().snapshot()) {
+        if (ev.name == "infer:solo-only:batch3")
+            ++batch_spans;
+    }
+    Tracer::global().clear();
+#ifdef HGPCN_TRACING_DISABLED
+    EXPECT_EQ(batch_spans, 0u);
+#else
+    EXPECT_EQ(batch_spans, 1u);
+#endif
+
+    ASSERT_EQ(batch.frames.size(), 3u);
+    double total = 0.0;
+    for (std::size_t f = 0; f < 3; ++f) {
+        const BackendInference solo = backend.infer(clouds[f]);
+        const BackendInference &got = batch.frames[f];
+        EXPECT_EQ(got.output.labels, solo.output.labels);
+        EXPECT_EQ(got.output.logits.data(), solo.output.logits.data());
+        EXPECT_EQ(got.dsSec, solo.dsSec);
+        EXPECT_EQ(got.fcSec, solo.fcSec);
+        total += got.totalSec();
+    }
+    EXPECT_EQ(batch.batchSec, total);
 }
 
 // ---------------------------------------------- Backends vs models
@@ -431,12 +512,6 @@ TEST(Placement, LeastLoadedHonorsPerShardServiceTimes)
     // Hand-simulated join-shortest-queue with retirement:
     const std::vector<std::size_t> expect = {0, 1, 0, 0, 0, 1};
     EXPECT_EQ(assignment, expect);
-
-    // Broadcast overload keeps the homogeneous behavior.
-    EXPECT_EQ(assignShards(stream, 2, PlacementPolicy::LeastLoaded,
-                           1.0),
-              assignShards(stream, 2, PlacementPolicy::LeastLoaded,
-                           std::vector<double>{1.0, 1.0}));
 }
 
 TEST(ShardedRunner, LeastLoadedDerivesServiceFromBackendEstimates)

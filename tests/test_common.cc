@@ -273,7 +273,7 @@ TEST(BoundedQueueCounters, CloseWhileBlockedCountsClosedNotBlocked)
     // without enqueueing it — shutdown, not back-pressure. The seed
     // counted it in blockedPushes, so every pipeline shutdown read
     // as queue congestion.
-    BoundedQueue<int> q(1, OverloadPolicy::Block);
+    BoundedQueue<int> q(1);
     ASSERT_EQ(q.push(1), PushOutcome::Pushed);
 
     std::atomic<bool> refused{false};
@@ -289,8 +289,6 @@ TEST(BoundedQueueCounters, CloseWhileBlockedCountsClosedNotBlocked)
     EXPECT_EQ(c.pushed, 1u);
     EXPECT_EQ(c.blockedPushes, 0u);
     EXPECT_EQ(c.closedPushes, 1u);
-    EXPECT_EQ(c.droppedOldest, 0u);
-    EXPECT_EQ(c.droppedNewest, 0u);
     expectCounterInvariants(c, q.size());
 }
 
@@ -301,7 +299,7 @@ TEST(BoundedQueueCounters, BlockedThenAdmittedCountsBlockedPush)
     // retry the scenario until the blocked path is observed
     // (attempt 1 in practice) instead of trusting a fixed sleep.
     for (int attempt = 0; attempt < 50; ++attempt) {
-        BoundedQueue<int> q(1, OverloadPolicy::Block);
+        BoundedQueue<int> q(1);
         ASSERT_EQ(q.push(1), PushOutcome::Pushed);
         std::atomic<bool> started{false};
         std::thread producer([&] {
@@ -326,7 +324,7 @@ TEST(BoundedQueueCounters, BlockedThenAdmittedCountsBlockedPush)
 
 TEST(BoundedQueueCounters, EveryPushAfterCloseCountsClosed)
 {
-    BoundedQueue<int> q(2, OverloadPolicy::Block);
+    BoundedQueue<int> q(2);
     q.push(1);
     q.close();
     EXPECT_EQ(q.push(2), PushOutcome::Closed);

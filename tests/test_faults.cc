@@ -93,12 +93,12 @@ evenStream(std::size_t sensors, std::size_t frames_per_sensor,
     return taggedStream(seq, sensors);
 }
 
-/** Empty-stream placeholder directives are never consulted; a
- * 1-shard resolution over @p stream with @p plan and @p cfg. */
+/** A 1-shard resolution over @p stream with @p plan and @p cfg;
+ * a zero service time makes deadlines account backoff only. */
 FaultResolution
 resolveOneShard(const SensorStream &stream, const FaultPlan &plan,
                 const FaultToleranceConfig &cfg,
-                const std::vector<double> &service_sec = {})
+                const std::vector<double> &service_sec = {0.0})
 {
     std::vector<std::size_t> assignment(stream.size(), 0);
     std::vector<CircuitBreaker> health;
@@ -356,8 +356,8 @@ TEST(Failover, ExactFailoverSensorSets)
     FaultToleranceConfig ft;
     std::vector<CircuitBreaker> health;
     const FaultResolution res = resolveFaultSchedule(
-        stream, assignment, {"hgpcn", "hgpcn", "hgpcn"}, {}, plan,
-        ft, health);
+        stream, assignment, {"hgpcn", "hgpcn", "hgpcn"},
+        {0.0, 0.0, 0.0}, plan, ft, health);
 
     for (std::size_t i = 0; i < stream.size(); ++i) {
         const std::size_t sensor = stream.sensors[i];

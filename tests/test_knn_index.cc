@@ -266,6 +266,38 @@ TEST(SpatialHashKnn, PointNet2FastPathMatchesOracleBitForBit)
               b.trace.totalSortCandidates());
 }
 
+TEST(SpatialHashKnn, SegmentationFpLookupsMatchOracleBitForBit)
+{
+    // The segmentation twin: the Feature-Propagation 3-NN lookups
+    // go through the index too, so the per-point logits pin them
+    // against the oracle's full scan. The 1024- and 256-point
+    // coarse levels are above the brute threshold, so the grid
+    // path serves them.
+    PointNet2Spec spec = PointNet2Spec::semanticSegmentation(6);
+    spec.inputPoints = 2048;
+    PointNet2 net(spec, 42);
+    const PointCloud input = randomCloud(2048, 78);
+
+    RunOptions fast;
+    fast.ds = DsMethod::BruteKnn;
+    fast.fastKnn = true;
+    RunOptions oracle = fast;
+    oracle.fastKnn = false;
+
+    const RunOutput a = net.run(input, fast);
+    const RunOutput b = net.run(input, oracle);
+    ASSERT_EQ(a.logits.rows(), 2048u);
+    EXPECT_EQ(a.labels, b.labels);
+    EXPECT_EQ(a.logits.data(), b.logits.data());
+    // 4 SA gathers + 4 FP 3-NN gathers.
+    ASSERT_EQ(a.trace.gathers.size(), 8u);
+    ASSERT_EQ(b.trace.gathers.size(), 8u);
+    EXPECT_EQ(a.trace.totalGatherDistances(),
+              b.trace.totalGatherDistances());
+    EXPECT_EQ(a.trace.totalSortCandidates(),
+              b.trace.totalSortCandidates());
+}
+
 // ------------------------------------------------ workspace arena
 
 TEST(FrameWorkspace, ArenaReusesBuffersAcrossFrames)

@@ -43,28 +43,6 @@ TEST(BoundedQueue, FifoOrderAndCounters)
     EXPECT_EQ(c.peakSize, 2u);
 }
 
-TEST(BoundedQueue, DropOldestEvictsFront)
-{
-    BoundedQueue<int> q(2, OverloadPolicy::DropOldest);
-    q.push(1);
-    q.push(2);
-    EXPECT_EQ(q.push(3), PushOutcome::DroppedOldest);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-    EXPECT_EQ(q.counters().droppedOldest, 1u);
-}
-
-TEST(BoundedQueue, DropNewestRefusesNewcomer)
-{
-    BoundedQueue<int> q(2, OverloadPolicy::DropNewest);
-    q.push(1);
-    q.push(2);
-    EXPECT_EQ(q.push(3), PushOutcome::DroppedNewest);
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.counters().droppedNewest, 1u);
-}
-
 TEST(BoundedQueue, BackPressureBlocksProducerUntilConsumed)
 {
     // Whether any push actually blocks before the consumer drains
@@ -72,7 +50,7 @@ TEST(BoundedQueue, BackPressureBlocksProducerUntilConsumed)
     // path is observed (attempt 1 in practice). FIFO order and
     // exactly-once delivery hold on every attempt.
     for (int attempt = 0; attempt < 50; ++attempt) {
-        BoundedQueue<int> q(1, OverloadPolicy::Block);
+        BoundedQueue<int> q(1);
         ASSERT_EQ(q.push(0), PushOutcome::Pushed);
 
         std::atomic<int> produced{0};
@@ -107,7 +85,7 @@ TEST(BoundedQueue, BackPressureBlocksProducerUntilConsumed)
 
 TEST(BoundedQueue, CloseWakesBlockedProducerAndConsumer)
 {
-    BoundedQueue<int> q(1, OverloadPolicy::Block);
+    BoundedQueue<int> q(1);
     q.push(7);
 
     std::atomic<bool> refused{false};

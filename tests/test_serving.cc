@@ -163,7 +163,8 @@ TEST(SensorStream, MergeOfNothingYieldsEmptyStream)
     EXPECT_EQ(idle.sensorCount, 3u);
     EXPECT_TRUE(idle.framesOfSensor(1).empty());
     // Placement over an empty stream is an empty assignment.
-    EXPECT_TRUE(assignShards(idle, 2, PlacementPolicy::LeastLoaded)
+    EXPECT_TRUE(assignShards(idle, 2, PlacementPolicy::LeastLoaded,
+                             {1.0, 1.0})
                     .empty());
 }
 
@@ -290,7 +291,7 @@ TEST(Placement, LeastLoadedJoinsShortestQueue)
     const SensorStream stream = stampedStream(
         {0.0, 0.1, 0.2, 0.3, 2.5}, {0, 0, 0, 0, 0}, 1);
     const auto assignment = assignShards(
-        stream, 2, PlacementPolicy::LeastLoaded, /*service=*/1.0);
+        stream, 2, PlacementPolicy::LeastLoaded, {1.0, 1.0});
     const std::vector<std::size_t> expect = {0, 1, 0, 1, 0};
     EXPECT_EQ(assignment, expect);
 }
