@@ -10,14 +10,24 @@
 namespace hgpcn
 {
 
-Linear::Linear(std::size_t in, std::size_t out, Rng &rng)
+Linear::Linear(std::size_t in, std::size_t out, Rng &rng,
+               RowRange delayed_rows)
     : bias(out, 0.0f)
 {
     const float scale =
         std::sqrt(2.0f / static_cast<float>(in > 0 ? in : 1));
     Tensor w(in, out);
     w.randomize(rng, scale);
-    weight = PackedPanels(w);
+    const auto [d0, d1] = delayed_rows;
+    HGPCN_ASSERT(d0 <= d1 && d1 <= in && (d0 == d1 || d0 == 0 || d1 == in),
+                 "delayed rows [", d0, ", ", d1,
+                 ") must touch one end of [0, ", in, ")");
+    if (d0 == d1) {
+        weight = PackedPanels(w);
+    } else {
+        delayed = PackedPanels(w, d0, d1);
+        weight = d0 == 0 ? PackedPanels(w, d1, in) : PackedPanels(w, 0, d0);
+    }
     for (auto &b : bias)
         b = rng.uniform(-0.01f, 0.01f);
 }
@@ -44,7 +54,7 @@ Linear::forwardInto(const Tensor &x, Tensor &out, bool relu,
 
 void
 Linear::forwardIntoUntraced(const Tensor &x, Tensor &out, bool relu,
-                            int threads) const
+                            int threads, bool accumulate) const
 {
     out.resizeUninit(x.rows(), weight.cols());
     const std::uint64_t macs =
@@ -53,21 +63,43 @@ Linear::forwardIntoUntraced(const Tensor &x, Tensor &out, bool relu,
     parallelFor(x.rows(), gatedThreads(macs, threads),
                 [&](std::size_t begin, std::size_t end) {
                     Tensor::matmulRowsInto(x, weight, out, begin, end,
-                                           {bias.data(), relu});
+                                           {bias.data(), relu, accumulate});
                 });
 }
 
 Mlp::Mlp(std::size_t in, const std::vector<std::size_t> &widths, Rng &rng,
-         bool final_relu)
+         bool final_relu, RowRange delayed)
     : out_width(widths.empty() ? in : widths.back()),
       relu_last(final_relu)
 {
     HGPCN_ASSERT(!widths.empty(), "MLP needs at least one layer");
     std::size_t cur = in;
     for (std::size_t w : widths) {
-        layers.emplace_back(cur, w, rng);
+        layers.emplace_back(cur, w, rng, layers.empty() ? delayed
+                                                        : RowRange{});
         cur = w;
     }
+}
+
+void
+Mlp::forwardDelayed(const Tensor &x, Tensor &out, int threads) const
+{
+    const PackedPanels &w = layers[0].delayed;
+    out.resizeUninit(x.rows(), w.cols());
+    const std::uint64_t macs =
+        static_cast<std::uint64_t>(x.rows()) * w.rows() * w.cols();
+    parallelFor(x.rows(), gatedThreads(macs, threads),
+                [&](std::size_t begin, std::size_t end) {
+                    forwardDelayedRows(x, out, begin, end);
+                });
+}
+
+void
+Mlp::forwardDelayedRows(const Tensor &x, Tensor &out, std::size_t begin,
+                        std::size_t end) const
+{
+    HGPCN_ASSERT(hasDelayed(), "MLP has no delayed rows");
+    Tensor::matmulRowsInto(x, layers[0].delayed, out, begin, end);
 }
 
 Tensor
@@ -92,8 +124,7 @@ Mlp::macsPerRow() const
 {
     std::uint64_t macs = 0;
     for (const Linear &l : layers)
-        macs += static_cast<std::uint64_t>(l.weight.rows()) *
-                l.weight.cols();
+        macs += static_cast<std::uint64_t>(l.inputs()) * l.weight.cols();
     return macs;
 }
 
@@ -113,7 +144,9 @@ Mlp::forwardRows(const Tensor &x, Tensor &ping, Tensor &pong) const
     for (std::size_t i = 0; i < layers.size(); ++i) {
         Tensor &dst = i % 2 == 0 ? ping : pong;
         const bool relu = i + 1 < layers.size() || relu_last;
-        layers[i].forwardIntoUntraced(*cur, dst, relu, /*threads=*/1);
+        layers[i].forwardIntoUntraced(*cur, dst, relu, /*threads=*/1,
+                                      /*accumulate=*/i == 0 &&
+                                          hasDelayed());
         cur = &dst;
     }
     return *cur;
@@ -126,7 +159,7 @@ Mlp::recordGemms(std::size_t rows, const std::string &name_prefix,
     for (std::size_t i = 0; i < layers.size(); ++i)
         trace.gemms.push_back(GemmOp{
             name_prefix + ".fc" + std::to_string(i), rows,
-            layers[i].weight.rows(), layers[i].weight.cols()});
+            layers[i].inputs(), layers[i].weight.cols()});
 }
 
 const Tensor &

@@ -146,8 +146,13 @@ PointNet2::PointNet2(const PointNet2Spec &spec, std::uint64_t weight_seed)
     std::vector<std::size_t> width(levels + 1);
     width[0] = arch.inputFeatureDim;
     for (std::size_t i = 0; i < levels; ++i) {
+        // Delayed aggregation: a sampling level's layer 1 runs its
+        // feature rows once per level point (nn/mlp.h).
         const std::size_t in = 3 + width[i];
-        sa_mlps.emplace_back(in, arch.sa[i].mlp, rng);
+        const RowRange delayed = arch.sa[i].npoint > 0 && width[i] > 0
+                                     ? RowRange{3, in}
+                                     : RowRange{};
+        sa_mlps.emplace_back(in, arch.sa[i].mlp, rng, true, delayed);
         width[i + 1] = arch.sa[i].mlp.back();
     }
 
@@ -162,8 +167,10 @@ PointNet2::PointNet2(const PointNet2Spec &spec, std::uint64_t weight_seed)
             const std::size_t from_above =
                 t + 1 == levels ? width[levels]
                                 : arch.fp[t + 1].mlp.back();
-            fp_mlps.emplace_back(from_above + width[t],
-                                 arch.fp[t].mlp, rng);
+            // Layer 1's rows on the features from above run once
+            // per coarse point, before interpolation.
+            fp_mlps.emplace_back(from_above + width[t], arch.fp[t].mlp,
+                                 rng, true, RowRange{0, from_above});
         }
         head_in = arch.fp[0].mlp.back();
     }
@@ -389,13 +396,16 @@ class Region
  * One frame's share of a level: its data structuring — a VEG
  * gatherer that every block runs over its own items, or a
  * whole-level gather done before the region (every other method) —
- * and the tensor its blocks write.
+ * the layer-1 products of the points it gathers from (delayed
+ * aggregation), and the tensor its blocks write.
  */
 struct FrameLevel
 {
     GatherOp op;
     std::size_t k = 0;
+    const Tensor *delayed = nullptr; //!< [gathered points, layer-1 width]
     Tensor *out = nullptr;
+    Tensor *next = nullptr; //!< out times the next level's delayed rows
     Octree localTree;
     GatherResult gathered;         //!< whole-level gather
     const VegKnn *knn = nullptr;   //!< blocked: the VEG gatherer
@@ -462,17 +472,34 @@ struct PointNet2::FrameRun
     Rng rng;
     std::vector<Level> levels; //!< input, then one per SA level
     const Tensor *carried = nullptr; //!< FP: features from above
+    /** The next level's delayed layer-1 products of the features the
+     * last level wrote, which that level computed (null when the
+     * next level has no delayed rows, and before SA0: its input
+     * features get a pass of their own). */
+    const Tensor *delayed = nullptr;
     RunOutput out;
 };
 
+const Mlp *
+PointNet2::delayedConsumer(std::size_t step) const
+{
+    const std::size_t levels = arch.sa.size();
+    const Mlp *next = nullptr;
+    if (step + 1 < levels)
+        next = &sa_mlps[step + 1];
+    else if (arch.segmentation && step + 1 < 2 * levels)
+        next = &fp_mlps[2 * levels - 2 - step];
+    return next != nullptr && next->hasDelayed() ? next : nullptr;
+}
+
 void
 PointNet2::runSaLevel(std::size_t layer, std::span<FrameRun> frames,
-                      const RunOptions &opts, FrameWorkspace &ws) const
+                      const RunOptions &opts, FrameWorkspace &ws,
+                      const Mlp *next) const
 {
     const SaLayerSpec &spec = arch.sa[layer];
     const Mlp &mlp = sa_mlps[layer];
     const std::string name = "sa" + std::to_string(layer);
-    const std::size_t c_in = frames[0].levels.back().features->cols();
     const std::size_t k = spec.k;
 
     std::vector<FrameLevel> lv(frames.size());
@@ -568,21 +595,35 @@ PointNet2::runSaLevel(std::size_t layer, std::span<FrameRun> frames,
             l.gatherWhole(knn.gather(centroids, k));
         }
         l.out = &ws.tensor(spec.npoint, mlp.outWidth());
+        if (mlp.hasDelayed()) {
+            if (fr.delayed == nullptr) { // input features: no producer
+                Tensor &own = ws.tensor(n, mlp.firstWidth());
+                mlp.forwardDelayed(*in.features, own, opts.intraOpThreads);
+                fr.delayed = &own;
+            }
+            l.delayed = fr.delayed;
+        }
+        if (next != nullptr)
+            l.next = &ws.tensor(spec.npoint, next->firstWidth());
     }
 
     // --- Gather, grouped rows, MLP and max-pool, block by block
-    // (Fig. 2, steps 2-3). ---------------------------------------------
+    // (Fig. 2, steps 2-3). A grouped row is its relative coordinates
+    // plus, with features, the neighbor's layer-1 products. ---------
     const std::vector<std::size_t> items(frames.size(), spec.npoint);
-    Region region(items, k, k, mlp.macsPerRow(), 3 + c_in,
-                  mlp.maxWidth(), opts, ws);
+    Region region(items, k, k, mlp.macsPerRow(), 3, mlp.maxWidth(), opts,
+                  ws);
     region.run([&](BlockScratch &bs, const Block &blk) {
         FrameLevel &l = lv[blk.frame];
         const Level &in = frames[blk.frame].levels.back();
         const std::span<const Vec3> center = centers[blk.frame];
         const std::size_t rows = (blk.end - blk.begin) * k;
         const PointIndex *neigh = l.neighbors(blk, bs);
+        const Tensor *pre = l.delayed;
         Tensor &x = *bs.x;
-        x.resizeUninit(rows, 3 + c_in);
+        x.resizeUninit(rows, 3);
+        if (pre != nullptr)
+            bs.ping->resizeUninit(rows, pre->cols());
         for (std::size_t r = 0; r < rows; ++r) {
             const PointIndex pi = neigh[r];
             float *row = x.row(r);
@@ -590,16 +631,19 @@ PointNet2::runSaLevel(std::size_t layer, std::span<FrameRun> frames,
             row[0] = rel.x;
             row[1] = rel.y;
             row[2] = rel.z;
-            if (c_in > 0)
-                std::copy(in.features->row(pi),
-                          in.features->row(pi) + c_in, row + 3);
+            if (pre != nullptr)
+                std::copy(pre->row(pi), pre->row(pi) + pre->cols(),
+                          bs.ping->row(r));
         }
         mlp.forwardRows(x, *bs.ping, *bs.pong)
             .maxPoolGroupsRowsInto(k, 0, rows, *l.out, blk.begin);
+        if (l.next != nullptr)
+            next->forwardDelayedRows(*l.out, *l.next, blk.begin, blk.end);
     });
 
     for (std::size_t f = 0; f < frames.size(); ++f) {
         FrameLevel &l = lv[f];
+        frames[f].delayed = l.next;
         l.finish(region.frameCounters(f));
         ExecutionTrace &trace = frames[f].out.trace;
         trace.gathers.push_back(std::move(l.op));
@@ -610,7 +654,8 @@ PointNet2::runSaLevel(std::size_t layer, std::span<FrameRun> frames,
 
 void
 PointNet2::runGroupAll(std::size_t layer, std::span<FrameRun> frames,
-                       const RunOptions &opts, FrameWorkspace &ws) const
+                       const RunOptions &opts, FrameWorkspace &ws,
+                       const Mlp *next) const
 {
     // One neighborhood per frame holding every point, centered at
     // the centroid of the level.
@@ -654,19 +699,25 @@ PointNet2::runGroupAll(std::size_t layer, std::span<FrameRun> frames,
         out.maxPoolGroupsRowsInto(rows[f], offsets[f],
                                   offsets[f] + rows[f], pooled, 0);
         frames[f].levels.push_back({centers[f], &pooled});
+        frames[f].delayed = nullptr;
+        if (next != nullptr) { // one row: no region
+            Tensor &products = ws.tensor(1, next->firstWidth());
+            next->forwardDelayed(pooled, products, 1);
+            frames[f].delayed = &products;
+        }
     }
 }
 
 void
 PointNet2::runFpLevel(std::size_t layer, std::span<FrameRun> frames,
-                      const RunOptions &opts, FrameWorkspace &ws) const
+                      const RunOptions &opts, FrameWorkspace &ws,
+                      const Mlp *next) const
 {
     const Mlp &mlp = fp_mlps[layer];
     // The head runs per point too, so FP level 0's blocks carry
     // their rows on through it straight into the logits.
     const Mlp *head = layer == 0 ? head_mlp.get() : nullptr;
     const std::string name = "fp" + std::to_string(layer);
-    const std::size_t c_coarse = frames[0].carried->cols();
     const std::size_t c_skip = frames[0].levels[layer].features->cols();
 
     std::vector<FrameLevel> lv(frames.size());
@@ -712,6 +763,9 @@ PointNet2::runFpLevel(std::size_t layer, std::span<FrameRun> frames,
         } else {
             l.out = &ws.tensor(items[f], mlp.outWidth());
         }
+        l.delayed = fr.delayed; // from the level above, always
+        if (next != nullptr)
+            l.next = &ws.tensor(items[f], next->firstWidth());
     }
 
     const std::size_t mlp_cols =
@@ -720,21 +774,25 @@ PointNet2::runFpLevel(std::size_t layer, std::span<FrameRun> frames,
         mlp.macsPerRow() + (head ? head->macsPerRow() : 0);
     // The head's first layer writes into the block's input buffer.
     Region region(items, 1, 3, macs_per_row,
-                  std::max(c_coarse + c_skip, head ? mlp_cols : 0),
-                  mlp_cols, opts, ws);
+                  std::max(c_skip, head ? mlp_cols : 0), mlp_cols, opts,
+                  ws);
     region.run([&](BlockScratch &bs, const Block &blk) {
         FrameRun &fr = frames[blk.frame];
         FrameLevel &l = lv[blk.frame];
         const Level &fine = fr.levels[layer];
         const std::span<const Vec3> coarse = fr.levels[layer + 1].positions;
-        const Tensor &coarse_f = *fr.carried;
+        const Tensor &pre = *l.delayed;
+        const std::size_t width = pre.cols();
         const std::size_t k = l.k;
         const std::size_t rows = blk.end - blk.begin;
         const PointIndex *neigh = l.neighbors(blk, bs);
 
-        // Inverse-distance-weighted feature interpolation.
+        // Inverse-distance-weighted interpolation of the coarse
+        // points' layer-1 products, beside the skip features.
         Tensor &x = *bs.x;
-        x.resizeUninit(rows, c_coarse + c_skip);
+        Tensor &interp = *bs.ping;
+        x.resizeUninit(rows, c_skip);
+        interp.resizeUninit(rows, width);
         for (std::size_t r = 0; r < rows; ++r) {
             const std::size_t i = blk.begin + r;
             const PointIndex *nb = neigh + r * k;
@@ -745,15 +803,17 @@ PointNet2::runFpLevel(std::size_t layer, std::span<FrameRun> frames,
                 weights[j] = 1.0f / (d + 1e-8f);
                 total += weights[j];
             }
-            float *row = x.row(r);
-            for (std::size_t c = 0; c < c_coarse; ++c) {
-                float v = 0.0f;
-                for (std::size_t j = 0; j < k; ++j)
-                    v += weights[j] / total * coarse_f.at(nb[j], c);
-                row[c] = v;
+            float *acc = interp.row(r);
+            std::fill(acc, acc + width, 0.0f);
+            for (std::size_t j = 0; j < k; ++j) {
+                const float w = weights[j] / total;
+                const float *g = pre.row(nb[j]);
+                for (std::size_t c = 0; c < width; ++c)
+                    acc[c] += w * g[c];
             }
-            for (std::size_t c = 0; c < c_skip; ++c)
-                row[c_coarse + c] = fine.features->at(i, c);
+            if (c_skip > 0)
+                std::copy(fine.features->row(i),
+                          fine.features->row(i) + c_skip, x.row(r));
         }
         const Tensor &y = mlp.forwardRows(x, *bs.ping, *bs.pong);
         if (head != nullptr) {
@@ -762,11 +822,15 @@ PointNet2::runFpLevel(std::size_t layer, std::span<FrameRun> frames,
                 .copyRowsInto(0, rows, *l.out, blk.begin);
         } else {
             y.copyRowsInto(0, rows, *l.out, blk.begin);
+            if (l.next != nullptr)
+                next->forwardDelayedRows(*l.out, *l.next, blk.begin,
+                                         blk.end);
         }
     });
 
     for (std::size_t f = 0; f < frames.size(); ++f) {
         FrameLevel &l = lv[f];
+        frames[f].delayed = l.next;
         l.finish(region.frameCounters(f));
         ExecutionTrace &trace = frames[f].out.trace;
         trace.gathers.push_back(std::move(l.op));
@@ -844,17 +908,19 @@ PointNet2::runFrames(std::span<const PointCloud *const> inputs,
     }
     frames[0].inputOctree = input_octree;
 
-    for (std::size_t i = 0; i < arch.sa.size(); ++i) {
+    const std::size_t levels = arch.sa.size();
+    for (std::size_t i = 0; i < levels; ++i) {
         if (arch.sa[i].npoint == 0)
-            runGroupAll(i, frames, opts, ws);
+            runGroupAll(i, frames, opts, ws, delayedConsumer(i));
         else
-            runSaLevel(i, frames, opts, ws);
+            runSaLevel(i, frames, opts, ws, delayedConsumer(i));
     }
     if (arch.segmentation) {
         for (FrameRun &fr : frames)
             fr.carried = fr.levels.back().features;
-        for (std::size_t t = arch.sa.size(); t-- > 0;)
-            runFpLevel(t, frames, opts, ws);
+        for (std::size_t t = levels; t-- > 0;)
+            runFpLevel(t, frames, opts, ws,
+                       delayedConsumer(2 * levels - 1 - t));
     } else {
         runHead(frames, opts, ws);
     }

@@ -135,8 +135,9 @@ struct RunOptions
      * Host threads running this frame's levels (>= 1). Each SA/FP
      * level is one parallel region over blocks of centroids (SA) or
      * fine points (FP); a block runs its gather, grouped-row fill,
-     * the whole MLP and the pool or interpolation, and writes its
-     * own output rows. A level uses at most one thread per
+     * the whole MLP and the pool or interpolation, writes its own
+     * output rows, and multiplies them by the next level's delayed
+     * layer-1 rows (delayed aggregation, nn/mlp.h). A level uses at most one thread per
      * kMinMacsPerThread of its MLP work (common/parallel_for.h), so
      * small levels stay on the calling thread. Outputs, traces and
      * gather counters are bit-identical at any value.
@@ -232,19 +233,29 @@ class PointNet2
 
     /** A sampling SA level: per-frame centroid selection (and, for
      * non-VEG methods, the whole gather), then one parallel region
-     * over centroid blocks. */
+     * over centroid blocks. @p next is the MLP of the level run next
+     * when its layer 1 has delayed rows over this level's output
+     * (else null); the blocks compute those products. */
     void runSaLevel(std::size_t layer, std::span<FrameRun> frames,
-                    const RunOptions &opts, FrameWorkspace &ws) const;
+                    const RunOptions &opts, FrameWorkspace &ws,
+                    const Mlp *next) const;
 
     /** A group-all SA level: one neighborhood per frame, its MLP
      * rows split across threads. */
     void runGroupAll(std::size_t layer, std::span<FrameRun> frames,
-                     const RunOptions &opts, FrameWorkspace &ws) const;
+                     const RunOptions &opts, FrameWorkspace &ws,
+                     const Mlp *next) const;
 
     /** An FP level: one parallel region over fine-point blocks;
      * level 0 runs the head in the same blocks. */
     void runFpLevel(std::size_t layer, std::span<FrameRun> frames,
-                    const RunOptions &opts, FrameWorkspace &ws) const;
+                    const RunOptions &opts, FrameWorkspace &ws,
+                    const Mlp *next) const;
+
+    /** @return the MLP whose delayed layer-1 rows read the output of
+     * run-order step @p step (SA levels, then FP levels top-down), or
+     * null. */
+    const Mlp *delayedConsumer(std::size_t step) const;
 
     /** Classification head over each frame's last level. */
     void runHead(std::span<FrameRun> frames, const RunOptions &opts,

@@ -68,8 +68,11 @@ store(float *p, const V &v)
 }
 
 [[gnu::always_inline]] inline float
-finish(float v, const float *bias, std::size_t j, bool relu)
+finish(float v, const float *prior, const float *bias, std::size_t j,
+       bool relu)
 {
+    if (prior)
+        v = v + prior[j];
     if (bias)
         v = v + bias[j];
     return relu ? (v > 0.0f ? v : 0.0f) : v;
@@ -77,8 +80,14 @@ finish(float v, const float *bias, std::size_t j, bool relu)
 
 template <class V>
 [[gnu::always_inline]] inline void
-finish(V &v, const float *bias, std::size_t j, bool relu)
+finish(V &v, const float *prior, const float *bias, std::size_t j,
+       bool relu)
 {
+    if (prior) {
+        V p;
+        load(p, prior + j);
+        v = v + p;
+    }
     if (bias) {
         V b;
         load(b, bias + j);
@@ -92,8 +101,8 @@ finish(V &v, const float *bias, std::size_t j, bool relu)
 
 /** One R x kPanelCols tile: rows [0, R) of a (stride kk) times
  * @p panel, stored to the first @p width columns of rows [0, R) of
- * out (stride n). */
-template <class V, std::size_t R>
+ * out (stride n), plus their prior values when Acc. */
+template <class V, std::size_t R, bool Acc>
 [[gnu::always_inline]] inline void
 gemmTile(const float *a, const float *panel, float *out, std::size_t kk,
          std::size_t n, std::size_t width, const float *bias, bool relu)
@@ -117,10 +126,11 @@ gemmTile(const float *a, const float *panel, float *out, std::size_t kk,
 #pragma GCC unroll 6
     for (std::size_t r = 0; r < R; ++r) {
         float *o = out + r * n;
+        const float *prior = Acc ? o : nullptr;
         if (width == kPanelCols) {
 #pragma GCC unroll 4
             for (std::size_t v = 0; v < per_row; ++v) {
-                finish(acc[r][v], bias, v * lanes, relu);
+                finish(acc[r][v], prior, bias, v * lanes, relu);
                 store(o + v * lanes, acc[r][v]);
             }
         } else {
@@ -129,13 +139,13 @@ gemmTile(const float *a, const float *panel, float *out, std::size_t kk,
             for (std::size_t v = 0; v < per_row; ++v)
                 store(tmp + v * lanes, acc[r][v]);
             for (std::size_t j = 0; j < width; ++j)
-                o[j] = finish(tmp[j], bias, j, relu);
+                o[j] = finish(tmp[j], prior, bias, j, relu);
         }
     }
 }
 
 /** gemmTile() over @p rows rows, 1 <= rows <= R. */
-template <class V, std::size_t R>
+template <class V, std::size_t R, bool Acc>
 [[gnu::always_inline]] inline void
 gemmTileUpTo(std::size_t rows, const float *a, const float *panel,
              float *out, std::size_t kk, std::size_t n,
@@ -143,52 +153,70 @@ gemmTileUpTo(std::size_t rows, const float *a, const float *panel,
 {
     if constexpr (R > 1) {
         if (rows < R) {
-            gemmTileUpTo<V, R - 1>(rows, a, panel, out, kk, n, width,
-                                   bias, relu);
+            gemmTileUpTo<V, R - 1, Acc>(rows, a, panel, out, kk, n, width,
+                                        bias, relu);
             return;
         }
     }
-    gemmTile<V, R>(a, panel, out, kk, n, width, bias, relu);
+    gemmTile<V, R, Acc>(a, panel, out, kk, n, width, bias, relu);
 }
 
 /** Rows [0, rows) of a (stride kk) times the packed [kk, n] panels
- * into out (stride n). */
-template <class V, std::size_t TileRows>
+ * into out (stride n). The accumulating store is its own
+ * instantiation: a runtime flag in the tile's store cost the plain
+ * GEMM a quarter of its rate. */
+template <class V, std::size_t TileRows, bool Acc>
 [[gnu::always_inline]] inline void
-gemmRows(const float *a, const float *panels, float *out,
-         std::size_t rows, std::size_t kk, std::size_t n,
-         const float *bias, bool relu)
+gemmRowsOf(const float *a, const float *panels, float *out,
+           std::size_t rows, std::size_t kk, std::size_t n,
+           const float *bias, bool relu)
 {
     for (std::size_t i = 0; i < rows; i += TileRows) {
         const std::size_t tile_rows = std::min(TileRows, rows - i);
         for (std::size_t j = 0; j < n; j += kPanelCols)
-            gemmTileUpTo<V, TileRows>(
+            gemmTileUpTo<V, TileRows, Acc>(
                 tile_rows, a + i * kk, panels + j * kk, out + i * n + j,
                 kk, n, std::min(kPanelCols, n - j),
                 bias ? bias + j : nullptr, relu);
     }
 }
 
+template <class V, std::size_t TileRows>
+[[gnu::always_inline]] inline void
+gemmRows(const float *a, const float *panels, float *out,
+         std::size_t rows, std::size_t kk, std::size_t n,
+         const float *bias, bool relu, bool accumulate)
+{
+    if (accumulate)
+        gemmRowsOf<V, TileRows, true>(a, panels, out, rows, kk, n, bias,
+                                      relu);
+    else
+        gemmRowsOf<V, TileRows, false>(a, panels, out, rows, kk, n, bias,
+                                       relu);
+}
+
 using GemmRowsFn = void(const float *, const float *, float *,
                         std::size_t, std::size_t, std::size_t,
-                        const float *, bool);
+                        const float *, bool, bool);
 
 /** 6 x 16 tiles of 8-wide vectors: 12 of the 16 ymm registers. */
 [[gnu::target("avx2")]] void
 gemmRowsAvx2(const float *a, const float *panels, float *out,
              std::size_t rows, std::size_t kk, std::size_t n,
-             const float *bias, bool relu)
+             const float *bias, bool relu, bool accumulate)
 {
-    gemmRows<Vec8, 6>(a, panels, out, rows, kk, n, bias, relu);
+    gemmRows<Vec8, 6>(a, panels, out, rows, kk, n, bias, relu,
+                      accumulate);
 }
 
 /** 3 x 16 tiles of 4-wide vectors: 12 of the 16 xmm registers. */
 void
 gemmRowsBaseline(const float *a, const float *panels, float *out,
                  std::size_t rows, std::size_t kk, std::size_t n,
-                 const float *bias, bool relu)
+                 const float *bias, bool relu, bool accumulate)
 {
-    gemmRows<Vec4, 3>(a, panels, out, rows, kk, n, bias, relu);
+    gemmRows<Vec4, 3>(a, panels, out, rows, kk, n, bias, relu,
+                      accumulate);
 }
 
 /** The variant this host runs, chosen once. */
@@ -215,24 +243,41 @@ runGemmRows(GemmRowsFn *fn, const Tensor &a, const PackedPanels &b,
                  "matmul row range out of bounds");
     if (row_begin == row_end || b.cols() == 0)
         return;
+    if (a.cols() == 0) {
+        // No k terms (and no rows of a to point at): acc stays 0.
+        for (std::size_t i = row_begin; i < row_end; ++i) {
+            float *o = out.row(i);
+            for (std::size_t j = 0; j < b.cols(); ++j)
+                o[j] = finish(0.0f, epilogue.accumulate ? o : nullptr,
+                              epilogue.bias, j, epilogue.relu);
+        }
+        return;
+    }
     fn(a.row(row_begin), b.data(), out.row(row_begin),
        row_end - row_begin, a.cols(), b.cols(), epilogue.bias,
-       epilogue.relu);
+       epilogue.relu, epilogue.accumulate);
 }
 
 } // namespace
 
-PackedPanels::PackedPanels(const Tensor &b)
-    : n_rows(b.rows()), n_cols(b.cols()),
+PackedPanels::PackedPanels(const Tensor &b) : PackedPanels(b, 0, b.rows())
+{}
+
+PackedPanels::PackedPanels(const Tensor &b, std::size_t row_begin,
+                           std::size_t row_end)
+    : n_rows(row_end - row_begin), n_cols(b.cols()),
       store((b.cols() + kPanelCols - 1) / kPanelCols * kPanelCols *
-                b.rows(),
+                (row_end - row_begin),
             0.0f)
 {
+    HGPCN_ASSERT(row_begin <= row_end && row_end <= b.rows(),
+                 "packed row range out of bounds");
     for (std::size_t j = 0; j < n_cols; j += kPanelCols) {
         float *panel = store.data() + j * n_rows;
         const std::size_t width = std::min(kPanelCols, n_cols - j);
         for (std::size_t k = 0; k < n_rows; ++k)
-            std::copy(b.row(k) + j, b.row(k) + j + width,
+            std::copy(b.row(row_begin + k) + j,
+                      b.row(row_begin + k) + j + width,
                       panel + k * kPanelCols);
     }
 }

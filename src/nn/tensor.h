@@ -24,13 +24,17 @@ class PackedPanels;
 
 /**
  * What the GEMM applies to each output element as it stores it, in
- * the order of the separate passes it replaces: add bias[j], then
- * ReLU as v > 0 ? v : 0 (which maps -0 and NaN to +0).
+ * the order of the separate passes it replaces: add the element's
+ * prior value (accumulate), then bias[j], then ReLU as
+ * v > 0 ? v : 0 (which maps -0 and NaN to +0).
  */
 struct GemmEpilogue
 {
     const float *bias = nullptr; //!< length out.cols(), or none
     bool relu = false;
+    /** out = a * b + out: the output's rows hold an addend on entry
+     * (delayed aggregation's gathered layer-1 products, nn/mlp.h). */
+    bool accumulate = false;
 };
 
 /** A row-major 2D float tensor. */
@@ -118,6 +122,8 @@ class Tensor
     /**
      * matmulRowsInto() against a pre-packed right-hand side, with
      * @p epilogue applied to each element as its tile is stored.
+     * With a.cols() == 0 every acc stays 0 and only the epilogue
+     * runs.
      */
     static void matmulRowsInto(const Tensor &a, const PackedPanels &b,
                                Tensor &out, std::size_t row_begin,
@@ -188,6 +194,10 @@ class PackedPanels
 
     /** Pack @p b. */
     explicit PackedPanels(const Tensor &b);
+
+    /** Pack rows [row_begin, row_end) of @p b. */
+    PackedPanels(const Tensor &b, std::size_t row_begin,
+                 std::size_t row_end);
 
     /** @return rows of the packed matrix (the GEMM's K). */
     std::size_t rows() const { return n_rows; }

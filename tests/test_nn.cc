@@ -16,11 +16,17 @@
 #include <string>
 
 #include "common/rng.h"
+#include "core/frame_workspace.h"
+#include "core/preprocessing_engine.h"
+#include "datasets/kitti_like.h"
+#include "gather/brute_gatherers.h"
+#include "gather/veg_gatherer.h"
+#include "knn/top_k.h"
+#include "nn/gemm_kernel.h"
 #include "nn/mlp.h"
 #include "nn/pointnet2.h"
-#include "core/frame_workspace.h"
-#include "nn/gemm_kernel.h"
 #include "nn/tensor.h"
+#include "octree/octree.h"
 
 namespace hgpcn
 {
@@ -643,6 +649,38 @@ TEST(Tensor, FusedBiasReluMatchesSeparatePasses)
     }
 }
 
+// Delayed aggregation's layer 1: relu((a * b + prior) + bias), each
+// add rounded separately; with no k terms only the epilogue runs.
+TEST(Tensor, GemmAccumulateAddsPriorBeforeBias)
+{
+    Rng rng(10);
+    for (const std::size_t kk : {0u, 3u, 67u}) {
+        for (const std::size_t n : {15u, 16u, 130u}) {
+            Tensor a(13, kk), b(kk, n), prior(13, n);
+            a.randomize(rng, 1.0f);
+            b.randomize(rng, 1.0f);
+            prior.randomize(rng, 1.0f);
+            std::vector<float> bias(n);
+            for (float &v : bias)
+                v = rng.uniform(-1.0f, 1.0f);
+            Tensor expect = naiveMatmul(a, b);
+            for (std::size_t i = 0; i < 13; ++i)
+                for (std::size_t j = 0; j < n; ++j) {
+                    const float v =
+                        (expect.at(i, j) + prior.at(i, j)) + bias[j];
+                    expect.at(i, j) = v > 0.0f ? v : 0.0f;
+                }
+            const PackedPanels packed(b);
+            for (const auto isa : runnableVariants()) {
+                Tensor out = prior;
+                gemm_kernel::matmulRowsInto(isa, a, packed, out, 0, 13,
+                                            {bias.data(), true, true});
+                EXPECT_TRUE(sameBits(out, expect)) << kk << " x " << n;
+            }
+        }
+    }
+}
+
 TEST(Tensor, GemmSpecialValuesMatchReference)
 {
     // +-0, NaN and +-Inf flow through the tile as through the scalar
@@ -826,18 +864,377 @@ traceDigest(const ExecutionTrace &trace)
     return fnv.h;
 }
 
-// Digests recorded from the scalar GEMM the register-tiled kernel
-// replaced. Every other check compares the kernel with itself (the
-// e2e oracle runs the same GEMM), so a kernel that is wrong the same
-// way everywhere would pass them; these pin the network to fixed
-// values in every build, including -march=x86-64-v3.
+// ------------------------------------------------ scalar reference
+
+/** The order a reference runs layer 1 of every sampling SA level
+ * and every FP level in. */
+enum class Layer1
+{
+    /** Delayed aggregation, the library's order: layer 1's feature
+     * rows multiply each point once (P = F * W_f, G = F * W_coarse);
+     * an SA row is relu(((p - c) * W_xyz + P[nb]) + b) and an FP row
+     * relu((f_skip * W_skip + sum_j w_j * G[nb_j]) + b). */
+    Delayed,
+    /** The order before delayed aggregation: one dot product per
+     * grouped row [p - c; f] or [interpolated f; f_skip]. */
+    Grouped,
+};
+
+/** One layer's weights [in, out] and bias, drawn as Linear draws
+ * them. */
+struct RefLayer
+{
+    Tensor w;
+    std::vector<float> b;
+};
+
+using RefMlp = std::vector<RefLayer>;
+
+RefMlp
+refMlp(std::size_t in, const std::vector<std::size_t> &widths, Rng &rng)
+{
+    RefMlp mlp;
+    for (const std::size_t out : widths) {
+        RefLayer layer{Tensor(in, out), std::vector<float>(out)};
+        layer.w.randomize(
+            rng, std::sqrt(2.0f / static_cast<float>(in > 0 ? in : 1)));
+        for (float &b : layer.b)
+            b = rng.uniform(-0.01f, 0.01f);
+        mlp.push_back(std::move(layer));
+        in = out;
+    }
+    return mlp;
+}
+
+/** A PointNet2's weights, replayed from its seed in the
+ * constructor's draw order (SA levels, FP levels, head). */
+struct RefNetwork
+{
+    PointNet2Spec spec;
+    std::vector<RefMlp> sa, fp;
+    RefMlp head;
+
+    RefNetwork(const PointNet2Spec &s, std::uint64_t weight_seed) : spec(s)
+    {
+        Rng rng(weight_seed);
+        const std::size_t levels = spec.sa.size();
+        std::vector<std::size_t> width(levels + 1, spec.inputFeatureDim);
+        for (std::size_t i = 0; i < levels; ++i) {
+            sa.push_back(refMlp(3 + width[i], spec.sa[i].mlp, rng));
+            width[i + 1] = spec.sa[i].mlp.back();
+        }
+        std::size_t head_in = width[levels];
+        if (spec.segmentation) {
+            for (std::size_t t = 0; t < levels; ++t) {
+                const std::size_t above = t + 1 == levels
+                                              ? width[levels]
+                                              : spec.fp[t + 1].mlp.back();
+                fp.push_back(refMlp(above + width[t], spec.fp[t].mlp, rng));
+            }
+            head_in = spec.fp[0].mlp.back();
+        }
+        std::vector<std::size_t> head_widths = spec.head;
+        head_widths.push_back(spec.numClasses);
+        head = refMlp(head_in, head_widths, rng);
+    }
+};
+
+/** acc[o] = 0, then acc[o] += x[k] * w[k0 + k][o] for ascending k:
+ * the GEMM kernel's order for every element. Single-threaded test
+ * arithmetic, so ThreadSanitizer builds leave it uninstrumented: the
+ * drift tests run under TSan for the library's regions, and this
+ * loop would otherwise take minutes there. */
+__attribute__((no_sanitize_thread)) void
+refDot(const float *x, std::size_t kk, const Tensor &w, std::size_t k0,
+       float *acc)
+{
+    std::fill(acc, acc + w.cols(), 0.0f);
+    for (std::size_t k = 0; k < kk; ++k) {
+        const float *wk = w.row(k0 + k);
+        for (std::size_t o = 0; o < w.cols(); ++o)
+            acc[o] += x[k] * wk[o];
+    }
+}
+
+/** v += bias, then ReLU as v > 0 ? v : 0. */
+void
+refFinish(std::vector<float> &v, const RefLayer &layer, bool relu)
+{
+    for (std::size_t o = 0; o < v.size(); ++o) {
+        const float t = v[o] + layer.b[o];
+        v[o] = relu ? (t > 0.0f ? t : 0.0f) : t;
+    }
+}
+
+/** Layers [first, end) of @p mlp over one row. */
+std::vector<float>
+refLayers(const RefMlp &mlp, std::size_t first, std::vector<float> x,
+          bool final_relu)
+{
+    for (std::size_t i = first; i < mlp.size(); ++i) {
+        std::vector<float> y(mlp[i].w.cols());
+        refDot(x.data(), x.size(), mlp[i].w, 0, y.data());
+        refFinish(y, mlp[i], i + 1 < mlp.size() || final_relu);
+        x = std::move(y);
+    }
+    return x;
+}
+
+/** Column-wise max of @p row into @p pooled (the first row copies). */
+void
+refPool(std::vector<float> &pooled, const std::vector<float> &row,
+        bool first)
+{
+    if (first) {
+        pooled = row;
+        return;
+    }
+    for (std::size_t c = 0; c < row.size(); ++c)
+        pooled[c] = std::max(pooled[c], row[c]);
+}
+
+/** Row @p r of @p t (empty for a zero-width tensor, whose rows have
+ * no address). */
+std::vector<float>
+refRow(const Tensor &t, std::size_t r)
+{
+    if (t.cols() == 0)
+        return {};
+    return {t.row(r), t.row(r) + t.cols()};
+}
+
+PointCloud
+refCloud(std::span<const Vec3> positions)
+{
+    PointCloud cloud;
+    for (const Vec3 &p : positions)
+        cloud.add(p);
+    return cloud;
+}
+
+/** The octree a VEG level gathers over. */
+Octree
+refTree(std::span<const Vec3> positions)
+{
+    Octree::Config cfg;
+    cfg.maxDepth = 12;
+    return Octree::build(refCloud(positions), cfg);
+}
+
+/** @return the k neighbors (indices into @p points) of each query,
+ * through @p mode's VEG over a tree of @p points. */
+std::vector<PointIndex>
+refVeg(std::span<const Vec3> points, std::span<const Vec3> queries,
+       std::size_t k, VegMode mode, std::uint64_t seed)
+{
+    const Octree tree = refTree(points);
+    VegKnn::Config cfg;
+    cfg.mode = mode;
+    cfg.seed = seed;
+    VegKnn knn(tree, cfg);
+    std::vector<PointIndex> nb = knn.gatherAt(queries, k).neighbors;
+    for (PointIndex &i : nb)
+        i = tree.permutation()[i];
+    return nb;
+}
+
+/** One resolution level of a reference run. */
+struct RefLevel
+{
+    std::vector<Vec3> positions;
+    Tensor features;
+};
+
+/**
+ * PointNet2::run() recomputed one row at a time in @p order:
+ * random centroids, DsMethod::Veg (no input octree) or
+ * DsMethod::BruteKnn gathers, and every MLP through refDot(). The
+ * neighbor sets come from the library's gatherers, called whole-level
+ * as before levels ran in blocks.
+ */
+Tensor
+refRun(const RefNetwork &net, const PointCloud &input,
+       const RunOptions &opts, Layer1 order)
+{
+    EXPECT_EQ(opts.centroid, CentroidMethod::Random);
+    EXPECT_TRUE(opts.ds == DsMethod::Veg || opts.ds == DsMethod::BruteKnn);
+    const bool veg = opts.ds == DsMethod::Veg;
+    const PointNet2Spec &spec = net.spec;
+    Rng rng(opts.seed);
+    std::vector<RefLevel> levels(1);
+    levels[0].positions.assign(input.positions().begin(),
+                               input.positions().end());
+    levels[0].features = Tensor(input.size(), spec.inputFeatureDim);
+    for (std::size_t i = 0; i < input.size(); ++i) {
+        const auto f = input.feature(static_cast<PointIndex>(i));
+        if (!f.empty())
+            std::copy(f.begin(), f.end(), levels[0].features.row(i));
+    }
+
+    for (std::size_t l = 0; l < spec.sa.size(); ++l) {
+        const RefLevel &in = levels[l];
+        const RefMlp &mlp = net.sa[l];
+        const std::size_t n = in.positions.size();
+        const std::size_t c_in = in.features.cols();
+        const std::size_t width = mlp[0].w.cols();
+        RefLevel next;
+        if (spec.sa[l].npoint == 0) { // group-all: one grouped GEMM
+            Vec3 mean{0, 0, 0};
+            for (const Vec3 &p : in.positions)
+                mean += p;
+            mean = mean / static_cast<float>(n);
+            std::vector<float> pooled;
+            for (std::size_t i = 0; i < n; ++i) {
+                const Vec3 rel = in.positions[i] - mean;
+                std::vector<float> x = {rel.x, rel.y, rel.z};
+                const std::vector<float> f = refRow(in.features, i);
+                x.insert(x.end(), f.begin(), f.end());
+                refPool(pooled, refLayers(mlp, 0, x, true), i == 0);
+            }
+            next.positions = {mean};
+            next.features = Tensor(1, pooled.size());
+            std::copy(pooled.begin(), pooled.end(), next.features.row(0));
+            levels.push_back(std::move(next));
+            continue;
+        }
+        const std::size_t m = spec.sa[l].npoint;
+        const std::size_t k = spec.sa[l].k;
+        std::vector<PointIndex> centroids(n);
+        std::iota(centroids.begin(), centroids.end(), 0u);
+        for (std::size_t i = 0; i < m; ++i)
+            std::swap(centroids[i], centroids[i + rng.below(n - i)]);
+        centroids.resize(m);
+        for (const PointIndex c : centroids)
+            next.positions.push_back(in.positions[c]);
+        std::vector<PointIndex> nb;
+        if (veg) {
+            nb = refVeg(in.positions, next.positions, k, VegMode::Paper,
+                        opts.seed);
+        } else {
+            const PointCloud cloud = refCloud(in.positions);
+            nb = BruteKnn(cloud).gather(centroids, k).neighbors;
+        }
+        const bool delayed = order == Layer1::Delayed && c_in > 0;
+        Tensor p_f(delayed ? n : 0, width);
+        for (std::size_t i = 0; i < p_f.rows(); ++i)
+            refDot(refRow(in.features, i).data(), c_in, mlp[0].w, 3,
+                   p_f.row(i));
+        next.features = Tensor(m, spec.sa[l].mlp.back());
+        for (std::size_t c = 0; c < m; ++c) {
+            std::vector<float> pooled;
+            for (std::size_t j = 0; j < k; ++j) {
+                const PointIndex pi = nb[c * k + j];
+                const Vec3 rel = in.positions[pi] - next.positions[c];
+                std::vector<float> x = {rel.x, rel.y, rel.z};
+                if (!delayed) {
+                    const std::vector<float> f = refRow(in.features, pi);
+                    x.insert(x.end(), f.begin(), f.end());
+                }
+                std::vector<float> h(width);
+                refDot(x.data(), x.size(), mlp[0].w, 0, h.data());
+                for (std::size_t o = 0; delayed && o < width; ++o)
+                    h[o] = h[o] + p_f.at(pi, o);
+                refFinish(h, mlp[0], true);
+                refPool(pooled, refLayers(mlp, 1, h, true), j == 0);
+            }
+            std::copy(pooled.begin(), pooled.end(),
+                      next.features.row(c));
+        }
+        levels.push_back(std::move(next));
+    }
+
+    if (!spec.segmentation) {
+        const Tensor &top = levels.back().features;
+        Tensor logits(top.rows(), spec.numClasses);
+        for (std::size_t r = 0; r < top.rows(); ++r) {
+            const std::vector<float> y =
+                refLayers(net.head, 0, refRow(top, r), false);
+            std::copy(y.begin(), y.end(), logits.row(r));
+        }
+        return logits;
+    }
+
+    Tensor carried = levels.back().features;
+    for (std::size_t t = spec.sa.size(); t-- > 0;) {
+        const RefMlp &mlp = net.fp[t];
+        const RefLevel &fine = levels[t];
+        const std::vector<Vec3> &coarse = levels[t + 1].positions;
+        const std::size_t n_c = coarse.size();
+        const std::size_t n_f = fine.positions.size();
+        const std::size_t c_coarse = carried.cols();
+        const std::size_t c_skip = fine.features.cols();
+        const std::size_t width = mlp[0].w.cols();
+        const std::size_t k = std::min<std::size_t>(3, n_c);
+        std::vector<PointIndex> nb;
+        if (veg && n_c > 4 * k) {
+            nb = refVeg(coarse, fine.positions, k, VegMode::Strict, 1);
+        } else {
+            std::vector<ScoredNeighbor> scored(n_c);
+            for (const Vec3 &q : fine.positions) {
+                for (std::size_t i = 0; i < n_c; ++i)
+                    scored[i] = {coarse[i].distSq(q),
+                                 static_cast<PointIndex>(i)};
+                selectTopK(scored, k);
+                for (std::size_t j = 0; j < k; ++j)
+                    nb.push_back(scored[j].second);
+            }
+        }
+        const bool delayed = order == Layer1::Delayed;
+        Tensor g(delayed ? n_c : 0, width);
+        for (std::size_t i = 0; i < g.rows(); ++i)
+            refDot(carried.row(i), c_coarse, mlp[0].w, 0, g.row(i));
+        Tensor out(n_f, t == 0 ? spec.numClasses : spec.fp[t].mlp.back());
+        for (std::size_t i = 0; i < n_f; ++i) {
+            float w[3] = {0, 0, 0};
+            float total = 0.0f;
+            for (std::size_t j = 0; j < k; ++j) {
+                w[j] = 1.0f / (coarse[nb[i * k + j]].distSq(
+                                   fine.positions[i]) +
+                               1e-8f);
+                total += w[j];
+            }
+            std::vector<float> h(width);
+            const std::vector<float> skip = refRow(fine.features, i);
+            if (delayed) {
+                refDot(skip.data(), c_skip, mlp[0].w, c_coarse, h.data());
+                for (std::size_t o = 0; o < width; ++o) {
+                    float v = 0.0f;
+                    for (std::size_t j = 0; j < k; ++j)
+                        v += w[j] / total * g.at(nb[i * k + j], o);
+                    h[o] = h[o] + v;
+                }
+            } else {
+                std::vector<float> x(c_coarse + c_skip);
+                for (std::size_t c = 0; c < c_coarse; ++c)
+                    for (std::size_t j = 0; j < k; ++j)
+                        x[c] += w[j] / total * carried.at(nb[i * k + j], c);
+                std::copy(skip.begin(), skip.end(), x.data() + c_coarse);
+                refDot(x.data(), x.size(), mlp[0].w, 0, h.data());
+            }
+            refFinish(h, mlp[0], true);
+            std::vector<float> y = refLayers(mlp, 1, h, true);
+            if (t == 0)
+                y = refLayers(net.head, 0, y, false);
+            std::copy(y.begin(), y.end(), out.row(i));
+        }
+        carried = std::move(out);
+    }
+    return carried;
+}
+
+// Digests recorded from the scalar reference, refRun() in the
+// delayed layer-1 order (ScalarReference.* checks it reproduces
+// them). Every other check compares the kernel with itself (the e2e
+// oracle runs the same GEMM), so a kernel that is wrong the same way
+// everywhere would pass them; these pin the network to fixed values
+// in every build, including -march=x86-64-v3.
 TEST(NetworkDigest, SemanticSegmentationVeg)
 {
     const PointNet2 net(PointNet2Spec::semanticSegmentation(), 42);
     RunOptions opts;
     opts.ds = DsMethod::Veg;
     const RunOutput out = net.run(randomCloud(4096, 31), opts);
-    EXPECT_EQ(logitsDigest(out.logits), 0x216c000198577985ull);
+    EXPECT_EQ(logitsDigest(out.logits), 0x410e5f3ba4e3a0a0ull);
 }
 
 TEST(NetworkDigest, EdgeClassifierSoloAndBatched)
@@ -850,8 +1247,8 @@ TEST(NetworkDigest, EdgeClassifierSoloAndBatched)
     for (const PointCloud &c : clouds)
         ptrs.push_back(&c);
     const std::uint64_t expect[4] = {
-        0x211b689fe6038cc7ull, 0x680688019525bab2ull,
-        0x1481ba758e65e9c7ull, 0xa7513e733a6b698aull};
+        0x727297f8aa660c17ull, 0x6bcf98f7d567e802ull,
+        0xe5c8bd6f00dd7cfbull, 0x1dfe0b8f66609fb7ull};
     const std::vector<RunOutput> batch = net.runBatch(ptrs);
     ASSERT_EQ(batch.size(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -875,9 +1272,11 @@ struct FrameDigest
  * Run every cloud solo and all of them as one batch, at every
  * intra-op thread count and block size (1, 7, 64, whole level),
  * through one shared workspace; each frame's logits and full trace
- * must equal @p expect. The digests were recorded from the serial
- * execution that ran each level whole (gather, then one GEMM per
- * layer over all rows, then pool), before levels ran in blocks.
+ * must equal @p expect. The logits digests come from the scalar
+ * reference (refRun(), delayed order); the trace digests were
+ * recorded from the serial execution that ran each level whole
+ * (gather, then one GEMM per layer over all rows, then pool), before
+ * levels ran in blocks.
  */
 void
 expectInvariant(const PointNet2 &net, const std::vector<PointCloud> &clouds,
@@ -924,8 +1323,8 @@ TEST(ThreadInvariance, SemanticSegmentationVeg)
     RunOptions opts;
     opts.ds = DsMethod::Veg;
     const FrameDigest expect[] = {
-        {0x216c000198577985ull, 0x75b08b11f2e43e66ull},
-        {0xc2bcae0f73b455efull, 0xd4306ccd40548514ull}};
+        {0x410e5f3ba4e3a0a0ull, 0x75b08b11f2e43e66ull},
+        {0xfd347b1ff41bcdb2ull, 0xd4306ccd40548514ull}};
     expectInvariant(net, {randomCloud(4096, 31), randomCloud(4096, 32)},
                     opts, expect);
 }
@@ -936,7 +1335,7 @@ TEST(ThreadInvariance, SemanticSegmentationSpatialHashKnn)
     RunOptions opts;
     opts.ds = DsMethod::BruteKnn;
     const FrameDigest expect[] = {
-        {0x6d8206f62d1e9740ull, 0xea44a46aa2fa7d94ull}};
+        {0x89875284ff603da7ull, 0xea44a46aa2fa7d94ull}};
     expectInvariant(net, {randomCloud(4096, 31)}, opts, expect);
 }
 
@@ -949,18 +1348,18 @@ TEST(ThreadInvariance, EdgeClassifier)
     for (std::uint64_t s = 0; s < 4; ++s)
         clouds.push_back(randomCloud(256, 40 + s));
     const FrameDigest knn[] = {
-        {0x211b689fe6038cc7ull, 0xfe0e9dcf03a75cb4ull},
-        {0x680688019525bab2ull, 0xfe0e9dcf03a75cb4ull},
-        {0x1481ba758e65e9c7ull, 0xfe0e9dcf03a75cb4ull},
-        {0xa7513e733a6b698aull, 0xfe0e9dcf03a75cb4ull}};
+        {0x727297f8aa660c17ull, 0xfe0e9dcf03a75cb4ull},
+        {0x6bcf98f7d567e802ull, 0xfe0e9dcf03a75cb4ull},
+        {0xe5c8bd6f00dd7cfbull, 0xfe0e9dcf03a75cb4ull},
+        {0x1dfe0b8f66609fb7ull, 0xfe0e9dcf03a75cb4ull}};
     expectInvariant(net, clouds, RunOptions{}, knn);
     RunOptions veg;
     veg.ds = DsMethod::Veg;
     const FrameDigest veg_expect[] = {
-        {0x276cefdb4192f2fdull, 0x4726ca71ac48d03full},
-        {0x3551d6b7d168ca4full, 0xf5cc31b4f5f5d2c0ull},
-        {0x0e6637d2c9a0e6d7ull, 0x0e9256d14166bcf3ull},
-        {0x5a37c51737b48a3eull, 0x039eb3094aff0dc3ull}};
+        {0x997282a31b9f6fafull, 0x4726ca71ac48d03full},
+        {0x1dddc015d4d2a8cfull, 0xf5cc31b4f5f5d2c0ull},
+        {0xeca86bc19d322675ull, 0x0e9256d14166bcf3ull},
+        {0xc6be85d09418a023ull, 0x039eb3094aff0dc3ull}};
     expectInvariant(net, clouds, veg, veg_expect);
 }
 
@@ -972,7 +1371,7 @@ TEST(ThreadInvariance, ClassificationVeg)
     RunOptions opts;
     opts.ds = DsMethod::Veg;
     const FrameDigest expect[] = {
-        {0xec59f20d2e5ab411ull, 0x52273885f7a1a906ull}};
+        {0x41720e24f6bf7163ull, 0x52273885f7a1a906ull}};
     expectInvariant(net, {randomCloud(1024, 50)}, opts, expect);
 }
 
@@ -992,6 +1391,159 @@ TEST(ThreadInvariance, ParallelRegionsStopGrowingTheWorkspace)
     for (int i = 0; i < 3; ++i)
         (void)net.run(cloud, opts);
     EXPECT_EQ(FrameWorkspace::backingGrowths(), warm);
+}
+
+// --------------------------------------------- delayed aggregation
+
+// The library against the scalar reference in both orders. The
+// delayed order is the library's own, bit for bit, so it pins the
+// digests above; the grouped order is the arithmetic before delayed
+// aggregation, and reproduces every digest pinned before it.
+TEST(ScalarReference, ReproducesPinnedDigestsInBothOrders)
+{
+    struct Pinned
+    {
+        PointNet2Spec spec;
+        DsMethod ds;
+        std::size_t points;
+        std::uint64_t cloudSeed;
+        std::uint64_t delayed; //!< the library's digest
+        std::uint64_t grouped; //!< the digest before delayed aggregation
+    };
+    const PointNet2Spec seg = PointNet2Spec::semanticSegmentation();
+    const PointNet2Spec edge = PointNet2Spec::edgeClassification();
+    const PointNet2Spec cls = PointNet2Spec::classification(4);
+    const Pinned pinned[] = {
+        {seg, DsMethod::Veg, 4096, 31, 0x410e5f3ba4e3a0a0ull,
+         0x216c000198577985ull},
+        {seg, DsMethod::Veg, 4096, 32, 0xfd347b1ff41bcdb2ull,
+         0xc2bcae0f73b455efull},
+        {seg, DsMethod::BruteKnn, 4096, 31, 0x89875284ff603da7ull,
+         0x6d8206f62d1e9740ull},
+        {edge, DsMethod::BruteKnn, 256, 40, 0x727297f8aa660c17ull,
+         0x211b689fe6038cc7ull},
+        {edge, DsMethod::BruteKnn, 256, 41, 0x6bcf98f7d567e802ull,
+         0x680688019525bab2ull},
+        {edge, DsMethod::BruteKnn, 256, 42, 0xe5c8bd6f00dd7cfbull,
+         0x1481ba758e65e9c7ull},
+        {edge, DsMethod::BruteKnn, 256, 43, 0x1dfe0b8f66609fb7ull,
+         0xa7513e733a6b698aull},
+        {edge, DsMethod::Veg, 256, 40, 0x997282a31b9f6fafull,
+         0x276cefdb4192f2fdull},
+        {edge, DsMethod::Veg, 256, 41, 0x1dddc015d4d2a8cfull,
+         0x3551d6b7d168ca4full},
+        {edge, DsMethod::Veg, 256, 42, 0xeca86bc19d322675ull,
+         0x0e6637d2c9a0e6d7ull},
+        {edge, DsMethod::Veg, 256, 43, 0xc6be85d09418a023ull,
+         0x5a37c51737b48a3eull},
+        {cls, DsMethod::Veg, 1024, 50, 0x41720e24f6bf7163ull,
+         0xec59f20d2e5ab411ull},
+    };
+    for (const Pinned &p : pinned) {
+        SCOPED_TRACE(testing::Message() << p.spec.name << " "
+                                        << toString(p.ds) << " cloud "
+                                        << p.cloudSeed);
+        const RefNetwork ref(p.spec, 42);
+        const PointCloud cloud = randomCloud(p.points, p.cloudSeed);
+        RunOptions opts;
+        opts.ds = p.ds;
+        EXPECT_EQ(logitsDigest(refRun(ref, cloud, opts, Layer1::Delayed)),
+                  p.delayed);
+        EXPECT_EQ(logitsDigest(refRun(ref, cloud, opts, Layer1::Grouped)),
+                  p.grouped);
+    }
+}
+
+/** The bound on |library - grouped reference| per logit: measured
+ * at 1.5e-8 over the test clouds and 4.2e-9 over the KittiLike
+ * frames. */
+constexpr float kMaxLogitDrift = 1e-7f;
+
+/**
+ * Run @p cloud through the library at three threads (so the delayed
+ * products are computed inside parallel regions) and through the
+ * grouped reference: labels must be equal and every logit within
+ * kMaxLogitDrift. @return the largest |difference|.
+ */
+float
+expectSmallDrift(const PointNet2 &net, const RefNetwork &ref,
+                 const PointCloud &cloud, RunOptions opts)
+{
+    FrameWorkspace ws;
+    opts.workspace = &ws;
+    opts.intraOpThreads = 3;
+    const RunOutput lib = net.run(cloud, opts);
+    const Tensor grouped = refRun(ref, cloud, opts, Layer1::Grouped);
+    EXPECT_EQ(lib.logits.rows(), grouped.rows());
+    EXPECT_EQ(lib.logits.cols(), grouped.cols());
+    float worst = 0.0f;
+    std::size_t relabelled = 0;
+    for (std::size_t r = 0; r < grouped.rows(); ++r) {
+        relabelled += lib.labels[r] != grouped.argmaxRow(r);
+        for (std::size_t c = 0; c < grouped.cols(); ++c)
+            worst = std::max(worst, std::fabs(lib.logits.at(r, c) -
+                                              grouped.at(r, c)));
+    }
+    EXPECT_EQ(relabelled, 0u);
+    EXPECT_LE(worst, kMaxLogitDrift);
+    return worst;
+}
+
+// Delayed aggregation changes only the order of layer 1's sums, so
+// every label stays and the logits move by rounding alone.
+TEST(DelayedAggregationDrift, TestClouds)
+{
+    float worst = 0.0f;
+    const PointNet2Spec seg = PointNet2Spec::semanticSegmentation();
+    const PointNet2 seg_net(seg, 42);
+    const RefNetwork seg_ref(seg, 42);
+    RunOptions veg;
+    veg.ds = DsMethod::Veg;
+    for (const std::uint64_t s : {31, 32})
+        worst = std::max(worst, expectSmallDrift(seg_net, seg_ref,
+                                                 randomCloud(4096, s), veg));
+    RunOptions knn;
+    knn.ds = DsMethod::BruteKnn;
+    worst = std::max(worst, expectSmallDrift(seg_net, seg_ref,
+                                             randomCloud(4096, 31), knn));
+    const PointNet2Spec edge = PointNet2Spec::edgeClassification();
+    const PointNet2 edge_net(edge, 42);
+    const RefNetwork edge_ref(edge, 42);
+    for (const DsMethod ds : {DsMethod::Veg, DsMethod::BruteKnn}) {
+        RunOptions opts;
+        opts.ds = ds;
+        for (std::uint64_t s = 40; s < 44; ++s)
+            worst = std::max(worst, expectSmallDrift(edge_net, edge_ref,
+                                                     randomCloud(256, s),
+                                                     opts));
+    }
+    const PointNet2Spec cls = PointNet2Spec::classification(4);
+    worst = std::max(worst, expectSmallDrift(PointNet2(cls, 42),
+                                             RefNetwork(cls, 42),
+                                             randomCloud(1024, 50), veg));
+    std::printf("max |logit drift| over the test clouds: %g\n", worst);
+}
+
+// kitti_seg's frames: a KittiLike scan through buildStage and
+// sampleStage down to K = 4096, normalized, into Pointnet++(s).
+TEST(DelayedAggregationDrift, KittiLikeFrames)
+{
+    const PointNet2Spec seg = PointNet2Spec::semanticSegmentation();
+    const PointNet2 net(seg, 42);
+    const RefNetwork ref(seg, 42);
+    const KittiLike lidar{KittiLike::Config{}};
+    const PreprocessingEngine pre;
+    RunOptions opts;
+    opts.ds = DsMethod::Veg;
+    float worst = 0.0f;
+    for (std::size_t f = 0; f < 3; ++f) {
+        PreprocessResult pr = pre.buildStage(lidar.generate(f).cloud);
+        pre.sampleStage(pr, seg.inputPoints);
+        PointCloud input = pr.sampled;
+        input.normalizeToUnitCube();
+        worst = std::max(worst, expectSmallDrift(net, ref, input, opts));
+    }
+    std::printf("max |logit drift| over 3 KittiLike frames: %g\n", worst);
 }
 
 } // namespace
