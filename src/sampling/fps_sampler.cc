@@ -12,6 +12,7 @@ namespace hgpcn
 StatSet
 FpsSampler::predictStats(std::uint64_t n, std::uint64_t k)
 {
+    HGPCN_ASSERT(k >= 1 && k <= n, "k=", k, " n=", n);
     StatSet stats;
     stats.set("sample.host_reads", 1 + (k - 1) * n);
     stats.set("sample.intermediate_reads", (k - 1) * n);

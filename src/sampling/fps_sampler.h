@@ -48,7 +48,8 @@ class FpsSampler : public Sampler
      * million-point frames would be prohibitive. All counters except
      * the data-dependent distance-array update count are exact; the
      * update count uses its expectation n*(1 + ln k) (each point's
-     * minimum falls O(log k) times over k rounds).
+     * minimum falls O(log k) times over k rounds). Requires
+     * 1 <= k <= n, as sample() does.
      */
     static StatSet predictStats(std::uint64_t n, std::uint64_t k);
 

@@ -97,6 +97,31 @@ TEST(Fps, MemoryAccessCountersScaleWithNK)
     EXPECT_GE(result.stats.get("sample.intermediate_writes"), 400u);
 }
 
+// predictStats() stands in for sample() in the benches that cannot
+// afford the O(n * k) scan: its exact counters must equal a real
+// run's, and its expected update count must stay near the real one.
+TEST(Fps, PredictStatsMatchesARealRun)
+{
+    const PointCloud cloud = randomCloud(2000, 12);
+    for (const std::size_t k : {1u, 2u, 64u}) {
+        SCOPED_TRACE(testing::Message() << "k " << k);
+        const StatSet real = FpsSampler(1).sample(cloud, k).stats;
+        const StatSet predicted = FpsSampler::predictStats(cloud.size(), k);
+        for (const char *exact :
+             {"sample.host_reads", "sample.intermediate_reads",
+              "sample.distance_computations"})
+            EXPECT_EQ(predicted.get(exact), real.get(exact)) << exact;
+        // Measured predicted/real on this cloud: 1.69 (k = 1, where
+        // the real run only initializes), 0.85 (k = 2), 0.98 (k = 64).
+        const double ratio =
+            static_cast<double>(
+                predicted.get("sample.intermediate_writes")) /
+            static_cast<double>(real.get("sample.intermediate_writes"));
+        EXPECT_GE(ratio, 0.8);
+        EXPECT_LE(ratio, 1.75);
+    }
+}
+
 TEST(Fps, CoverageShrinksWithMoreSamples)
 {
     const PointCloud cloud = randomCloud(600, 5);
