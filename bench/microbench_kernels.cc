@@ -346,6 +346,27 @@ BENCHMARK(BM_SaLevelThreads)
     ->Arg(4)
     ->UseRealTime();
 
+/** The whole Pointnet++(s) network (K = 4096, VEG) — every SA and FP
+ * level with its delayed layer-1 pass, and the head — at
+ * RunOptions::intraOpThreads = arg. kitti_seg's inference: 1 is the
+ * closed-loop frame, 3 the stream's width on a 4-core host. Wall
+ * time. */
+void
+BM_PointNet2SegThreads(benchmark::State &state)
+{
+    const PointNet2 net(PointNet2Spec::semanticSegmentation(), 42);
+    const PointCloud cloud = randomCloud(4096, 9);
+    FrameWorkspace ws;
+    RunOptions opts;
+    opts.ds = DsMethod::Veg;
+    opts.workspace = &ws;
+    opts.intraOpThreads = static_cast<int>(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(net.run(cloud, opts).logits.row(0));
+    state.SetItemsProcessed(state.iterations() * cloud.size());
+}
+BENCHMARK(BM_PointNet2SegThreads)->Arg(1)->Arg(3)->UseRealTime();
+
 /** Capture every finished run so --json can replay it. */
 class CapturingReporter : public benchmark::ConsoleReporter
 {
