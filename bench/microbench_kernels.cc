@@ -3,11 +3,12 @@
  * google-benchmark microbenchmarks of the core kernels: Morton
  * encoding, octree construction, the steady-state temporal build
  * stage, the scratch build stage and occupied-cell list, OIS
- * sampling, VEG gathering, the brute-force baselines, the
- * spatial-hash KNN index (src/knn), the register-tiled GEMM and a
- * whole SA level at 1-4 threads. These are the software costs
- * behind Figs. 9-12 and the host hot path (docs/PERFORMANCE.md);
- * wall-clock per-kernel numbers on the build machine.
+ * sampling, VEG gathering (Paper and Strict), the brute-force
+ * baselines, the spatial-hash KNN index (src/knn), the
+ * register-tiled GEMM and a whole SA level at 1-4 threads. These
+ * are the software costs behind Figs. 9-12 and the host hot path
+ * (docs/PERFORMANCE.md); wall-clock per-kernel numbers on the build
+ * machine.
  *
  * `--json <path>` additionally writes a BENCH_kernels.json record
  * (kernel, ns/op, items/s) for the machine-readable perf trajectory,
@@ -224,6 +225,25 @@ BM_VegGather(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * centrals.size());
 }
 BENCHMARK(BM_VegGather);
+
+/** Strict VEG at the FP0 shape of Pointnet++(s) at K = 4096: 3-NN of
+ * 4096 fine points over a 1024-point coarse level's octree (depth
+ * 12, as the network's per-level trees). */
+void
+BM_VegStrictGather(benchmark::State &state)
+{
+    Octree::Config tree_cfg;
+    tree_cfg.maxDepth = 12;
+    const Octree tree = Octree::build(randomCloud(1024, 5), tree_cfg);
+    const std::vector<Vec3> anchors = randomCloud(4096, 6).positions();
+    VegKnn::Config cfg;
+    cfg.mode = VegMode::Strict;
+    VegKnn veg(tree, cfg);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(veg.gatherAt(anchors, 3));
+    state.SetItemsProcessed(state.iterations() * anchors.size());
+}
+BENCHMARK(BM_VegStrictGather);
 
 /** Brute KNN at SA-layer scale: args are (n, centrals). The 16384
  * case is the KITTI-scale SA0 workload — the denominator of the

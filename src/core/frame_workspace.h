@@ -163,8 +163,7 @@ class FrameWorkspace
         std::vector<std::uint32_t> pointCell; //!< cell id per point
         std::vector<PointIndex> order;        //!< bucketed point ids
         std::vector<std::pair<float, PointIndex>> scored;
-        std::vector<PointIndex> inner;    //!< VEG inner-ring points
-        std::vector<PointIndex> lastRing; //!< VEG last-ring points
+        std::vector<PointIndex> ringPoints; //!< VEG gathered rings
     };
     KnnScratch knn;
 

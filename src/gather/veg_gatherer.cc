@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
 #include "core/frame_workspace.h"
@@ -157,14 +156,11 @@ VegKnn::gatherAtRange(std::span<const Vec3> anchors, std::size_t k,
     HGPCN_ASSERT(cfg.mode != VegMode::SemiApprox || rng != nullptr,
                  "semi-approximate VEG needs the caller's rng");
 
-    std::vector<PointIndex> own_inner;
-    std::vector<PointIndex> own_last_ring;
-    std::vector<std::pair<float, PointIndex>> own_scored;
-    std::vector<PointIndex> &inner =
-        scratch != nullptr ? scratch->knn.inner : own_inner;
-    std::vector<PointIndex> &last_ring =
-        scratch != nullptr ? scratch->knn.lastRing : own_last_ring;
-    std::vector<std::pair<float, PointIndex>> &scored =
+    std::vector<PointIndex> own_gathered;
+    std::vector<ScoredNeighbor> own_scored;
+    std::vector<PointIndex> &gathered =
+        scratch != nullptr ? scratch->knn.ringPoints : own_gathered;
+    std::vector<ScoredNeighbor> &scored =
         scratch != nullptr ? scratch->knn.scored : own_scored;
 
     PointIndex *out = neighbors.data();
@@ -178,74 +174,82 @@ VegKnn::gatherAtRange(std::span<const Vec3> anchors, std::size_t k,
             morton::voxelSize(grid.level(), octree->rootBounds());
 
         VegTrace trace;
-        inner.clear();
-        last_ring.clear();
 
         if (cfg.mode == VegMode::Strict) {
             // Expand until no unscanned ring can hold a closer point:
             // a ring-r point is at least (r-1)*cell away from the
             // centroid, so once (r-1)*cell exceeds the current K-th
-            // best distance the candidate set is complete.
-            scored.clear();
+            // best distance the candidate set is complete. Each
+            // ring's points are scored as the walk reads them into
+            // the k best so far, kept sorted in selectTopK()'s
+            // (distance, index) order: best[k-1] is the K-th best.
+            std::vector<ScoredNeighbor> &best = scored;
+            best.clear();
+            std::size_t candidates = 0;
+            const auto score = [&](PointIndex first, PointIndex last) {
+                candidates += last - first;
+                for (PointIndex p = first; p < last; ++p) {
+                    const ScoredNeighbor cand{
+                        cloud.position(p).distSq(anchor), p};
+                    if (best.size() == k) {
+                        if (!(cand < best.back()))
+                            continue;
+                        best.pop_back();
+                    }
+                    best.insert(
+                        std::upper_bound(best.begin(), best.end(), cand),
+                        cand);
+                }
+            };
             int r = 0;
-            float kth_dist = std::numeric_limits<float>::max();
             while (r <= max_ring) {
-                last_ring.clear();
-                const std::size_t lookups =
-                    grid.gatherRingPoints(seed_cell, r, last_ring);
-                trace.tableLookups +=
-                    static_cast<std::uint32_t>(lookups);
-                for (PointIndex p : last_ring)
-                    scored.emplace_back(
-                        cloud.position(p).distSq(anchor), p);
-                counters.distanceComputations += last_ring.size();
-                if (scored.size() >= k) {
-                    kth_dist = kthSmallest(scored, k).first;
+                trace.tableLookups += static_cast<std::uint32_t>(
+                    grid.forEachRingRange(seed_cell, r, score));
+                if (best.size() == k) {
                     const float ring_min =
                         static_cast<float>(r) * cell; // next ring
-                    if (ring_min * ring_min > kth_dist)
+                    if (ring_min * ring_min > best.back().first)
                         break;
                 }
                 ++r;
             }
-            HGPCN_ASSERT(scored.size() >= k,
+            HGPCN_ASSERT(best.size() == k,
                          "strict VEG exhausted the grid below k");
             trace.rings = static_cast<std::uint32_t>(r);
-            trace.lastRingPoints =
-                static_cast<std::uint32_t>(scored.size());
-            counters.sortCandidates += scored.size();
-            selectTopK(scored, k);
-            for (std::size_t j = 0; j < k; ++j)
-                *out++ = scored[j].second;
+            trace.lastRingPoints = static_cast<std::uint32_t>(candidates);
+            counters.distanceComputations += candidates;
+            counters.sortCandidates += candidates;
+            for (const ScoredNeighbor &b : best)
+                *out++ = b.second;
         } else {
             // Stage 3 (VE): expand rings until cumulative count >= K.
-            // The host gathers each ring once and counts what it got:
-            // a ring that reaches K is the last ring, any other is
-            // an inner ring (Stage 4, GP: gathered blind).
+            // The host gathers each ring once, behind the rings
+            // before it: the ring that reaches K is the last ring,
+            // the ones before it are inner rings (Stage 4, GP:
+            // gathered blind).
+            gathered.clear();
+            std::size_t inner = 0;
             int r = 0;
             for (;; ++r) {
                 HGPCN_ASSERT(r <= max_ring,
                              "VEG expansion exhausted the grid below k");
+                inner = gathered.size();
                 // Counting touches each in-grid ring cell once.
                 trace.tableLookups += static_cast<std::uint32_t>(
-                    grid.shellCellCount(seed_cell, r));
-                last_ring.clear();
-                grid.gatherRingPoints(seed_cell, r, last_ring);
-                if (inner.size() + last_ring.size() >= k)
+                    grid.gatherRingPoints(seed_cell, r, gathered));
+                if (gathered.size() >= k)
                     break;
-                inner.insert(inner.end(), last_ring.begin(),
-                             last_ring.end());
             }
+            const std::span<PointIndex> last_ring(
+                gathered.data() + inner, gathered.size() - inner);
             trace.rings = static_cast<std::uint32_t>(r);
-            trace.innerPoints =
-                static_cast<std::uint32_t>(inner.size());
+            trace.innerPoints = static_cast<std::uint32_t>(inner);
             trace.lastRingPoints =
                 static_cast<std::uint32_t>(last_ring.size());
-            counters.innerPoints += inner.size();
+            counters.innerPoints += inner;
 
-            for (PointIndex p : inner)
-                *out++ = p;
-            const std::size_t need = k - inner.size();
+            out = std::copy_n(gathered.begin(), inner, out);
+            const std::size_t need = k - inner;
 
             if (cfg.mode == VegMode::SemiApprox) {
                 // Future-work variant: random picks from the last

@@ -1,9 +1,7 @@
 #include "octree/voxel_grid.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "common/radix_sort.h"
@@ -53,46 +51,39 @@ VoxelGrid::inGrid(const GridCell &c) const
            c.z >= 0 && c.z < axis_cells;
 }
 
-namespace
-{
-
-/** Table key of a cell: 21 bits per axis (levels <= kMaxDepth3d). */
-inline std::uint64_t
-packCell(const GridCell &c)
-{
-    return static_cast<std::uint64_t>(c.x) |
-           static_cast<std::uint64_t>(c.y) << 21 |
-           static_cast<std::uint64_t>(c.z) << 42;
-}
-
-/** Fibonacci hash of @p key onto a table of 2^(64 - shift) slots. */
-inline std::size_t
-slotOf(std::uint64_t key, int shift)
-{
-    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
-                                    shift);
-}
-
-} // namespace
-
 void
 VoxelGrid::buildTable() const
 {
     const std::vector<OccupiedCell> &cells = occupiedCells();
+    // The list is (x, y, z) sorted, so each row is one run of it.
+    const auto row_end = [&cells](std::size_t i) {
+        const GridCell &row = cells[i].cell;
+        std::size_t j = i + 1;
+        while (j < cells.size() && cells[j].cell.x == row.x &&
+               cells[j].cell.y == row.y)
+            ++j;
+        return j;
+    };
+    std::size_t rows = 0;
+    for (std::size_t i = 0; i < cells.size(); i = row_end(i))
+        ++rows;
     std::size_t size = 2;
     table_shift = 63;
-    while (size < 2 * cells.size()) {
+    while (size < 2 * rows) {
         size *= 2;
         --table_shift;
     }
     table.assign(size, Slot{kFree, 0, 0});
     const std::size_t mask = size - 1;
-    for (const OccupiedCell &c : cells) {
-        const std::uint64_t key = packCell(c.cell);
-        std::size_t i = slotOf(key, table_shift);
-        while (table[i].key != kFree)
-            i = (i + 1) & mask;
-        table[i] = {key, c.first, c.last};
+    for (std::size_t i = 0; i < cells.size();) {
+        const std::size_t j = row_end(i);
+        const std::uint64_t key = packRow(cells[i].cell.x, cells[i].cell.y);
+        std::size_t at = slotOf(key);
+        while (table[at].key != kFree)
+            at = (at + 1) & mask;
+        table[at] = {key, static_cast<std::uint32_t>(i),
+                     static_cast<std::uint32_t>(j)};
+        i = j;
     }
 }
 
@@ -101,17 +92,14 @@ VoxelGrid::cellRange(const GridCell &c) const
 {
     if (!inGrid(c))
         return {0, 0};
-    if (table.empty())
-        buildTable();
-    const std::uint64_t key = packCell(c);
-    const std::size_t mask = table.size() - 1;
-    for (std::size_t i = slotOf(key, table_shift);; i = (i + 1) & mask) {
-        const Slot &s = table[i];
-        if (s.key == key)
-            return {s.first, s.last};
-        if (s.key == kFree)
-            return {0, 0};
-    }
+    prepare();
+    const OccupiedCell *cells = occupiedCells().data();
+    const auto [begin, end] = rowRun(c.x, c.y);
+    const OccupiedCell *last = cells + end;
+    const OccupiedCell *hit = lowerZ(cells + begin, last, c.z);
+    if (hit == last || hit->cell.z != c.z)
+        return {0, 0};
+    return {hit->first, hit->last};
 }
 
 void
@@ -361,50 +349,14 @@ VoxelGrid::occupiedCells() const
     return occ;
 }
 
-namespace
-{
-
-/** Chebyshev distance between two cells. */
-inline std::int32_t
-chebDist(const GridCell &a, const GridCell &b)
-{
-    const std::int32_t dx = std::abs(a.x - b.x);
-    const std::int32_t dy = std::abs(a.y - b.y);
-    const std::int32_t dz = std::abs(a.z - b.z);
-    return std::max(dx, std::max(dy, dz));
-}
-
-} // namespace
-
-/*
- * Ring serving is hybrid: small shells walk their cells (one
- * occupied-cell table probe per cell, cheap when r is small); large
- * shells — deep levels over sparse or clustered clouds, where
- * almost every shell cell is empty — scan the occupied-cell list
- * instead, touching only cells that can contribute points. Both
- * paths produce identical points in identical (x, y, z) order, and
- * both report the full in-grid shell cell count: that is what the
- * modeled hardware's table walk costs, regardless of the host
- * shortcut (see docs/PERFORMANCE.md).
- */
-
 std::uint32_t
 VoxelGrid::ringPointCount(const GridCell &center, int ring) const
 {
-    const std::size_t shell = shellCellCount(center, ring);
-    const std::vector<OccupiedCell> &cells = occupiedCells();
-    if (shell <= cells.size() / 2) {
-        std::uint32_t total = 0;
-        forEachRingCell(center, ring, [&](const GridCell &c) {
-            total += cellCount(c);
-        });
-        return total;
-    }
     std::uint32_t total = 0;
-    for (const OccupiedCell &c : cells) {
-        if (chebDist(c.cell, center) == ring)
-            total += c.last - c.first;
-    }
+    forEachRingRange(center, ring,
+                     [&total](PointIndex first, PointIndex last) {
+                         total += last - first;
+                     });
     return total;
 }
 
@@ -412,22 +364,11 @@ std::size_t
 VoxelGrid::gatherRingPoints(const GridCell &center, int ring,
                             std::vector<PointIndex> &out) const
 {
-    const std::size_t shell = shellCellCount(center, ring);
-    const std::vector<OccupiedCell> &cells = occupiedCells();
-    if (shell <= cells.size() / 2) {
-        return forEachRingCell(center, ring, [&](const GridCell &c) {
-            const auto [first, last] = cellRange(c);
-            for (PointIndex i = first; i < last; ++i)
-                out.push_back(i);
-        });
-    }
-    for (const OccupiedCell &c : cells) {
-        if (chebDist(c.cell, center) == ring) {
-            for (PointIndex i = c.first; i < c.last; ++i)
-                out.push_back(i);
-        }
-    }
-    return shell;
+    return forEachRingRange(center, ring,
+                            [&out](PointIndex first, PointIndex last) {
+                                for (PointIndex i = first; i < last; ++i)
+                                    out.push_back(i);
+                            });
 }
 
 int

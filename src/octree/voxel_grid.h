@@ -8,8 +8,9 @@
  * Because the reordered point array is sorted by full-depth m-code,
  * the points of *any* voxel at *any* level form a contiguous range,
  * so each ring cell costs one Octree-Table range lookup. On the host
- * that lookup is one probe of a hash table over the level's occupied
- * cells.
+ * the shell is served one (x, y) row at a time: one probe of a hash
+ * table over the level's occupied rows yields the row's z-sorted run
+ * of occupied cells, so empty cells are never probed.
  */
 
 #ifndef HGPCN_OCTREE_VOXEL_GRID_H
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "common/logging.h"
@@ -100,7 +102,8 @@ class VoxelGrid
     /**
      * @return [first, last) of reordered point indices inside cell
      * @p c ({0, 0} for out-of-grid and unoccupied cells): one probe
-     * of the occupied-cell table, built lazily from occupiedCells().
+     * of the occupied-row table (built lazily from occupiedCells()),
+     * then a search of the row's run for z.
      */
     std::pair<PointIndex, PointIndex> cellRange(const GridCell &c) const;
 
@@ -113,6 +116,9 @@ class VoxelGrid
      * (x, y, z) order. Rows where x or y lies on the shell are
      * visited whole; every other row contributes only its two
      * z-faces, so no cell of the enclosed box is tested and skipped.
+     * This is the walk the modeled DSU performs, one table lookup per
+     * cell; the host's ring queries read only the occupied cells of
+     * the same shell, in the same order.
      *
      * @return number of cells visited.
      */
@@ -120,13 +126,30 @@ class VoxelGrid
     std::size_t forEachRingCell(const GridCell &center, int ring,
                                 Fn &&fn) const;
 
+    /**
+     * Call @p fn(first, last) with the reordered point range of each
+     * occupied cell of the shell at @p ring, in forEachRingCell()'s
+     * (x, y, z) order, touching no empty cell: small shells probe
+     * the occupied-row table once per (x, y) row of the shell and
+     * read the row's cells with z in [z0, z1] (rows on the shell's
+     * x or y faces) or its two z-face cells (every other row); a
+     * shell larger than half the occupied list scans the list.
+     *
+     * @return shellCellCount(), the lookups the modeled walk costs
+     * whatever the host read (docs/PERFORMANCE.md).
+     */
+    template <typename Fn>
+    std::size_t forEachRingRange(const GridCell &center, int ring,
+                                 Fn &&fn) const;
+
     /** @return total points in the Chebyshev shell at @p ring. */
     std::uint32_t ringPointCount(const GridCell &center, int ring) const;
 
     /**
      * Append the reordered point indices of the shell at @p ring to
-     * @p out.
-     * @return number of table lookups performed (hardware cost).
+     * @p out, in forEachRingCell()'s (x, y, z) cell order.
+     * @return number of table lookups the modeled walk performs
+     * (shellCellCount(), the hardware cost).
      */
     std::size_t gatherRingPoints(const GridCell &center, int ring,
                                  std::vector<PointIndex> &out) const;
@@ -143,11 +166,11 @@ class VoxelGrid
     /**
      * @return the level's occupied cells with their reordered
      * ranges, sorted by (x, y, z); built lazily in one O(n) pass
-     * over the point codes. The host-side shortcut behind
-     * ringPointCount()/gatherRingPoints(): sparse or deep levels
-     * serve rings by scanning this list instead of visiting every
-     * (mostly empty) shell cell — same points, same order, same
-     * modeled lookup counts (docs/PERFORMANCE.md).
+     * over the point codes. Each (x, y) row's occupied cells form
+     * one run of it, which the occupied-row table indexes; shells
+     * larger than half the list are served by scanning it instead —
+     * same points, same order, same modeled lookup counts
+     * (docs/PERFORMANCE.md).
      */
     const std::vector<OccupiedCell> &occupiedCells() const;
 
@@ -166,12 +189,13 @@ class VoxelGrid
     static int autoLevel(std::size_t n_points, int max_level);
 
   private:
-    /** One slot of the occupied-cell table; empty when key == kFree. */
+    /** One slot of the occupied-row table, empty when key ==
+     * kFree: the row's run [begin, end) of occupiedCells(). */
     struct Slot
     {
         std::uint64_t key;
-        PointIndex first;
-        PointIndex last;
+        std::uint32_t begin;
+        std::uint32_t end;
     };
     static constexpr std::uint64_t kFree = ~std::uint64_t{0};
 
@@ -180,8 +204,42 @@ class VoxelGrid
     std::size_t boxCellCount(const GridCell &center,
                              std::int32_t radius) const;
 
-    /** Fill the occupied-cell table from occupiedCells(). */
+    /** Fill the occupied-row table from occupiedCells(). */
     void buildTable() const;
+
+    /** Table key of row (x, y): 21 bits per axis (levels <=
+     * kMaxDepth3d). */
+    static std::uint64_t
+    packRow(std::int32_t x, std::int32_t y)
+    {
+        return static_cast<std::uint64_t>(x) |
+               static_cast<std::uint64_t>(y) << 21;
+    }
+
+    /** @return Fibonacci hash of @p key onto the table's slots. */
+    std::size_t
+    slotOf(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                        table_shift);
+    }
+
+    /** @return first cell of the z-sorted run [first, last) with
+     * z >= @p z. */
+    static const OccupiedCell *
+    lowerZ(const OccupiedCell *first, const OccupiedCell *last,
+           std::int32_t z)
+    {
+        while (first != last && first->cell.z < z)
+            ++first;
+        return first;
+    }
+
+    /** @return [begin, end) of occupiedCells() holding in-grid row
+     * (@p x, @p y); empty when the row is unoccupied. The table must
+     * be built. */
+    std::pair<std::uint32_t, std::uint32_t>
+    rowRun(std::int32_t x, std::int32_t y) const;
 
     const Octree *octree;
     int lvl;
@@ -193,9 +251,9 @@ class VoxelGrid
     mutable std::vector<OccupiedCell> occ;
     mutable std::vector<OccupiedCell> occ_scratch; //!< occ's sort buffer
     mutable bool occ_built = false;
-    /** Lazy open-addressed (linear probing) table: packed cell
-     * x | y << 21 | z << 42 -> [first, last); power-of-two size at
-     * most half full. */
+    /** Lazy open-addressed (linear probing) table: packed row
+     * x | y << 21 -> its run of occupiedCells(); power-of-two size
+     * at most half full. */
     mutable std::vector<Slot> table;
     mutable int table_shift = 64; //!< 64 - log2(table.size())
 };
@@ -240,6 +298,77 @@ VoxelGrid::forEachRingCell(const GridCell &center, int ring,
         }
     }
     return visited;
+}
+
+inline std::pair<std::uint32_t, std::uint32_t>
+VoxelGrid::rowRun(std::int32_t x, std::int32_t y) const
+{
+    const std::uint64_t key = packRow(x, y);
+    const std::size_t mask = table.size() - 1;
+    for (std::size_t i = slotOf(key);; i = (i + 1) & mask) {
+        const Slot &s = table[i];
+        if (s.key == key)
+            return {s.begin, s.end};
+        if (s.key == kFree)
+            return {0, 0};
+    }
+}
+
+template <typename Fn>
+std::size_t
+VoxelGrid::forEachRingRange(const GridCell &center, int ring,
+                            Fn &&fn) const
+{
+    const std::size_t shell = shellCellCount(center, ring);
+    const std::vector<OccupiedCell> &cells = occupiedCells();
+    if (shell > cells.size() / 2) {
+        for (const OccupiedCell &c : cells) {
+            const std::int32_t dist = std::max(
+                {std::abs(c.cell.x - center.x),
+                 std::abs(c.cell.y - center.y),
+                 std::abs(c.cell.z - center.z)});
+            if (dist == ring)
+                fn(c.first, c.last);
+        }
+        return shell;
+    }
+    const std::int32_t x0 = std::max(center.x - ring, 0);
+    const std::int32_t x1 = std::min(center.x + ring, axis_cells - 1);
+    const std::int32_t y0 = std::max(center.y - ring, 0);
+    const std::int32_t y1 = std::min(center.y + ring, axis_cells - 1);
+    const std::int32_t z0 = std::max(center.z - ring, 0);
+    const std::int32_t z1 = std::min(center.z + ring, axis_cells - 1);
+    if (x0 > x1 || y0 > y1 || z0 > z1)
+        return shell;
+    if (table.empty())
+        buildTable();
+    // As in forEachRingCell(): a z-face lies in the grid iff it was
+    // not clipped, and ring 0 never reaches the face branch.
+    const bool z_lo_face = center.z - ring == z0;
+    const bool z_hi_face = center.z + ring == z1;
+    for (std::int32_t x = x0; x <= x1; ++x) {
+        const bool x_on = x == center.x - ring || x == center.x + ring;
+        for (std::int32_t y = y0; y <= y1; ++y) {
+            const auto [begin, end] = rowRun(x, y);
+            if (begin == end)
+                continue;
+            const OccupiedCell *last = cells.data() + end;
+            const OccupiedCell *c = lowerZ(cells.data() + begin, last, z0);
+            if (x_on || y == center.y - ring || y == center.y + ring) {
+                for (; c != last && c->cell.z <= z1; ++c)
+                    fn(c->first, c->last);
+                continue;
+            }
+            if (z_lo_face && c != last && c->cell.z == z0)
+                fn(c->first, c->last);
+            if (z_hi_face) {
+                c = lowerZ(c, last, z1);
+                if (c != last && c->cell.z == z1)
+                    fn(c->first, c->last);
+            }
+        }
+    }
+    return shell;
 }
 
 /**

@@ -16,11 +16,12 @@ FpsSampler::predictStats(std::uint64_t n, std::uint64_t k)
     StatSet stats;
     stats.set("sample.host_reads", 1 + (k - 1) * n);
     stats.set("sample.intermediate_reads", (k - 1) * n);
+    // k = 1 only initializes the n minimum distances (exact).
     const double updates =
         static_cast<double>(n) *
-        (1.0 + std::log(static_cast<double>(k > 1 ? k : 2)));
+        (1.0 + std::log(static_cast<double>(k)));
     stats.set("sample.intermediate_writes",
-              static_cast<std::uint64_t>(updates) + k);
+              k == 1 ? n : static_cast<std::uint64_t>(updates) + k);
     stats.set("sample.distance_computations", (k - 1) * n);
     return stats;
 }

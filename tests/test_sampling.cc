@@ -111,14 +111,19 @@ TEST(Fps, PredictStatsMatchesARealRun)
              {"sample.host_reads", "sample.intermediate_reads",
               "sample.distance_computations"})
             EXPECT_EQ(predicted.get(exact), real.get(exact)) << exact;
-        // Measured predicted/real on this cloud: 1.69 (k = 1, where
-        // the real run only initializes), 0.85 (k = 2), 0.98 (k = 64).
+        // k = 1 only initializes, so its writes are exact. Measured
+        // predicted/real on this cloud: 0.85 (k = 2), 0.98 (k = 64).
+        if (k == 1) {
+            EXPECT_EQ(predicted.get("sample.intermediate_writes"),
+                      real.get("sample.intermediate_writes"));
+            continue;
+        }
         const double ratio =
             static_cast<double>(
                 predicted.get("sample.intermediate_writes")) /
             static_cast<double>(real.get("sample.intermediate_writes"));
         EXPECT_GE(ratio, 0.8);
-        EXPECT_LE(ratio, 1.75);
+        EXPECT_LE(ratio, 1.1);
     }
 }
 

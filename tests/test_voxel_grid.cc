@@ -65,6 +65,37 @@ duplicateCloud(std::size_t n, std::uint64_t seed)
     return cloud;
 }
 
+/**
+ * 90 % of the points on six vertical columns spanning the full z
+ * range, four of them on the grid's x or y border, over a sparse
+ * background: (x, y) rows holding many occupied cells, which ring
+ * walks must read from the middle (z-skip) or only at the z-faces.
+ */
+PointCloud
+columnCloud(std::size_t n, std::uint64_t seed)
+{
+    constexpr float columns[][2] = {{0.0f, 0.0f}, {0.0f, 0.5f},
+                                    {1.0f, 1.0f}, {0.5f, 1.0f},
+                                    {0.5f, 0.5f}, {0.52f, 0.5f}};
+    PointCloud cloud;
+    cloud.reserve(n);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i % 10 == 0) {
+            cloud.add({rng.uniform(0.0f, 1.0f), rng.uniform(0.0f, 1.0f),
+                       rng.uniform(0.0f, 1.0f)});
+            continue;
+        }
+        const float *c = columns[i % 6];
+        const auto jitter = [&rng](float v) {
+            return std::clamp(v + rng.uniform(-0.001f, 0.001f), 0.0f,
+                              1.0f);
+        };
+        cloud.add({jitter(c[0]), jitter(c[1]), rng.uniform(0.0f, 1.0f)});
+    }
+    return cloud;
+}
+
 Octree
 makeTree(const PointCloud &cloud, int depth = 8)
 {
@@ -303,7 +334,7 @@ TEST(VoxelGrid, ShellCellCountMatchesEnumeration)
 
 // ------------------------------------------ binary-search ring oracle
 //
-// Independent of the occupied-cell table, the occupied list and the
+// Independent of the occupied-row table, the occupied list and the
 // shell walk: every cell is resolved by Octree::voxelRange (two binary
 // searches over the point codes) and shells are enumerated from the
 // full (2r+1)^3 box.
@@ -414,7 +445,8 @@ oracleClouds()
 {
     return {{"random", randomCloud(1500, 51)},
             {"clustered", clusteredCloud(1500, 52)},
-            {"duplicates", duplicateCloud(1500, 53)}};
+            {"duplicates", duplicateCloud(1500, 53)},
+            {"columns", columnCloud(1500, 54)}};
 }
 
 TEST(VoxelGridOracle, CellRangeMatchesBinarySearch)
