@@ -10,18 +10,6 @@
 namespace hgpcn
 {
 
-const char *
-inferenceStatusName(InferenceStatus status)
-{
-    switch (status) {
-    case InferenceStatus::Ok:
-        return "ok";
-    case InferenceStatus::TransientError:
-        return "transient-error";
-    }
-    return "?";
-}
-
 PointCloud
 backendProbeCloud(std::size_t points)
 {

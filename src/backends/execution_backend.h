@@ -55,9 +55,6 @@ enum class InferenceStatus
     TransientError,
 };
 
-/** Stable display name ("ok", "transient-error"). */
-const char *inferenceStatusName(InferenceStatus status);
-
 /**
  * Result of one frame through an execution backend.
  *

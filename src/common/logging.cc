@@ -70,12 +70,6 @@ setLogQuiet(bool quiet)
     quiet_flag = quiet;
 }
 
-bool
-logQuiet()
-{
-    return quiet_flag;
-}
-
 void
 logFatal(const std::string &msg)
 {

@@ -62,9 +62,6 @@ void logInform(const std::string &msg);
  *  blanket switch; prefer a capturing sink in new tests). */
 void setLogQuiet(bool quiet);
 
-/** @return true when inform()/warn() output is suppressed. */
-bool logQuiet();
-
 namespace detail
 {
 

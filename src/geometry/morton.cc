@@ -61,14 +61,6 @@ encode2(CellCoord x, CellCoord y, int depth)
     return (expandBits2(x) << 1) | expandBits2(y);
 }
 
-void
-decode2(Code code, int depth, CellCoord &x, CellCoord &y)
-{
-    HGPCN_ASSERT(depth >= 1 && depth <= kMaxDepth2d, "depth=", depth);
-    x = compactBits2(code >> 1);
-    y = compactBits2(code);
-}
-
 float
 voxelSize(int level, const Aabb &root)
 {

@@ -86,9 +86,6 @@ void decode3(Code code, int depth, CellCoord &x, CellCoord &y, CellCoord &z);
 /** Encode a 2D (quadtree) cell: X bit then Y bit per level. */
 Code encode2(CellCoord x, CellCoord y, int depth);
 
-/** Decode a 2*depth-bit quadtree code. */
-void decode2(Code code, int depth, CellCoord &x, CellCoord &y);
-
 /** @return code of the @p octant child (0..7) of @p parent. */
 constexpr Code
 child3(Code parent, unsigned octant)
