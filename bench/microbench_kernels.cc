@@ -5,16 +5,21 @@
  * stage, the scratch build stage and occupied-cell list, OIS
  * sampling, VEG gathering (Paper and Strict), the brute-force
  * baselines, the spatial-hash KNN index (src/knn), the
- * register-tiled GEMM and a whole SA level at 1-4 threads. These
- * are the software costs behind Figs. 9-12 and the host hot path
- * (docs/PERFORMANCE.md); wall-clock per-kernel numbers on the build
- * machine.
+ * register-tiled GEMM (both variants), a whole SA level at 1-4
+ * threads and the whole Pointnet++(s) network. These are the software
+ * costs behind Figs. 9-12 and the host hot path (docs/PERFORMANCE.md);
+ * wall-clock per-kernel numbers on the build machine.
  *
  * `--json <path>` additionally writes a BENCH_kernels.json record
  * (kernel, ns/op, items/s) for the machine-readable perf trajectory,
  * including the spatial-hash-vs-brute KNN speedup on the KITTI-scale
  * case; `--assert-knn-speedup <x>` exits nonzero when that speedup
  * falls below x (the CI perf-smoke guard — coarse on purpose).
+ *
+ * Kernels slower than 50 ms carry their own MinTime(), which
+ * overrides --benchmark_min_time: at CI's 0.05 s they would be
+ * recorded from one or two iterations. Each is sized to record from
+ * at least five on the build machine.
  */
 
 #include <benchmark/benchmark.h>
@@ -33,6 +38,7 @@
 #include "gather/brute_gatherers.h"
 #include "gather/veg_gatherer.h"
 #include "knn/spatial_hash_knn.h"
+#include "nn/gemm_kernel.h"
 #include "nn/mlp.h"
 #include "nn/pointnet2.h"
 #include "octree/voxel_grid.h"
@@ -260,9 +266,8 @@ BM_BruteKnnGather(benchmark::State &state)
         benchmark::DoNotOptimize(knn.gather(centrals, 32));
     state.SetItemsProcessed(state.iterations() * centrals.size());
 }
-BENCHMARK(BM_BruteKnnGather)
-    ->Args({4096, 512})
-    ->Args({16384, 4096});
+BENCHMARK(BM_BruteKnnGather)->Args({4096, 512});
+BENCHMARK(BM_BruteKnnGather)->Args({16384, 4096})->MinTime(2.0);
 
 /** The exact spatial-hash index on the same workloads (same
  * neighbor sets bit for bit — tests/test_knn_index.cc). */
@@ -308,6 +313,31 @@ BM_BlockedMatmul(benchmark::State &state)
 }
 BENCHMARK(BM_BlockedMatmul);
 
+/** BM_BlockedMatmul through the kernel's baseline variant
+ * (nn/gemm_kernel.h), the one a host without AVX2 + FMA runs. Where
+ * the build ISA has no FMA, every lane of every step is an fmaf()
+ * call: this row is what such a host loses. */
+void
+BM_BlockedMatmulBaseline(benchmark::State &state)
+{
+    Rng rng(5);
+    const Linear layer(32, 64, rng);
+    Tensor x(32768, 32);
+    x.randomize(rng, 0.5f);
+    x.reluInPlace();
+    Tensor out(x.rows(), layer.weight.cols());
+    for (auto _ : state) {
+        gemm_kernel::matmulRowsInto(gemm_kernel::Isa::Baseline, x,
+                                    layer.weight, out, 0, x.rows(),
+                                    {layer.bias.data(), true});
+        benchmark::DoNotOptimize(out.row(0));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * x.rows() * x.cols() *
+                            layer.weight.cols());
+}
+BENCHMARK(BM_BlockedMatmulBaseline)->MinTime(1.0);
+
 /** Intra-op row parallelism at the Pointnet++(s) SA0 MLP shape:
  * arg is the worker-thread count splitting GEMM rows within one
  * frame (StreamRunner::Config::intraOpThreads). Outputs are
@@ -331,7 +361,7 @@ BM_MlpIntraOpThreads(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * x.rows());
 }
-BENCHMARK(BM_MlpIntraOpThreads)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_MlpIntraOpThreads)->Arg(1)->Arg(2)->Arg(4)->MinTime(0.25);
 
 /** The Pointnet++(s) SA0 level over a 4096-point cloud — octree,
  * VEG gather, grouped rows, the 35 -> 32 -> 32 -> 64 MLP and the
@@ -385,7 +415,11 @@ BM_PointNet2SegThreads(benchmark::State &state)
         benchmark::DoNotOptimize(net.run(cloud, opts).logits.row(0));
     state.SetItemsProcessed(state.iterations() * cloud.size());
 }
-BENCHMARK(BM_PointNet2SegThreads)->Arg(1)->Arg(3)->UseRealTime();
+BENCHMARK(BM_PointNet2SegThreads)
+    ->Arg(1)
+    ->Arg(3)
+    ->MinTime(0.5)
+    ->UseRealTime();
 
 /** Capture every finished run so --json can replay it. */
 class CapturingReporter : public benchmark::ConsoleReporter
@@ -408,7 +442,11 @@ class CapturingReporter : public benchmark::ConsoleReporter
             const auto it = run.counters.find("items_per_second");
             if (it != run.counters.end())
                 e.itemsPerSec = it->second;
-            results[run.benchmark_name()] = e;
+            // A per-benchmark MinTime() is run policy, not a new
+            // kernel: keep it out of the record's name.
+            benchmark::BenchmarkName name = run.run_name;
+            name.min_time.clear();
+            results[name.str()] = e;
         }
         benchmark::ConsoleReporter::ReportRuns(runs);
     }
