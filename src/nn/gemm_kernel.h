@@ -2,12 +2,13 @@
  * @file
  * Test entry points into the GEMM kernel of nn/tensor.cc.
  *
- * The kernel's one source is compiled twice — 8-wide for AVX2 hosts
- * and 4-wide at the build's baseline ISA — and each host runs one of
- * them, so a normal call only ever exercises one. These entry points
- * run a named variant, so the tests hold both to the scalar reference
- * on any host that can execute them. Not for production callers: use
- * Tensor::matmulRowsInto().
+ * The kernel's one source is compiled twice — 8-wide for AVX2 + FMA
+ * hosts and 4-wide at the build's baseline ISA — and each host runs
+ * one of them, so a normal call only ever exercises one. Both fuse
+ * each multiply-add with std::fma's rounding, so both give the same
+ * bits. These entry points run a named variant, so the tests hold
+ * both to the scalar reference on any host that can execute them.
+ * Not for production callers: use Tensor::matmulRowsInto().
  */
 
 #ifndef HGPCN_NN_GEMM_KERNEL_H
@@ -23,8 +24,9 @@ namespace hgpcn::gemm_kernel
 /** One compiled variant of the kernel. */
 enum class Isa
 {
-    Avx2,     //!< 6 x 16 tiles of 8-wide AVX2 vectors (mul then add)
-    Baseline, //!< 3 x 16 tiles of 4-wide vectors, the build's ISA
+    Avx2,     //!< 6 x 16 tiles of 8-wide AVX2 vectors, vfmadd231ps
+    Baseline, //!< 3 x 16 tiles of 4-wide vectors at the build's ISA,
+              //!< fmaf() per lane where that ISA has no FMA
 };
 
 /** @return whether this host can execute @p isa's variant. */

@@ -2,9 +2,18 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "common/logging.h"
 #include "nn/gemm_kernel.h"
+
+/** fmaf() for the GEMM's baseline variant, called through the GOT
+ * rather than the PLT: a PLT entry would grow .plt, which the linker
+ * places ahead of every program's .text, and so shift e2e_bench's
+ * speed probe (docs/PERFORMANCE.md). */
+extern "C" float gotFmaf(float, float, float) noexcept __asm__("fmaf")
+    __attribute__((noplt));
 
 namespace hgpcn
 {
@@ -31,17 +40,22 @@ Tensor::reluInPlace()
  * with the bias + ReLU epilogue applied on the way out. Rows left
  * over at the end of a range run a shorter tile; columns past cols()
  * are zero in the panel and never stored. Each output element is
- * still acc = 0, then acc += a[i][k] * b[k][j] for ascending k with a
- * separate multiply and add (-ffp-contract=off pins that, see
- * src/CMakeLists.txt), so results are bit-identical to the naive
- * triple loop: vectors run across independent outputs, never
- * across k.
+ * acc = 0, then acc = fma(a[i][k], b[k][j], acc) for ascending k: one
+ * fused multiply-add per term, rounded once, as the FCU's MAC array
+ * accumulates. The fusion is written out (fmaLanes()), not left to
+ * the compiler, which -ffp-contract=off keeps from fusing anything
+ * else (src/CMakeLists.txt). Vectors run across independent outputs,
+ * never across k, so results are bit-identical to the scalar loop
+ * over std::fma.
  *
- * One source, compiled twice: 8-wide at AVX2 and 4-wide at the
+ * One source, compiled twice: 8-wide at AVX2 + FMA and 4-wide at the
  * build's baseline ISA, each with a tile that fits its 16 vector
- * registers. (A single 8-wide source compiled for both, as
- * target_clones would, emulates each 8-wide vector through memory on
- * the baseline and ran ~9x slower there than the scalar loop.)
+ * registers. std::fma is correctly rounded, so both give the same
+ * bits; without FMA instructions the baseline calls fmaf() per lane
+ * and runs far slower (docs/PERFORMANCE.md, "Fused GEMM"). (A single
+ * 8-wide source compiled for both, as target_clones would, emulates
+ * each 8-wide vector through memory on the baseline and ran ~9x
+ * slower there than the scalar loop.)
  */
 namespace
 {
@@ -65,6 +79,33 @@ template <class V>
 store(float *p, const V &v)
 {
     std::memcpy(p, &v, sizeof v);
+}
+
+/** std::fma in the baseline variant: one instruction where the build
+ * ISA has FMA, a call to fmaf() elsewhere. */
+[[gnu::always_inline]] inline float
+baselineFma(float a, float b, float c)
+{
+#ifdef __FP_FAST_FMAF
+    return __builtin_fmaf(a, b, c);
+#else
+    return gotFmaf(a, b, c);
+#endif
+}
+
+/** acc = fma(s, b, acc) in every lane. Built as one vector
+ * constructor so GCC packs the lanes into a vfmadd231ps where the
+ * target has FMA (a per-lane store loop stays scalar).
+ * _mm256_fmadd_ps would not inline here: these templates carry no
+ * target of their own. */
+template <class V, std::size_t... L>
+[[gnu::always_inline]] inline void
+fmaLanes(V &acc, float s, const V &b, std::index_sequence<L...>)
+{
+    if constexpr (std::is_same_v<V, Vec8>) // only under avx2,fma
+        acc = V{__builtin_fmaf(s, b[L], acc[L])...};
+    else
+        acc = V{baselineFma(s, b[L], acc[L])...};
 }
 
 [[gnu::always_inline]] inline float
@@ -109,6 +150,7 @@ gemmTile(const float *a, const float *panel, float *out, std::size_t kk,
 {
     constexpr std::size_t lanes = sizeof(V) / sizeof(float);
     constexpr std::size_t per_row = kPanelCols / lanes;
+    constexpr auto each_lane = std::make_index_sequence<lanes>{};
     V acc[R][per_row] = {};
     for (std::size_t k = 0; k < kk; ++k) {
         V b[per_row];
@@ -120,7 +162,7 @@ gemmTile(const float *a, const float *panel, float *out, std::size_t kk,
             const float s = a[r * kk + k];
 #pragma GCC unroll 4
             for (std::size_t v = 0; v < per_row; ++v)
-                acc[r][v] += s * b[v];
+                fmaLanes(acc[r][v], s, b[v], each_lane);
         }
     }
 #pragma GCC unroll 6
@@ -200,7 +242,7 @@ using GemmRowsFn = void(const float *, const float *, float *,
                         const float *, bool, bool);
 
 /** 6 x 16 tiles of 8-wide vectors: 12 of the 16 ymm registers. */
-[[gnu::target("avx2")]] void
+[[gnu::target("avx2,fma")]] void
 gemmRowsAvx2(const float *a, const float *panels, float *out,
              std::size_t rows, std::size_t kk, std::size_t n,
              const float *bias, bool relu, bool accumulate)
@@ -331,7 +373,8 @@ bool
 hostRuns(Isa isa)
 {
     __builtin_cpu_init();
-    return isa == Isa::Baseline || __builtin_cpu_supports("avx2");
+    return isa == Isa::Baseline || (__builtin_cpu_supports("avx2") &&
+                                     __builtin_cpu_supports("fma"));
 }
 
 void

@@ -489,17 +489,30 @@ TEST(PointNet2, FeatureCloudSupported)
 
 // ------------------------------------------------- GEMM kernel
 
-/** The scalar reference the GEMM kernel must match bit for bit:
- * acc = 0, then acc += a[i][k] * b[k][j] for ascending k. */
+/** How a scalar reference rounds each multiply-add term. */
+enum class Rounding
+{
+    /** std::fma, rounded once: the GEMM kernel's order. */
+    Fused,
+    /** A separate multiply and add, each rounded: the kernel's order
+     * before it fused (-ffp-contract=off keeps this loop unfused). */
+    Separate,
+};
+
+/** The scalar reference the GEMM kernel must match bit for bit with
+ * Rounding::Fused: acc = 0, then acc + a[i][k] * b[k][j] for ascending
+ * k, each term rounded as @p rounding says. */
 Tensor
-naiveMatmul(const Tensor &a, const Tensor &b)
+naiveMatmul(const Tensor &a, const Tensor &b, Rounding rounding)
 {
     Tensor out(a.rows(), b.cols());
     for (std::size_t i = 0; i < a.rows(); ++i) {
         for (std::size_t j = 0; j < b.cols(); ++j) {
             float acc = 0.0f;
             for (std::size_t k = 0; k < a.cols(); ++k)
-                acc += a.at(i, k) * b.at(k, j);
+                acc = rounding == Rounding::Fused
+                          ? std::fma(a.at(i, k), b.at(k, j), acc)
+                          : acc + a.at(i, k) * b.at(k, j);
             out.at(i, j) = acc;
         }
     }
@@ -554,17 +567,21 @@ TEST(Tensor, MatmulIntoMatchesMatmulBitForBit)
 {
     // Register tiling reorders memory access, never the floating-
     // point sums: every shape across the 3- and 6-row tile and
-    // 16-column panel edges must reproduce the scalar loop exactly,
-    // through the dispatched kernel and through each variant by
-    // name.
+    // 16-column panel edges must reproduce the fused scalar loop
+    // exactly, through the dispatched kernel and through each variant
+    // by name. The unfused loop must differ somewhere, or these checks
+    // could not tell the two roundings apart.
     Rng rng(3);
+    std::size_t unfused_differs = 0;
     for (const std::size_t m : {1u, 5u, 6u, 7u, 13u, 64u}) {
         for (const std::size_t n : {1u, 8u, 15u, 16u, 17u, 33u, 130u}) {
             for (const std::size_t k : {1u, 3u, 67u}) {
                 Tensor a(m, k), b(k, n);
                 a.randomize(rng, 1.0f);
                 b.randomize(rng, 1.0f);
-                const Tensor expect = naiveMatmul(a, b);
+                const Tensor expect = naiveMatmul(a, b, Rounding::Fused);
+                unfused_differs += !sameBits(
+                    naiveMatmul(a, b, Rounding::Separate), expect);
                 ASSERT_TRUE(sameBits(Tensor::matmul(a, b), expect))
                     << m << "x" << k << "x" << n;
                 Tensor got = poisoned(3, 3);
@@ -583,6 +600,7 @@ TEST(Tensor, MatmulIntoMatchesMatmulBitForBit)
             }
         }
     }
+    EXPECT_GT(unfused_differs, 0u);
 }
 
 TEST(Tensor, MatmulRowRangesComposeExactly)
@@ -593,7 +611,7 @@ TEST(Tensor, MatmulRowRangesComposeExactly)
     Tensor a(20, 67), b(67, 33);
     a.randomize(rng, 1.0f);
     b.randomize(rng, 1.0f);
-    const Tensor whole = naiveMatmul(a, b);
+    const Tensor whole = naiveMatmul(a, b, Rounding::Fused);
     const PackedPanels packed(b);
     const std::size_t cuts[] = {0, 4, 9, 16, 17, 20};
     Tensor split = poisoned(20, 33);
@@ -626,11 +644,11 @@ TEST(Tensor, FusedBiasReluMatchesSeparatePasses)
         std::vector<float> bias(n);
         for (float &v : bias)
             v = rng.uniform(-1.0f, 1.0f);
-        Tensor biased = naiveMatmul(a, b);
+        Tensor biased = naiveMatmul(a, b, Rounding::Fused);
         biased.addRowBias(bias);
         Tensor activated = biased;
         activated.reluInPlace();
-        Tensor relu_only = naiveMatmul(a, b);
+        Tensor relu_only = naiveMatmul(a, b, Rounding::Fused);
         relu_only.reluInPlace();
 
         const PackedPanels packed(b);
@@ -663,7 +681,7 @@ TEST(Tensor, GemmAccumulateAddsPriorBeforeBias)
             std::vector<float> bias(n);
             for (float &v : bias)
                 v = rng.uniform(-1.0f, 1.0f);
-            Tensor expect = naiveMatmul(a, b);
+            Tensor expect = naiveMatmul(a, b, Rounding::Fused);
             for (std::size_t i = 0; i < 13; ++i)
                 for (std::size_t j = 0; j < n; ++j) {
                     const float v =
@@ -704,7 +722,7 @@ TEST(Tensor, GemmSpecialValuesMatchReference)
     for (std::size_t j = 0; j < 17; ++j)
         bias[j] = specials[j % 7];
 
-    const Tensor plain = naiveMatmul(a, b);
+    const Tensor plain = naiveMatmul(a, b, Rounding::Fused);
     Tensor activated = plain;
     activated.addRowBias(bias);
     activated.reluInPlace();
@@ -939,21 +957,59 @@ struct RefNetwork
     }
 };
 
-/** acc[o] = 0, then acc[o] += x[k] * w[k0 + k][o] for ascending k:
- * the GEMM kernel's order for every element. Single-threaded test
- * arithmetic, so ThreadSanitizer builds leave it uninstrumented: the
- * drift tests run under TSan for the library's regions, and this
- * loop would otherwise take minutes there. */
-__attribute__((no_sanitize_thread)) void
-refDot(const float *x, std::size_t kk, const Tensor &w, std::size_t k0,
-       float *acc)
+/** acc[o] = 0, then acc[o] + x[k] * w[k0 + k][o] for ascending k,
+ * each term rounded as @p rounding says: the GEMM kernel's order for
+ * every element, and with Rounding::Fused its rounding. */
+[[gnu::always_inline]] inline void
+refDotLoop(const float *x, std::size_t kk, const Tensor &w,
+           std::size_t k0, float *acc, Rounding rounding)
 {
-    std::fill(acc, acc + w.cols(), 0.0f);
+    // Under a sanitizer, instrumented code does not inline into the
+    // uninstrumented callers below: the Tensor accessors and
+    // std::fma's wrapper would be a call per element, and std::fill,
+    // handed a temporary by reference, draws a false
+    // stack-use-after-scope report from ASan. So read cols() once,
+    // clear acc by hand and call the builtin.
+    const std::size_t n = w.cols();
+    for (std::size_t o = 0; o < n; ++o)
+        acc[o] = 0.0f;
     for (std::size_t k = 0; k < kk; ++k) {
         const float *wk = w.row(k0 + k);
-        for (std::size_t o = 0; o < w.cols(); ++o)
-            acc[o] += x[k] * wk[o];
+        // One loop per rounding, so each vectorizes.
+        if (rounding == Rounding::Fused)
+            for (std::size_t o = 0; o < n; ++o)
+                acc[o] = __builtin_fmaf(x[k], wk[o], acc[o]);
+        else
+            for (std::size_t o = 0; o < n; ++o)
+                acc[o] = acc[o] + x[k] * wk[o];
     }
+}
+
+/** refDotLoop() for hosts with FMA, where the fused loop vectorizes
+ * instead of calling fmaf() per element: ~4x faster, the same bits.
+ * (target_clones would pick it through an ifunc, whose resolver
+ * crashes ThreadSanitizer builds at startup.) */
+__attribute__((no_sanitize("address", "thread"), target("fma"))) void
+refDotFma(const float *x, std::size_t kk, const Tensor &w, std::size_t k0,
+          float *acc, Rounding rounding)
+{
+    refDotLoop(x, kk, w, k0, acc, rounding);
+}
+
+/** refDotLoop(), on the host's fastest build of it. Test arithmetic
+ * over whole tensors, so sanitizer builds leave it uninstrumented:
+ * the drift and reference tests run under TSan and ASan for the
+ * library's code, and this loop would otherwise take minutes there
+ * (test_nn would outrun its 300 s ctest timeout under ASan). */
+__attribute__((no_sanitize("address", "thread"))) void
+refDot(const float *x, std::size_t kk, const Tensor &w, std::size_t k0,
+       float *acc, Rounding rounding)
+{
+    static const bool fma = __builtin_cpu_supports("fma");
+    if (fma)
+        refDotFma(x, kk, w, k0, acc, rounding);
+    else
+        refDotLoop(x, kk, w, k0, acc, rounding);
 }
 
 /** v += bias, then ReLU as v > 0 ? v : 0. */
@@ -969,11 +1025,11 @@ refFinish(std::vector<float> &v, const RefLayer &layer, bool relu)
 /** Layers [first, end) of @p mlp over one row. */
 std::vector<float>
 refLayers(const RefMlp &mlp, std::size_t first, std::vector<float> x,
-          bool final_relu)
+          bool final_relu, Rounding rounding)
 {
     for (std::size_t i = first; i < mlp.size(); ++i) {
         std::vector<float> y(mlp[i].w.cols());
-        refDot(x.data(), x.size(), mlp[i].w, 0, y.data());
+        refDot(x.data(), x.size(), mlp[i].w, 0, y.data(), rounding);
         refFinish(y, mlp[i], i + 1 < mlp.size() || final_relu);
         x = std::move(y);
     }
@@ -1048,13 +1104,13 @@ struct RefLevel
 /**
  * PointNet2::run() recomputed one row at a time in @p order:
  * random centroids, DsMethod::Veg (no input octree) or
- * DsMethod::BruteKnn gathers, and every MLP through refDot(). The
- * neighbor sets come from the library's gatherers, called whole-level
- * as before levels ran in blocks.
+ * DsMethod::BruteKnn gathers, and every MLP through refDot() with
+ * @p rounding. The neighbor sets come from the library's gatherers,
+ * called whole-level as before levels ran in blocks.
  */
 Tensor
 refRun(const RefNetwork &net, const PointCloud &input,
-       const RunOptions &opts, Layer1 order)
+       const RunOptions &opts, Layer1 order, Rounding rounding)
 {
     EXPECT_EQ(opts.centroid, CentroidMethod::Random);
     EXPECT_TRUE(opts.ds == DsMethod::Veg || opts.ds == DsMethod::BruteKnn);
@@ -1089,7 +1145,8 @@ refRun(const RefNetwork &net, const PointCloud &input,
                 std::vector<float> x = {rel.x, rel.y, rel.z};
                 const std::vector<float> f = refRow(in.features, i);
                 x.insert(x.end(), f.begin(), f.end());
-                refPool(pooled, refLayers(mlp, 0, x, true), i == 0);
+                refPool(pooled, refLayers(mlp, 0, x, true, rounding),
+                        i == 0);
             }
             next.positions = {mean};
             next.features = Tensor(1, pooled.size());
@@ -1118,7 +1175,7 @@ refRun(const RefNetwork &net, const PointCloud &input,
         Tensor p_f(delayed ? n : 0, width);
         for (std::size_t i = 0; i < p_f.rows(); ++i)
             refDot(refRow(in.features, i).data(), c_in, mlp[0].w, 3,
-                   p_f.row(i));
+                   p_f.row(i), rounding);
         next.features = Tensor(m, spec.sa[l].mlp.back());
         for (std::size_t c = 0; c < m; ++c) {
             std::vector<float> pooled;
@@ -1131,11 +1188,13 @@ refRun(const RefNetwork &net, const PointCloud &input,
                     x.insert(x.end(), f.begin(), f.end());
                 }
                 std::vector<float> h(width);
-                refDot(x.data(), x.size(), mlp[0].w, 0, h.data());
+                refDot(x.data(), x.size(), mlp[0].w, 0, h.data(),
+                       rounding);
                 for (std::size_t o = 0; delayed && o < width; ++o)
                     h[o] = h[o] + p_f.at(pi, o);
                 refFinish(h, mlp[0], true);
-                refPool(pooled, refLayers(mlp, 1, h, true), j == 0);
+                refPool(pooled, refLayers(mlp, 1, h, true, rounding),
+                        j == 0);
             }
             std::copy(pooled.begin(), pooled.end(),
                       next.features.row(c));
@@ -1148,7 +1207,7 @@ refRun(const RefNetwork &net, const PointCloud &input,
         Tensor logits(top.rows(), spec.numClasses);
         for (std::size_t r = 0; r < top.rows(); ++r) {
             const std::vector<float> y =
-                refLayers(net.head, 0, refRow(top, r), false);
+                refLayers(net.head, 0, refRow(top, r), false, rounding);
             std::copy(y.begin(), y.end(), logits.row(r));
         }
         return logits;
@@ -1182,7 +1241,8 @@ refRun(const RefNetwork &net, const PointCloud &input,
         const bool delayed = order == Layer1::Delayed;
         Tensor g(delayed ? n_c : 0, width);
         for (std::size_t i = 0; i < g.rows(); ++i)
-            refDot(carried.row(i), c_coarse, mlp[0].w, 0, g.row(i));
+            refDot(carried.row(i), c_coarse, mlp[0].w, 0, g.row(i),
+                   rounding);
         Tensor out(n_f, t == 0 ? spec.numClasses : spec.fp[t].mlp.back());
         for (std::size_t i = 0; i < n_f; ++i) {
             float w[3] = {0, 0, 0};
@@ -1196,7 +1256,8 @@ refRun(const RefNetwork &net, const PointCloud &input,
             std::vector<float> h(width);
             const std::vector<float> skip = refRow(fine.features, i);
             if (delayed) {
-                refDot(skip.data(), c_skip, mlp[0].w, c_coarse, h.data());
+                refDot(skip.data(), c_skip, mlp[0].w, c_coarse, h.data(),
+                       rounding);
                 for (std::size_t o = 0; o < width; ++o) {
                     float v = 0.0f;
                     for (std::size_t j = 0; j < k; ++j)
@@ -1209,12 +1270,13 @@ refRun(const RefNetwork &net, const PointCloud &input,
                     for (std::size_t j = 0; j < k; ++j)
                         x[c] += w[j] / total * carried.at(nb[i * k + j], c);
                 std::copy(skip.begin(), skip.end(), x.data() + c_coarse);
-                refDot(x.data(), x.size(), mlp[0].w, 0, h.data());
+                refDot(x.data(), x.size(), mlp[0].w, 0, h.data(),
+                       rounding);
             }
             refFinish(h, mlp[0], true);
-            std::vector<float> y = refLayers(mlp, 1, h, true);
+            std::vector<float> y = refLayers(mlp, 1, h, true, rounding);
             if (t == 0)
-                y = refLayers(net.head, 0, y, false);
+                y = refLayers(net.head, 0, y, false, rounding);
             std::copy(y.begin(), y.end(), out.row(i));
         }
         carried = std::move(out);
@@ -1223,18 +1285,19 @@ refRun(const RefNetwork &net, const PointCloud &input,
 }
 
 // Digests recorded from the scalar reference, refRun() in the
-// delayed layer-1 order (ScalarReference.* checks it reproduces
-// them). Every other check compares the kernel with itself (the e2e
-// oracle runs the same GEMM), so a kernel that is wrong the same way
-// everywhere would pass them; these pin the network to fixed values
-// in every build, including -march=x86-64-v3.
+// delayed layer-1 order with fused rounding (ScalarReference.* checks
+// it reproduces them). Every other check compares the kernel with
+// itself (the e2e oracle runs the same GEMM), so a kernel that is
+// wrong the same way everywhere would pass them; these pin the
+// network to fixed values in every build, including
+// -march=x86-64-v3.
 TEST(NetworkDigest, SemanticSegmentationVeg)
 {
     const PointNet2 net(PointNet2Spec::semanticSegmentation(), 42);
     RunOptions opts;
     opts.ds = DsMethod::Veg;
     const RunOutput out = net.run(randomCloud(4096, 31), opts);
-    EXPECT_EQ(logitsDigest(out.logits), 0x410e5f3ba4e3a0a0ull);
+    EXPECT_EQ(logitsDigest(out.logits), 0x902b820f04fcc201ull);
 }
 
 TEST(NetworkDigest, EdgeClassifierSoloAndBatched)
@@ -1247,8 +1310,8 @@ TEST(NetworkDigest, EdgeClassifierSoloAndBatched)
     for (const PointCloud &c : clouds)
         ptrs.push_back(&c);
     const std::uint64_t expect[4] = {
-        0x727297f8aa660c17ull, 0x6bcf98f7d567e802ull,
-        0xe5c8bd6f00dd7cfbull, 0x1dfe0b8f66609fb7ull};
+        0x82728cf6e4d0d34bull, 0x2609ae56797945cbull,
+        0x6b1314e5b827944cull, 0x9043b1d9848cad7cull};
     const std::vector<RunOutput> batch = net.runBatch(ptrs);
     ASSERT_EQ(batch.size(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -1273,10 +1336,10 @@ struct FrameDigest
  * intra-op thread count and block size (1, 7, 64, whole level),
  * through one shared workspace; each frame's logits and full trace
  * must equal @p expect. The logits digests come from the scalar
- * reference (refRun(), delayed order); the trace digests were
- * recorded from the serial execution that ran each level whole
- * (gather, then one GEMM per layer over all rows, then pool), before
- * levels ran in blocks.
+ * reference (refRun(), delayed order, fused rounding); the trace
+ * digests were recorded from the serial execution that ran each level
+ * whole (gather, then one GEMM per layer over all rows, then pool),
+ * before levels ran in blocks.
  */
 void
 expectInvariant(const PointNet2 &net, const std::vector<PointCloud> &clouds,
@@ -1323,8 +1386,8 @@ TEST(ThreadInvariance, SemanticSegmentationVeg)
     RunOptions opts;
     opts.ds = DsMethod::Veg;
     const FrameDigest expect[] = {
-        {0x410e5f3ba4e3a0a0ull, 0x75b08b11f2e43e66ull},
-        {0xfd347b1ff41bcdb2ull, 0xd4306ccd40548514ull}};
+        {0x902b820f04fcc201ull, 0x75b08b11f2e43e66ull},
+        {0xacc455380f9c5163ull, 0xd4306ccd40548514ull}};
     expectInvariant(net, {randomCloud(4096, 31), randomCloud(4096, 32)},
                     opts, expect);
 }
@@ -1335,7 +1398,7 @@ TEST(ThreadInvariance, SemanticSegmentationSpatialHashKnn)
     RunOptions opts;
     opts.ds = DsMethod::BruteKnn;
     const FrameDigest expect[] = {
-        {0x89875284ff603da7ull, 0xea44a46aa2fa7d94ull}};
+        {0x0a16fab6802f2a69ull, 0xea44a46aa2fa7d94ull}};
     expectInvariant(net, {randomCloud(4096, 31)}, opts, expect);
 }
 
@@ -1348,18 +1411,18 @@ TEST(ThreadInvariance, EdgeClassifier)
     for (std::uint64_t s = 0; s < 4; ++s)
         clouds.push_back(randomCloud(256, 40 + s));
     const FrameDigest knn[] = {
-        {0x727297f8aa660c17ull, 0xfe0e9dcf03a75cb4ull},
-        {0x6bcf98f7d567e802ull, 0xfe0e9dcf03a75cb4ull},
-        {0xe5c8bd6f00dd7cfbull, 0xfe0e9dcf03a75cb4ull},
-        {0x1dfe0b8f66609fb7ull, 0xfe0e9dcf03a75cb4ull}};
+        {0x82728cf6e4d0d34bull, 0xfe0e9dcf03a75cb4ull},
+        {0x2609ae56797945cbull, 0xfe0e9dcf03a75cb4ull},
+        {0x6b1314e5b827944cull, 0xfe0e9dcf03a75cb4ull},
+        {0x9043b1d9848cad7cull, 0xfe0e9dcf03a75cb4ull}};
     expectInvariant(net, clouds, RunOptions{}, knn);
     RunOptions veg;
     veg.ds = DsMethod::Veg;
     const FrameDigest veg_expect[] = {
-        {0x997282a31b9f6fafull, 0x4726ca71ac48d03full},
-        {0x1dddc015d4d2a8cfull, 0xf5cc31b4f5f5d2c0ull},
-        {0xeca86bc19d322675ull, 0x0e9256d14166bcf3ull},
-        {0xc6be85d09418a023ull, 0x039eb3094aff0dc3ull}};
+        {0x2ccf6f526ab63e97ull, 0x4726ca71ac48d03full},
+        {0x8422813aada5aaa5ull, 0xf5cc31b4f5f5d2c0ull},
+        {0xe359442c909bc949ull, 0x0e9256d14166bcf3ull},
+        {0xfad387ea622e24aeull, 0x039eb3094aff0dc3ull}};
     expectInvariant(net, clouds, veg, veg_expect);
 }
 
@@ -1371,7 +1434,7 @@ TEST(ThreadInvariance, ClassificationVeg)
     RunOptions opts;
     opts.ds = DsMethod::Veg;
     const FrameDigest expect[] = {
-        {0x41720e24f6bf7163ull, 0x52273885f7a1a906ull}};
+        {0x9319f92834a070d9ull, 0x52273885f7a1a906ull}};
     expectInvariant(net, {randomCloud(1024, 50)}, opts, expect);
 }
 
@@ -1393,12 +1456,14 @@ TEST(ThreadInvariance, ParallelRegionsStopGrowingTheWorkspace)
     EXPECT_EQ(FrameWorkspace::backingGrowths(), warm);
 }
 
-// --------------------------------------------- delayed aggregation
+// ------------------------------------- delayed aggregation, fused GEMM
 
-// The library against the scalar reference in both orders. The
-// delayed order is the library's own, bit for bit, so it pins the
-// digests above; the grouped order is the arithmetic before delayed
-// aggregation, and reproduces every digest pinned before it.
+// The library against the scalar reference in every order it has
+// run. Delayed order with fused rounding is the library's own, bit for
+// bit, so it pins the digests above; delayed with separate rounding is
+// the arithmetic before the GEMM fused, and grouped with separate
+// rounding the arithmetic before delayed aggregation. Each reproduces
+// every digest pinned in its time.
 TEST(ScalarReference, ReproducesPinnedDigestsInBothOrders)
 {
     struct Pinned
@@ -1407,37 +1472,38 @@ TEST(ScalarReference, ReproducesPinnedDigestsInBothOrders)
         DsMethod ds;
         std::size_t points;
         std::uint64_t cloudSeed;
-        std::uint64_t delayed; //!< the library's digest
-        std::uint64_t grouped; //!< the digest before delayed aggregation
+        std::uint64_t fused;    //!< the library's digest
+        std::uint64_t separate; //!< the digest before the GEMM fused
+        std::uint64_t grouped;  //!< the digest before delayed aggregation
     };
     const PointNet2Spec seg = PointNet2Spec::semanticSegmentation();
     const PointNet2Spec edge = PointNet2Spec::edgeClassification();
     const PointNet2Spec cls = PointNet2Spec::classification(4);
     const Pinned pinned[] = {
-        {seg, DsMethod::Veg, 4096, 31, 0x410e5f3ba4e3a0a0ull,
-         0x216c000198577985ull},
-        {seg, DsMethod::Veg, 4096, 32, 0xfd347b1ff41bcdb2ull,
-         0xc2bcae0f73b455efull},
-        {seg, DsMethod::BruteKnn, 4096, 31, 0x89875284ff603da7ull,
-         0x6d8206f62d1e9740ull},
-        {edge, DsMethod::BruteKnn, 256, 40, 0x727297f8aa660c17ull,
-         0x211b689fe6038cc7ull},
-        {edge, DsMethod::BruteKnn, 256, 41, 0x6bcf98f7d567e802ull,
-         0x680688019525bab2ull},
-        {edge, DsMethod::BruteKnn, 256, 42, 0xe5c8bd6f00dd7cfbull,
-         0x1481ba758e65e9c7ull},
-        {edge, DsMethod::BruteKnn, 256, 43, 0x1dfe0b8f66609fb7ull,
-         0xa7513e733a6b698aull},
-        {edge, DsMethod::Veg, 256, 40, 0x997282a31b9f6fafull,
-         0x276cefdb4192f2fdull},
-        {edge, DsMethod::Veg, 256, 41, 0x1dddc015d4d2a8cfull,
-         0x3551d6b7d168ca4full},
-        {edge, DsMethod::Veg, 256, 42, 0xeca86bc19d322675ull,
-         0x0e6637d2c9a0e6d7ull},
-        {edge, DsMethod::Veg, 256, 43, 0xc6be85d09418a023ull,
-         0x5a37c51737b48a3eull},
-        {cls, DsMethod::Veg, 1024, 50, 0x41720e24f6bf7163ull,
-         0xec59f20d2e5ab411ull},
+        {seg, DsMethod::Veg, 4096, 31,
+         0x902b820f04fcc201ull, 0x410e5f3ba4e3a0a0ull, 0x216c000198577985ull},
+        {seg, DsMethod::Veg, 4096, 32,
+         0xacc455380f9c5163ull, 0xfd347b1ff41bcdb2ull, 0xc2bcae0f73b455efull},
+        {seg, DsMethod::BruteKnn, 4096, 31,
+         0x0a16fab6802f2a69ull, 0x89875284ff603da7ull, 0x6d8206f62d1e9740ull},
+        {edge, DsMethod::BruteKnn, 256, 40,
+         0x82728cf6e4d0d34bull, 0x727297f8aa660c17ull, 0x211b689fe6038cc7ull},
+        {edge, DsMethod::BruteKnn, 256, 41,
+         0x2609ae56797945cbull, 0x6bcf98f7d567e802ull, 0x680688019525bab2ull},
+        {edge, DsMethod::BruteKnn, 256, 42,
+         0x6b1314e5b827944cull, 0xe5c8bd6f00dd7cfbull, 0x1481ba758e65e9c7ull},
+        {edge, DsMethod::BruteKnn, 256, 43,
+         0x9043b1d9848cad7cull, 0x1dfe0b8f66609fb7ull, 0xa7513e733a6b698aull},
+        {edge, DsMethod::Veg, 256, 40,
+         0x2ccf6f526ab63e97ull, 0x997282a31b9f6fafull, 0x276cefdb4192f2fdull},
+        {edge, DsMethod::Veg, 256, 41,
+         0x8422813aada5aaa5ull, 0x1dddc015d4d2a8cfull, 0x3551d6b7d168ca4full},
+        {edge, DsMethod::Veg, 256, 42,
+         0xe359442c909bc949ull, 0xeca86bc19d322675ull, 0x0e6637d2c9a0e6d7ull},
+        {edge, DsMethod::Veg, 256, 43,
+         0xfad387ea622e24aeull, 0xc6be85d09418a023ull, 0x5a37c51737b48a3eull},
+        {cls, DsMethod::Veg, 1024, 50,
+         0x9319f92834a070d9ull, 0x41720e24f6bf7163ull, 0xec59f20d2e5ab411ull},
     };
     for (const Pinned &p : pinned) {
         SCOPED_TRACE(testing::Message() << p.spec.name << " "
@@ -1447,51 +1513,78 @@ TEST(ScalarReference, ReproducesPinnedDigestsInBothOrders)
         const PointCloud cloud = randomCloud(p.points, p.cloudSeed);
         RunOptions opts;
         opts.ds = p.ds;
-        EXPECT_EQ(logitsDigest(refRun(ref, cloud, opts, Layer1::Delayed)),
-                  p.delayed);
-        EXPECT_EQ(logitsDigest(refRun(ref, cloud, opts, Layer1::Grouped)),
+        EXPECT_EQ(logitsDigest(refRun(ref, cloud, opts, Layer1::Delayed,
+                                      Rounding::Fused)),
+                  p.fused);
+        EXPECT_EQ(logitsDigest(refRun(ref, cloud, opts, Layer1::Delayed,
+                                      Rounding::Separate)),
+                  p.separate);
+        EXPECT_EQ(logitsDigest(refRun(ref, cloud, opts, Layer1::Grouped,
+                                      Rounding::Separate)),
                   p.grouped);
     }
 }
 
-/** The bound on |library - grouped reference| per logit: measured
- * at 1.5e-8 over the test clouds and 4.2e-9 over the KittiLike
- * frames. */
-constexpr float kMaxLogitDrift = 1e-7f;
+/** A reference arithmetic the library is held near, and how near:
+ * the largest |library logit - reference logit| allowed. */
+struct DriftBound
+{
+    Layer1 order;
+    Rounding rounding;
+    float maxLogitDrift;
+};
+
+/** Delayed aggregation alone: the grouped order, rounded as the
+ * library rounds. Measured at 1.3e-8 over the test clouds and 3.3e-9
+ * over the KittiLike frames (1.5e-8 and 4.2e-9 before the GEMM
+ * fused). */
+constexpr DriftBound kDelayedAggregation{Layer1::Grouped, Rounding::Fused,
+                                         1e-7f};
+
+/** The fused GEMM alone: the library's order, with a separate
+ * multiply and add. Measured at 1.1e-8 over the test clouds and
+ * 3.7e-9 over the KittiLike frames. */
+constexpr float kMaxFusedLogitDrift = 1e-7f;
+constexpr DriftBound kFusedGemm{Layer1::Delayed, Rounding::Separate,
+                                kMaxFusedLogitDrift};
 
 /**
  * Run @p cloud through the library at three threads (so the delayed
  * products are computed inside parallel regions) and through the
- * grouped reference: labels must be equal and every logit within
- * kMaxLogitDrift. @return the largest |difference|.
+ * reference @p bound names: labels must be equal and every logit
+ * within its maxLogitDrift. @return the largest |difference|.
  */
 float
 expectSmallDrift(const PointNet2 &net, const RefNetwork &ref,
-                 const PointCloud &cloud, RunOptions opts)
+                 const PointCloud &cloud, RunOptions opts,
+                 const DriftBound &bound)
 {
     FrameWorkspace ws;
     opts.workspace = &ws;
     opts.intraOpThreads = 3;
     const RunOutput lib = net.run(cloud, opts);
-    const Tensor grouped = refRun(ref, cloud, opts, Layer1::Grouped);
-    EXPECT_EQ(lib.logits.rows(), grouped.rows());
-    EXPECT_EQ(lib.logits.cols(), grouped.cols());
+    const Tensor expect =
+        refRun(ref, cloud, opts, bound.order, bound.rounding);
+    EXPECT_EQ(lib.logits.rows(), expect.rows());
+    EXPECT_EQ(lib.logits.cols(), expect.cols());
     float worst = 0.0f;
     std::size_t relabelled = 0;
-    for (std::size_t r = 0; r < grouped.rows(); ++r) {
-        relabelled += lib.labels[r] != grouped.argmaxRow(r);
-        for (std::size_t c = 0; c < grouped.cols(); ++c)
+    for (std::size_t r = 0; r < expect.rows(); ++r) {
+        relabelled += lib.labels[r] != expect.argmaxRow(r);
+        for (std::size_t c = 0; c < expect.cols(); ++c)
             worst = std::max(worst, std::fabs(lib.logits.at(r, c) -
-                                              grouped.at(r, c)));
+                                              expect.at(r, c)));
     }
     EXPECT_EQ(relabelled, 0u);
-    EXPECT_LE(worst, kMaxLogitDrift);
+    EXPECT_LE(worst, bound.maxLogitDrift);
     return worst;
 }
 
-// Delayed aggregation changes only the order of layer 1's sums, so
-// every label stays and the logits move by rounding alone.
-TEST(DelayedAggregationDrift, TestClouds)
+/** expectSmallDrift() over the digest tests' clouds: Pointnet++(s)
+ * (VEG and brute KNN), the edge classifier and Pointnet++(c).
+ * @return the largest |difference|. */
+float
+driftOverTestClouds(const DriftBound &bound)
 {
     float worst = 0.0f;
     const PointNet2Spec seg = PointNet2Spec::semanticSegmentation();
@@ -1500,12 +1593,14 @@ TEST(DelayedAggregationDrift, TestClouds)
     RunOptions veg;
     veg.ds = DsMethod::Veg;
     for (const std::uint64_t s : {31, 32})
-        worst = std::max(worst, expectSmallDrift(seg_net, seg_ref,
-                                                 randomCloud(4096, s), veg));
+        worst = std::max(worst,
+                         expectSmallDrift(seg_net, seg_ref,
+                                          randomCloud(4096, s), veg, bound));
     RunOptions knn;
     knn.ds = DsMethod::BruteKnn;
     worst = std::max(worst, expectSmallDrift(seg_net, seg_ref,
-                                             randomCloud(4096, 31), knn));
+                                             randomCloud(4096, 31), knn,
+                                             bound));
     const PointNet2Spec edge = PointNet2Spec::edgeClassification();
     const PointNet2 edge_net(edge, 42);
     const RefNetwork edge_ref(edge, 42);
@@ -1515,18 +1610,21 @@ TEST(DelayedAggregationDrift, TestClouds)
         for (std::uint64_t s = 40; s < 44; ++s)
             worst = std::max(worst, expectSmallDrift(edge_net, edge_ref,
                                                      randomCloud(256, s),
-                                                     opts));
+                                                     opts, bound));
     }
     const PointNet2Spec cls = PointNet2Spec::classification(4);
     worst = std::max(worst, expectSmallDrift(PointNet2(cls, 42),
                                              RefNetwork(cls, 42),
-                                             randomCloud(1024, 50), veg));
-    std::printf("max |logit drift| over the test clouds: %g\n", worst);
+                                             randomCloud(1024, 50), veg,
+                                             bound));
+    return worst;
 }
 
-// kitti_seg's frames: a KittiLike scan through buildStage and
-// sampleStage down to K = 4096, normalized, into Pointnet++(s).
-TEST(DelayedAggregationDrift, KittiLikeFrames)
+/** expectSmallDrift() over kitti_seg's frames: a KittiLike scan
+ * through buildStage and sampleStage down to K = 4096, normalized,
+ * into Pointnet++(s). @return the largest |difference|. */
+float
+driftOverKittiLikeFrames(const DriftBound &bound)
 {
     const PointNet2Spec seg = PointNet2Spec::semanticSegmentation();
     const PointNet2 net(seg, 42);
@@ -1541,9 +1639,39 @@ TEST(DelayedAggregationDrift, KittiLikeFrames)
         pre.sampleStage(pr, seg.inputPoints);
         PointCloud input = pr.sampled;
         input.normalizeToUnitCube();
-        worst = std::max(worst, expectSmallDrift(net, ref, input, opts));
+        worst = std::max(worst,
+                         expectSmallDrift(net, ref, input, opts, bound));
     }
-    std::printf("max |logit drift| over 3 KittiLike frames: %g\n", worst);
+    return worst;
+}
+
+// Delayed aggregation changes only the order of layer 1's sums, so
+// every label stays and the logits move by rounding alone.
+TEST(DelayedAggregationDrift, TestClouds)
+{
+    std::printf("max |logit drift| over the test clouds: %g\n",
+                driftOverTestClouds(kDelayedAggregation));
+}
+
+TEST(DelayedAggregationDrift, KittiLikeFrames)
+{
+    std::printf("max |logit drift| over 3 KittiLike frames: %g\n",
+                driftOverKittiLikeFrames(kDelayedAggregation));
+}
+
+// The fused GEMM rounds each multiply-add once instead of twice, in
+// the same order, so every label stays and the logits move by
+// rounding alone.
+TEST(FusedGemmDrift, TestClouds)
+{
+    std::printf("max |logit drift| over the test clouds: %g\n",
+                driftOverTestClouds(kFusedGemm));
+}
+
+TEST(FusedGemmDrift, KittiLikeFrames)
+{
+    std::printf("max |logit drift| over 3 KittiLike frames: %g\n",
+                driftOverKittiLikeFrames(kFusedGemm));
 }
 
 } // namespace
