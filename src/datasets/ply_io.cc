@@ -1,6 +1,8 @@
 #include "datasets/ply_io.h"
 
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -49,7 +51,11 @@ read(const std::string &path)
     if (line != "ply")
         fatal("not a PLY file: ", path);
 
+    // The vertex element must be the first element: its rows are the
+    // first of the body, and later elements (faces, edges) are not
+    // read, so their counts must not be taken for it.
     std::size_t vertex_count = 0;
+    bool seen_element = false;
     bool in_vertex_element = false;
     std::vector<std::string> properties;
     while (std::getline(in, line)) {
@@ -65,12 +71,15 @@ read(const std::string &path)
                 fatal("only ascii PLY is supported: ", path);
         } else if (keyword == "element") {
             std::string what;
-            iss >> what >> vertex_count;
+            std::size_t count = 0;
+            if (!(iss >> what >> count))
+                fatal("malformed PLY element line '", line, "': ", path);
             in_vertex_element = what == "vertex";
-            if (!in_vertex_element && vertex_count > 0 &&
-                properties.empty()) {
-                fatal("PLY vertex element missing: ", path);
-            }
+            if (in_vertex_element == seen_element)
+                fatal("PLY vertex element must come first, once: ", path);
+            if (in_vertex_element)
+                vertex_count = count;
+            seen_element = true;
         } else if (keyword == "property" && in_vertex_element) {
             std::string type, name;
             iss >> type >> name;
@@ -89,22 +98,37 @@ read(const std::string &path)
             label_column = static_cast<int>(c);
     }
 
+    // No reserve(vertex_count): the count is unchecked until the rows
+    // are read, and a corrupt header must not allocate for it.
     Frame frame;
     frame.name = path;
-    frame.cloud.reserve(vertex_count);
+    std::vector<double> values(properties.size());
+    std::string token;
     for (std::size_t i = 0; i < vertex_count; ++i) {
         if (!std::getline(in, line))
             fatal("PLY truncated at vertex ", i, ": ", path);
         std::istringstream iss(line);
-        std::vector<double> values(properties.size(), 0.0);
-        for (auto &v : values)
-            iss >> v;
+        for (std::size_t c = 0; c < values.size(); ++c) {
+            if (!(iss >> token))
+                fatal("PLY vertex row ", i, " has ", c, " of ",
+                      values.size(), " values: ", path);
+            const char *end = token.data() + token.size();
+            const auto [ptr, ec] =
+                std::from_chars(token.data(), end, values[c]);
+            if (ec != std::errc() || ptr != end)
+                fatal("PLY vertex row ", i, ": non-numeric ",
+                      properties[c], " '", token, "': ", path);
+        }
         frame.cloud.add({static_cast<float>(values[0]),
                          static_cast<float>(values[1]),
                          static_cast<float>(values[2])});
         if (label_column >= 0) {
-            frame.labels.push_back(
-                static_cast<int>(values[label_column]));
+            const double label = values[label_column];
+            if (!(label >= std::numeric_limits<int>::min() &&
+                  label <= std::numeric_limits<int>::max()))
+                fatal("PLY vertex row ", i, ": label ", label,
+                      " outside int range: ", path);
+            frame.labels.push_back(static_cast<int>(label));
         }
     }
     return frame;

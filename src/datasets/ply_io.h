@@ -31,7 +31,10 @@ bool write(const std::string &path, const Frame &frame);
 /**
  * Read an ASCII PLY containing at least float x/y/z vertex
  * properties; an int/uchar "label" property is loaded when present.
- * Calls fatal() on malformed headers.
+ * The vertex element must be the header's first element. Calls
+ * fatal() on a malformed header, and with the row number on a
+ * vertex row with fewer values than properties, a non-numeric value
+ * or a label outside int range.
  * @return the loaded frame (name = file path).
  */
 Frame read(const std::string &path);

@@ -21,30 +21,6 @@ compactBits3(Code v)
     return static_cast<std::uint32_t>(x);
 }
 
-Code
-expandBits2(std::uint32_t v)
-{
-    Code x = v & 0x7fffffffull;
-    x = (x | x << 16) & 0x0000ffff0000ffffull;
-    x = (x | x << 8) & 0x00ff00ff00ff00ffull;
-    x = (x | x << 4) & 0x0f0f0f0f0f0f0f0full;
-    x = (x | x << 2) & 0x3333333333333333ull;
-    x = (x | x << 1) & 0x5555555555555555ull;
-    return x;
-}
-
-std::uint32_t
-compactBits2(Code v)
-{
-    Code x = v & 0x5555555555555555ull;
-    x = (x ^ (x >> 1)) & 0x3333333333333333ull;
-    x = (x ^ (x >> 2)) & 0x0f0f0f0f0f0f0f0full;
-    x = (x ^ (x >> 4)) & 0x00ff00ff00ff00ffull;
-    x = (x ^ (x >> 8)) & 0x0000ffff0000ffffull;
-    x = (x ^ (x >> 16)) & 0x00000000ffffffffull;
-    return static_cast<std::uint32_t>(x);
-}
-
 void
 decode3(Code code, int depth, CellCoord &x, CellCoord &y, CellCoord &z)
 {
@@ -52,13 +28,6 @@ decode3(Code code, int depth, CellCoord &x, CellCoord &y, CellCoord &z)
     x = compactBits3(code >> 2);
     y = compactBits3(code >> 1);
     z = compactBits3(code);
-}
-
-Code
-encode2(CellCoord x, CellCoord y, int depth)
-{
-    HGPCN_ASSERT(depth >= 1 && depth <= kMaxDepth2d, "depth=", depth);
-    return (expandBits2(x) << 1) | expandBits2(y);
 }
 
 float

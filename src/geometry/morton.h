@@ -31,9 +31,6 @@ namespace morton
 /** Deepest supported octree level (3 bits/level in a 64-bit code). */
 constexpr int kMaxDepth3d = 21;
 
-/** Deepest supported quadtree level (2 bits/level). */
-constexpr int kMaxDepth2d = 31;
-
 /** Integer cell coordinate along one axis at some level. */
 using CellCoord = std::uint32_t;
 
@@ -57,12 +54,6 @@ expandBits3(std::uint32_t v)
 /** Inverse of expandBits3: gather every third bit. */
 std::uint32_t compactBits3(Code v);
 
-/** Spread the low 31 bits of @p v so consecutive bits are 2 apart. */
-Code expandBits2(std::uint32_t v);
-
-/** Inverse of expandBits2. */
-std::uint32_t compactBits2(Code v);
-
 /**
  * Encode a 3D cell into a Morton code of 3*depth bits.
  *
@@ -82,9 +73,6 @@ encode3(CellCoord x, CellCoord y, CellCoord z, int depth)
 
 /** Decode a 3*depth-bit Morton code back into cell coordinates. */
 void decode3(Code code, int depth, CellCoord &x, CellCoord &y, CellCoord &z);
-
-/** Encode a 2D (quadtree) cell: X bit then Y bit per level. */
-Code encode2(CellCoord x, CellCoord y, int depth);
 
 /** @return code of the @p octant child (0..7) of @p parent. */
 constexpr Code

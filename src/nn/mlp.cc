@@ -32,26 +32,6 @@ Linear::Linear(std::size_t in, std::size_t out, Rng &rng,
         b = rng.uniform(-0.01f, 0.01f);
 }
 
-Tensor
-Linear::forward(const Tensor &x, const std::string &layer_name,
-                ExecutionTrace &trace) const
-{
-    Tensor out;
-    forwardInto(x, out, /*relu=*/false, /*threads=*/1, layer_name,
-                trace);
-    return out;
-}
-
-void
-Linear::forwardInto(const Tensor &x, Tensor &out, bool relu,
-                    int threads, const std::string &layer_name,
-                    ExecutionTrace &trace) const
-{
-    forwardIntoUntraced(x, out, relu, threads);
-    trace.gemms.push_back(
-        GemmOp{layer_name, x.rows(), x.cols(), weight.cols()});
-}
-
 void
 Linear::forwardIntoUntraced(const Tensor &x, Tensor &out, bool relu,
                             int threads, bool accumulate) const
@@ -100,23 +80,6 @@ Mlp::forwardDelayedRows(const Tensor &x, Tensor &out, std::size_t begin,
 {
     HGPCN_ASSERT(hasDelayed(), "MLP has no delayed rows");
     Tensor::matmulRowsInto(x, layers[0].delayed, out, begin, end);
-}
-
-Tensor
-Mlp::forward(const Tensor &x, const std::string &name_prefix,
-             ExecutionTrace &trace) const
-{
-    Tensor bufs[2];
-    const Tensor *cur = &x;
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        Tensor &dst = bufs[i % 2];
-        const bool relu = i + 1 < layers.size() || relu_last;
-        layers[i].forwardInto(*cur, dst, relu, /*threads=*/1,
-                              name_prefix + ".fc" + std::to_string(i),
-                              trace);
-        cur = &dst;
-    }
-    return std::move(bufs[(layers.size() - 1) % 2]);
 }
 
 std::uint64_t

@@ -11,10 +11,9 @@
  * construction, with bias + ReLU fused into the tile's store.
  * forwardArena() is the hot-path entry: activations
  * ping-pong between FrameWorkspace arena tensors (no per-frame heap
- * traffic once warm) and rows may be split across intra-op threads —
- * both bit-identical to the plain forward(), since rows are
- * independent and each element keeps its ascending-k accumulation
- * order.
+ * traffic once warm) and rows may be split across intra-op threads,
+ * bit-identical to a single-thread run, since rows are independent
+ * and each element keeps its ascending-k accumulation order.
  *
  * Delayed aggregation (Mesorasi): a shared MLP's first layer is
  * linear, so the part of it that reads per-point features can run
@@ -67,24 +66,12 @@ struct Linear
     /** @return the spec's input width: direct plus delayed rows. */
     std::size_t inputs() const { return weight.rows() + delayed.rows(); }
 
-    /** @return x * W + b, recording the GEMM into @p trace. */
-    Tensor forward(const Tensor &x, const std::string &layer_name,
-                   ExecutionTrace &trace) const;
-
     /**
-     * out = x * W + b (+ ReLU when @p relu) into a preallocated
-     * tensor, rows split over @p threads. Records the GEMM.
-     */
-    void forwardInto(const Tensor &x, Tensor &out, bool relu,
-                     int threads, const std::string &layer_name,
-                     ExecutionTrace &trace) const;
-
-    /**
-     * forwardInto() without the trace record — the compute core.
-     * The batch-stacked path runs this once over a tall tensor and
-     * records per-frame GemmOps itself. With @p accumulate, @p out
-     * already has x's rows and holds an addend that each element
-     * adds before bias and ReLU.
+     * out = x * W + b (+ ReLU when @p relu), rows split over
+     * @p threads, recording nothing: the batch-stacked path records
+     * per-frame GemmOps itself. With @p accumulate, @p out already
+     * has x's rows and holds an addend that each element adds before
+     * bias and ReLU.
      */
     void forwardIntoUntraced(const Tensor &x, Tensor &out, bool relu,
                              int threads, bool accumulate = false) const;
@@ -109,17 +96,12 @@ class Mlp
     Mlp(std::size_t in, const std::vector<std::size_t> &widths, Rng &rng,
         bool final_relu = true, RowRange delayed = {});
 
-    /** @return network output; GEMMs recorded into @p trace. This
-     * and the two arena forwards run whole input rows: MLPs without
-     * delayed rows only (group-all levels, the head). */
-    Tensor forward(const Tensor &x, const std::string &name_prefix,
-                   ExecutionTrace &trace) const;
-
     /**
-     * Hot-path forward: activations come from @p ws's bump arena
-     * and rows are split across @p threads. The returned tensor
-     * lives in the arena — valid until the workspace's next
-     * beginFrame(). Output values are bit-identical to forward().
+     * Hot-path forward, GEMMs recorded into @p trace: activations
+     * come from @p ws's bump arena (valid until its next
+     * beginFrame()), rows split across @p threads. This and
+     * forwardBatchArena() run whole input rows: MLPs without delayed
+     * rows only (group-all levels, the head).
      */
     const Tensor &forwardArena(const Tensor &x,
                                const std::string &name_prefix,
@@ -148,7 +130,7 @@ class Mlp
      * every layer, ping-ponging between @p ping and @p pong (their
      * capacity is the caller's: a warmed pair never allocates).
      * @return whichever of the two holds the output. Values are
-     * bit-identical to the same rows of forward().
+     * bit-identical to the same rows of forwardArena().
      *
      * With delayed rows, @p x holds only each row's direct inputs
      * and @p ping, [x.rows(), layer-1 width], holds on entry each

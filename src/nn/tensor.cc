@@ -333,39 +333,6 @@ Tensor::matmulRowsInto(const Tensor &a, const PackedPanels &b,
                 epilogue);
 }
 
-void
-Tensor::matmulRowsInto(const Tensor &a, const Tensor &b, Tensor &out,
-                       std::size_t row_begin, std::size_t row_end)
-{
-    matmulRowsInto(a, PackedPanels(b), out, row_begin, row_end);
-}
-
-void
-Tensor::matmulInto(const Tensor &a, const Tensor &b, Tensor &out)
-{
-    out.resizeUninit(a.rows(), b.cols());
-    matmulRowsInto(a, b, out, 0, a.rows());
-}
-
-Tensor
-Tensor::matmul(const Tensor &a, const Tensor &b)
-{
-    Tensor out(a.rows(), b.cols());
-    matmulRowsInto(a, b, out, 0, a.rows());
-    return out;
-}
-
-void
-Tensor::addRowBias(const std::vector<float> &bias)
-{
-    HGPCN_ASSERT(bias.size() == n_cols, "bias width mismatch");
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        float *row_ptr = row(r);
-        for (std::size_t c = 0; c < n_cols; ++c)
-            row_ptr[c] += bias[c];
-    }
-}
-
 namespace gemm_kernel
 {
 
@@ -388,23 +355,6 @@ matmulRowsInto(Isa isa, const Tensor &a, const PackedPanels &b,
 }
 
 } // namespace gemm_kernel
-
-Tensor
-Tensor::maxPoolGroups(std::size_t group) const
-{
-    Tensor out;
-    maxPoolGroupsInto(group, out);
-    return out;
-}
-
-void
-Tensor::maxPoolGroupsInto(std::size_t group, Tensor &out) const
-{
-    HGPCN_ASSERT(group >= 1 && n_rows % group == 0,
-                 "rows ", n_rows, " not a multiple of group ", group);
-    out.resizeUninit(n_rows / group, n_cols);
-    maxPoolGroupsRowsInto(group, 0, n_rows, out, 0);
-}
 
 void
 Tensor::maxPoolGroupsRowsInto(std::size_t group, std::size_t src_begin,

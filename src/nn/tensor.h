@@ -101,60 +101,23 @@ class Tensor
     void reluInPlace();
 
     /**
-     * this = a * b (a: [M,K], b: [K,N], this becomes [M,N]).
-     */
-    static Tensor matmul(const Tensor &a, const Tensor &b);
-
-    /**
-     * out = a * b into a preallocated tensor (out must already be
-     * [a.rows(), b.cols()]). Row range [row_begin, row_end) of a
-     * only — rows are independent, so disjoint ranges may run on
-     * different threads. Every output element is acc = 0, then
-     * acc += a[i][k] * b[k][j] for ascending k, each operation
-     * rounded separately: bit-identical to the naive triple loop
-     * at any row range. Packs @p b per call; callers that reuse a
-     * right-hand side pack it once (PackedPanels).
-     */
-    static void matmulRowsInto(const Tensor &a, const Tensor &b,
-                               Tensor &out, std::size_t row_begin,
-                               std::size_t row_end);
-
-    /**
-     * matmulRowsInto() against a pre-packed right-hand side, with
-     * @p epilogue applied to each element as its tile is stored.
-     * With a.cols() == 0 every acc stays 0 and only the epilogue
-     * runs.
+     * out = a * b (a: [M,K], b: [K,N] packed, out already [M,N]) on
+     * rows [row_begin, row_end) of a only, which other threads' ranges
+     * may run beside, with @p epilogue applied as each tile is stored.
+     * Every element is acc = 0, then acc = fma(a[i][k], b[k][j], acc)
+     * for ascending k, bit-identical to that scalar loop; with
+     * a.cols() == 0 only the epilogue runs.
      */
     static void matmulRowsInto(const Tensor &a, const PackedPanels &b,
                                Tensor &out, std::size_t row_begin,
                                std::size_t row_end,
                                GemmEpilogue epilogue = {});
 
-    /** out = a * b over all rows (out resized in place). */
-    static void matmulInto(const Tensor &a, const Tensor &b,
-                           Tensor &out);
-
-    /** Add a length-cols() bias vector to every row. */
-    void addRowBias(const std::vector<float> &bias);
-
     /**
-     * Column-wise max over groups of @p group rows: input [G*group,
-     * C] reduces to [G, C]. This is the PointNet max-pool over each
-     * gathered neighborhood.
-     */
-    Tensor maxPoolGroups(std::size_t group) const;
-
-    /** maxPoolGroups() into a preallocated tensor. */
-    void maxPoolGroupsInto(std::size_t group, Tensor &out) const;
-
-    /**
-     * maxPoolGroups() of source rows [src_begin, src_end) into rows
-     * [out_begin, out_begin + (src_end - src_begin) / group) of
-     * @p out, which must already have this tensor's width and room
-     * for them. Inference pools each block of a level (or each
-     * frame of a batch-stacked tensor) into its own output rows;
-     * every pooled element reduces the same rows in the same order
-     * as maxPoolGroups(), so values are bit-identical.
+     * PointNet max-pool: the column-wise max of each group of
+     * @p group source rows in [src_begin, src_end) (the first row,
+     * then std::max with each next) into rows from @p out_begin of
+     * @p out, already this tensor's width with room for them.
      */
     void maxPoolGroupsRowsInto(std::size_t group, std::size_t src_begin,
                                std::size_t src_end, Tensor &out,

@@ -8,35 +8,6 @@ namespace hgpcn
 {
 
 std::string
-renderGemmTable(const ExecutionTrace &trace)
-{
-    TablePrinter table({"layer", "M", "K", "N", "MACs"});
-    for (const GemmOp &op : trace.gemms) {
-        table.addRow({op.layer, std::to_string(op.m),
-                      std::to_string(op.k), std::to_string(op.n),
-                      TablePrinter::fmtCount(op.macs())});
-    }
-    return table.render();
-}
-
-std::string
-renderGatherTable(const ExecutionTrace &trace)
-{
-    TablePrinter table({"layer", "method", "centroids", "k",
-                        "searched", "distances", "sort cand."});
-    for (const GatherOp &op : trace.gathers) {
-        table.addRow(
-            {op.layer, op.method, std::to_string(op.centroids),
-             std::to_string(op.k), std::to_string(op.inputPoints),
-             TablePrinter::fmtCount(
-                 op.stats.get("gather.distance_computations")),
-             TablePrinter::fmtCount(
-                 op.stats.get("gather.sort_candidates"))});
-    }
-    return table.render();
-}
-
-std::string
 renderTraceTotals(const ExecutionTrace &trace)
 {
     std::ostringstream oss;

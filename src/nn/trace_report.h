@@ -2,10 +2,9 @@
  * @file
  * Human-readable rendering of an ExecutionTrace.
  *
- * Turns the per-GEMM / per-gather record of a network run into
- * aligned tables: layer shapes, MAC counts, data-structuring
- * workload and the totals the hardware models consume. Used by the
- * examples and handy when porting a new network onto the engine.
+ * Sums the per-GEMM / per-gather record of a network run into the
+ * totals the hardware models consume (MACs, data-structuring
+ * distances, sort candidates), for the examples to print.
  */
 
 #ifndef HGPCN_NN_TRACE_REPORT_H
@@ -17,12 +16,6 @@
 
 namespace hgpcn
 {
-
-/** Render the GEMM schedule of @p trace as a table. */
-std::string renderGemmTable(const ExecutionTrace &trace);
-
-/** Render the data-structuring workload of @p trace as a table. */
-std::string renderGatherTable(const ExecutionTrace &trace);
 
 /** Render one-line totals (MACs, distances, sort candidates). */
 std::string renderTraceTotals(const ExecutionTrace &trace);

@@ -423,15 +423,6 @@ IncrementalOctreeBuilder::aligns(const Aabb &cube, const Octree *prev,
 
 bool
 IncrementalOctreeBuilder::update(const PointCloud &cloud,
-                                 const Octree *prev,
-                                 const Octree::Config &config,
-                                 Octree &out)
-{
-    return update(cloud, cloud.bounds().cubified(), prev, config, out);
-}
-
-bool
-IncrementalOctreeBuilder::update(const PointCloud &cloud,
                                  const Aabb &cube, const Octree *prev,
                                  const Octree::Config &config,
                                  Octree &out)
@@ -469,24 +460,11 @@ IncrementalOctreeBuilder::update(const PointCloud &cloud,
     out.max_level = 0;
     out.leaf_total = 0;
 
-    // Modeled build cost is charged by the scratch-build formulas:
-    // the accelerator model still reads, codes and sorts every point,
-    // so paper-model numbers (octreeBuildSec) are unchanged by
-    // construction — only host wall-clock moves.
-    out.build_stats.add("octree.host_reads", n);
-    out.build_stats.add("octree.code_computations", n);
-    if (config.useRadixSort) {
-        out.build_stats.add(
-            "octree.sort_ops",
-            n * static_cast<std::uint64_t>(
-                    (3 * config.maxDepth + 7) / 8) *
-                3);
-    } else {
-        out.build_stats.add("octree.sort_ops",
-                            n > 1 ? static_cast<std::uint64_t>(
-                                        n * std::bit_width(n - 1))
-                                  : 0);
-    }
+    // Modeled build cost is the scratch build's: the accelerator
+    // model still reads, codes and sorts every point, so paper-model
+    // numbers (octreeBuildSec) are unchanged by construction — only
+    // host wall-clock moves.
+    out.chargeScratchBuild(n, config);
 
     // The merge wrote the reordered positions; features, if any,
     // are gathered from the new frame.
@@ -499,7 +477,6 @@ IncrementalOctreeBuilder::update(const PointCloud &cloud,
                           .begin());
         }
     }
-    out.build_stats.add("octree.host_writes", n);
 
     out.point_leaf.resize(n); // resize+fill: see Octree::resetLive()
     std::fill(out.point_leaf.begin(), out.point_leaf.end(), kNoNode);

@@ -61,6 +61,9 @@ class IncrementalOctreeBuilder
      * when possible.
      *
      * @param cloud New frame (raw input order).
+     * @param cube The frame's root voxel, cloud.bounds().cubified(),
+     *   which the caller computes once for the alignment check and
+     *   any fallback build.
      * @param prev Previous frame's tree, or nullptr for the first
      *   frame. Must not alias @p out.
      * @param config Build parameters; must equal prev->config() for
@@ -69,14 +72,6 @@ class IncrementalOctreeBuilder
      * @return true when the incremental path ran; false when the
      *   builder fell back to Octree::rebuild(). delta() is only
      *   meaningful after a true return.
-     */
-    bool update(const PointCloud &cloud, const Octree *prev,
-                const Octree::Config &config, Octree &out);
-
-    /**
-     * update() for a frame whose root voxel @p cube
-     * (cloud.bounds().cubified()) the caller already computed, so
-     * neither the alignment check nor a fallback build rescans it.
      */
     bool update(const PointCloud &cloud, const Aabb &cube,
                 const Octree *prev, const Octree::Config &config,

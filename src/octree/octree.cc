@@ -119,28 +119,15 @@ Octree::rebuild(const PointCloud &cloud, const Config &config,
             config.maxDepth);
         keyed[i].second = static_cast<PointIndex>(i);
     }
-    build_stats.add("octree.host_reads", n);
-    build_stats.add("octree.code_computations", n);
 
     // SFC ordering: sorting by m-code realises the Space-Filling-Curve
     // traversal order of Fig. 5(b).
     const std::vector<std::pair<morton::Code, PointIndex>> *sorted = &keyed;
-    if (config.useRadixSort) {
+    if (config.useRadixSort)
         sorted = &radixSort(keyed, scratch.radix, 3 * config.maxDepth,
                             [](const auto &kv) { return kv.first; });
-        // The modeled sorter is byte-wise: three touches per element
-        // per byte pass (count, read, scatter).
-        build_stats.add("octree.sort_ops",
-                        n * static_cast<std::uint64_t>(
-                                (3 * config.maxDepth + 7) / 8) *
-                            3);
-    } else {
+    else
         std::sort(keyed.begin(), keyed.end());
-        build_stats.add("octree.sort_ops",
-                        n > 1 ? static_cast<std::uint64_t>(
-                                    n * std::bit_width(n - 1))
-                              : 0);
-    }
 
     codes.resize(n);
     perm.resize(n);
@@ -152,7 +139,7 @@ Octree::rebuild(const PointCloud &cloud, const Config &config,
     // Host-memory pre-configuration: write the reorganized copy so
     // voxel reads become sequential bursts.
     reordered.assignGathered(cloud, perm);
-    build_stats.add("octree.host_writes", n);
+    chargeScratchBuild(n, config);
 
     point_leaf.resize(n); // resize+fill: see resetLive()
     std::fill(point_leaf.begin(), point_leaf.end(), kNoNode);
@@ -185,6 +172,27 @@ Octree::rebuild(const PointCloud &cloud, const Config &config,
     // steady-state zero-alloc pin.
     if (cap_before > 0 && backingCapacity() > cap_before)
         FrameWorkspace::noteGrowth();
+}
+
+void
+Octree::chargeScratchBuild(std::size_t n, const Config &config)
+{
+    build_stats.add("octree.host_reads", n);
+    build_stats.add("octree.code_computations", n);
+    if (config.useRadixSort) {
+        // The modeled sorter is byte-wise: three touches per element
+        // per byte pass (count, read, scatter).
+        build_stats.add("octree.sort_ops",
+                        n * static_cast<std::uint64_t>(
+                                (3 * config.maxDepth + 7) / 8) *
+                            3);
+    } else {
+        build_stats.add("octree.sort_ops",
+                        n > 1 ? static_cast<std::uint64_t>(
+                                    n * std::bit_width(n - 1))
+                              : 0);
+    }
+    build_stats.add("octree.host_writes", n);
 }
 
 void
@@ -369,19 +377,6 @@ Octree::findLeaf(const Vec3 &p) const
         cur = next;
     }
     return cur;
-}
-
-std::pair<PointIndex, PointIndex>
-Octree::voxelRange(morton::Code code, int level) const
-{
-    HGPCN_ASSERT(level >= 0 && level <= cfg.maxDepth, "level=", level);
-    const int shift = 3 * (cfg.maxDepth - level);
-    const morton::Code lo = code << shift;
-    const morton::Code hi = (code + 1) << shift;
-    const auto first = std::lower_bound(codes.begin(), codes.end(), lo);
-    const auto last = std::lower_bound(first, codes.end(), hi);
-    return {static_cast<PointIndex>(first - codes.begin()),
-            static_cast<PointIndex>(last - codes.begin())};
 }
 
 void

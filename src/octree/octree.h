@@ -200,15 +200,6 @@ class Octree
     /** @return leaf node whose voxel contains position @p p. */
     NodeIndex findLeaf(const Vec3 &p) const;
 
-    /**
-     * @return range [first, last) of reordered point indices lying in
-     * the voxel (@p code, @p level), whether or not a node exists at
-     * exactly that level. Resolved by binary search over the sorted
-     * point codes (two Octree-Table lookups in hardware).
-     */
-    std::pair<PointIndex, PointIndex> voxelRange(morton::Code code,
-                                                 int level) const;
-
     /** @return statistics recorded while building. */
     const StatSet &buildStats() const { return build_stats; }
 
@@ -322,6 +313,11 @@ class Octree
     std::vector<std::uint32_t> live;
     std::vector<std::uint32_t> sampled;
     std::vector<std::uint8_t> consumed;
+
+    /** Charge build_stats a scratch build's modeled workload over
+     * @p n points: a host read, an m-code and a host write each, and
+     * @p config's sort. The incremental builder charges the same. */
+    void chargeScratchBuild(std::size_t n, const Config &config);
 
     /** Recursively subdivide node @p self or finalize it as a leaf. */
     void processNode(NodeIndex self);

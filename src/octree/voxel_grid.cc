@@ -349,17 +349,6 @@ VoxelGrid::occupiedCells() const
     return occ;
 }
 
-std::uint32_t
-VoxelGrid::ringPointCount(const GridCell &center, int ring) const
-{
-    std::uint32_t total = 0;
-    forEachRingRange(center, ring,
-                     [&total](PointIndex first, PointIndex last) {
-                         total += last - first;
-                     });
-    return total;
-}
-
 std::size_t
 VoxelGrid::gatherRingPoints(const GridCell &center, int ring,
                             std::vector<PointIndex> &out) const

@@ -111,29 +111,14 @@ class VoxelGrid
     std::uint32_t cellCount(const GridCell &c) const;
 
     /**
-     * Visit every in-grid cell of the Chebyshev shell at distance
-     * @p ring from @p center (ring 0 = the center cell itself), in
-     * (x, y, z) order. Rows where x or y lies on the shell are
-     * visited whole; every other row contributes only its two
-     * z-faces, so no cell of the enclosed box is tested and skipped.
-     * This is the walk the modeled DSU performs, one table lookup per
-     * cell; the host's ring queries read only the occupied cells of
-     * the same shell, in the same order.
-     *
-     * @return number of cells visited.
-     */
-    template <typename Fn>
-    std::size_t forEachRingCell(const GridCell &center, int ring,
-                                Fn &&fn) const;
-
-    /**
      * Call @p fn(first, last) with the reordered point range of each
-     * occupied cell of the shell at @p ring, in forEachRingCell()'s
-     * (x, y, z) order, touching no empty cell: small shells probe
-     * the occupied-row table once per (x, y) row of the shell and
-     * read the row's cells with z in [z0, z1] (rows on the shell's
-     * x or y faces) or its two z-face cells (every other row); a
-     * shell larger than half the occupied list scans the list.
+     * occupied cell of the Chebyshev shell at distance @p ring from
+     * @p center (ring 0 = the center cell itself), in (x, y, z) cell
+     * order, touching no empty cell (the modeled DSU walks every
+     * in-grid cell of the shell). Small shells probe the occupied-row
+     * table once per (x, y) row of the shell and read the row's cells
+     * with z in [z0, z1] (rows on the shell's x or y faces) or its two
+     * z-face cells (other rows); shells over half the list scan it.
      *
      * @return shellCellCount(), the lookups the modeled walk costs
      * whatever the host read (docs/PERFORMANCE.md).
@@ -142,12 +127,9 @@ class VoxelGrid
     std::size_t forEachRingRange(const GridCell &center, int ring,
                                  Fn &&fn) const;
 
-    /** @return total points in the Chebyshev shell at @p ring. */
-    std::uint32_t ringPointCount(const GridCell &center, int ring) const;
-
     /**
      * Append the reordered point indices of the shell at @p ring to
-     * @p out, in forEachRingCell()'s (x, y, z) cell order.
+     * @p out, in (x, y, z) cell order.
      * @return number of table lookups the modeled walk performs
      * (shellCellCount(), the hardware cost).
      */
@@ -156,7 +138,7 @@ class VoxelGrid
 
     /**
      * @return in-grid cell count of the shell at @p ring — the
-     * number forEachRingCell() would visit — in O(1) (clipped-box
+     * cells the modeled walk visits — in O(1) (clipped-box
      * difference). This is the table-lookup cost the DSU model
      * charges for the ring, independent of how the host computed
      * the ring's points.
@@ -258,48 +240,6 @@ class VoxelGrid
     mutable int table_shift = 64; //!< 64 - log2(table.size())
 };
 
-template <typename Fn>
-std::size_t
-VoxelGrid::forEachRingCell(const GridCell &center, int ring,
-                           Fn &&fn) const
-{
-    HGPCN_ASSERT(ring >= 0, "negative ring");
-    const std::int32_t x0 = std::max(center.x - ring, 0);
-    const std::int32_t x1 = std::min(center.x + ring, axis_cells - 1);
-    const std::int32_t y0 = std::max(center.y - ring, 0);
-    const std::int32_t y1 = std::min(center.y + ring, axis_cells - 1);
-    const std::int32_t z0 = std::max(center.z - ring, 0);
-    const std::int32_t z1 = std::min(center.z + ring, axis_cells - 1);
-    if (x0 > x1 || y0 > y1 || z0 > z1)
-        return 0;
-    // With the z range non-empty, a z-face lies in the grid iff it
-    // was not clipped. Ring 0 never reaches the face branch: its
-    // only x is on the shell.
-    const bool z_lo_face = center.z - ring == z0;
-    const bool z_hi_face = center.z + ring == z1;
-    std::size_t visited = 0;
-    for (std::int32_t x = x0; x <= x1; ++x) {
-        const bool x_on = x == center.x - ring || x == center.x + ring;
-        for (std::int32_t y = y0; y <= y1; ++y) {
-            if (x_on || y == center.y - ring || y == center.y + ring) {
-                for (std::int32_t z = z0; z <= z1; ++z)
-                    fn(GridCell{x, y, z});
-                visited += static_cast<std::size_t>(z1 - z0 + 1);
-                continue;
-            }
-            if (z_lo_face) {
-                fn(GridCell{x, y, z0});
-                ++visited;
-            }
-            if (z_hi_face) {
-                fn(GridCell{x, y, z1});
-                ++visited;
-            }
-        }
-    }
-    return visited;
-}
-
 inline std::pair<std::uint32_t, std::uint32_t>
 VoxelGrid::rowRun(std::int32_t x, std::int32_t y) const
 {
@@ -342,8 +282,8 @@ VoxelGrid::forEachRingRange(const GridCell &center, int ring,
         return shell;
     if (table.empty())
         buildTable();
-    // As in forEachRingCell(): a z-face lies in the grid iff it was
-    // not clipped, and ring 0 never reaches the face branch.
+    // A z-face lies in the grid iff it was not clipped; ring 0 never
+    // reaches the face branch (its only x is on the shell).
     const bool z_lo_face = center.z - ring == z0;
     const bool z_hi_face = center.z + ring == z1;
     for (std::int32_t x = x0; x <= x1; ++x) {
@@ -381,15 +321,6 @@ VoxelGrid::forEachRingRange(const GridCell &center, int ring,
 void buildOccupiedCells(const Octree &tree, int level,
                         std::vector<OccupiedCell> &out,
                         std::vector<OccupiedCell> &scratch);
-
-/** buildOccupiedCells() with a throwaway scratch, for one-off lists. */
-inline void
-buildOccupiedCells(const Octree &tree, int level,
-                   std::vector<OccupiedCell> &out)
-{
-    std::vector<OccupiedCell> scratch;
-    buildOccupiedCells(tree, level, out, scratch);
-}
 
 /**
  * Incrementally produce the occupied-cell list of @p new_tree at

@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "common/rng.h"
 #include "core/hgpcn_system.h"
@@ -171,35 +173,91 @@ TEST(PlyIo, WriteFailsOnBadPath)
     EXPECT_FALSE(ply::write("/nonexistent-dir/x.ply", frame));
 }
 
+/** Write @p text to a fresh file named @p name in the test temp
+ * directory. @return its path. */
+std::string
+writePly(const std::string &name, const std::string &text)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::ofstream(path) << text;
+    return path;
+}
+
+const char *const kXyzHeader = "ply\nformat ascii 1.0\n"
+                               "element vertex 3\n"
+                               "property float x\nproperty float y\n"
+                               "property float z\n";
+
+TEST(PlyIo, VertexCountComesFromTheVertexElement)
+{
+    // A later element's count is not the vertex count.
+    const std::string path = writePly(
+        "hgpcn_faces.ply",
+        std::string(kXyzHeader) +
+            "element face 1\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n");
+    const Frame loaded = ply::read(path);
+    ASSERT_EQ(loaded.cloud.size(), 3u);
+    EXPECT_EQ(loaded.cloud.position(1).x, 1.0f);
+    EXPECT_EQ(loaded.cloud.position(2).y, 1.0f);
+    std::remove(path.c_str());
+}
+
+TEST(PlyIo, VertexElementMustComeFirst)
+{
+    const std::string path = writePly(
+        "hgpcn_face_first.ply",
+        "ply\nformat ascii 1.0\nelement face 1\n"
+        "property list uchar int vertex_indices\n"
+        "element vertex 1\nproperty float x\nproperty float y\n"
+        "property float z\nend_header\n3 0 0 0\n0 0 0\n");
+    EXPECT_DEATH(ply::read(path), "vertex element must come first");
+    std::remove(path.c_str());
+}
+
+TEST(PlyIo, ShortRowIsFatal)
+{
+    const std::string path = writePly(
+        "hgpcn_short_row.ply",
+        std::string(kXyzHeader) + "end_header\n0 0 0\n1 2\n0 1 0\n");
+    EXPECT_DEATH(ply::read(path), "row 1 has 2 of 3 values");
+    std::remove(path.c_str());
+}
+
+TEST(PlyIo, NonNumericValueIsFatal)
+{
+    const std::string path = writePly(
+        "hgpcn_non_numeric.ply",
+        std::string(kXyzHeader) + "end_header\n0 0 0\n0 1 0\nabc 5 6\n");
+    EXPECT_DEATH(ply::read(path), "row 2: non-numeric x 'abc'");
+    std::remove(path.c_str());
+}
+
+TEST(PlyIo, LabelOutsideIntRangeIsFatal)
+{
+    const std::string path = writePly(
+        "hgpcn_label_range.ply",
+        "ply\nformat ascii 1.0\nelement vertex 2\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property int label\nend_header\n"
+        "0 0 0 2147483647\n0 0 0 3e9\n");
+    EXPECT_DEATH(ply::read(path), "row 1: label 3e\\+09 outside int range");
+    std::remove(path.c_str());
+}
+
+TEST(PlyIo, HugeVertexCountFailsOnTheRowsNotTheAllocation)
+{
+    // The header count is only trusted as far as rows follow it.
+    const std::string path = writePly(
+        "hgpcn_huge_count.ply",
+        "ply\nformat ascii 1.0\nelement vertex 1000000000000000\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "end_header\n0 0 0\n");
+    EXPECT_DEATH(ply::read(path), "PLY truncated at vertex 1:");
+    std::remove(path.c_str());
+}
+
 // ----------------------------------------------------- trace report
-
-TEST(TraceReport, GemmTableListsLayers)
-{
-    ExecutionTrace trace;
-    trace.gemms.push_back({"sa0.fc0", 128, 3, 64});
-    trace.gemms.push_back({"head.fc1", 1, 512, 40});
-    const std::string table = renderGemmTable(trace);
-    EXPECT_NE(table.find("sa0.fc0"), std::string::npos);
-    EXPECT_NE(table.find("head.fc1"), std::string::npos);
-    EXPECT_NE(table.find("24,576"), std::string::npos); // 128*3*64
-}
-
-TEST(TraceReport, GatherTableListsWorkload)
-{
-    ExecutionTrace trace;
-    GatherOp op;
-    op.layer = "sa1";
-    op.method = "VEG";
-    op.centroids = 128;
-    op.k = 32;
-    op.inputPoints = 512;
-    op.stats.set("gather.distance_computations", 4242);
-    trace.gathers.push_back(op);
-    const std::string table = renderGatherTable(trace);
-    EXPECT_NE(table.find("sa1"), std::string::npos);
-    EXPECT_NE(table.find("VEG"), std::string::npos);
-    EXPECT_NE(table.find("4,242"), std::string::npos);
-}
 
 TEST(TraceReport, TotalsLine)
 {

@@ -104,16 +104,6 @@ TEST(Morton, ExpandCompact3RoundTrip)
     }
 }
 
-TEST(Morton, ExpandCompact2RoundTrip)
-{
-    Rng rng(4);
-    for (int i = 0; i < 200; ++i) {
-        const auto v =
-            static_cast<std::uint32_t>(rng.below(1u << 31));
-        EXPECT_EQ(morton::compactBits2(morton::expandBits2(v)), v);
-    }
-}
-
 TEST(Morton, Encode3KnownValues)
 {
     // Depth 1: code groups are (x,y,z).
@@ -122,16 +112,6 @@ TEST(Morton, Encode3KnownValues)
     EXPECT_EQ(morton::encode3(0, 1, 0, 1), 2u);
     EXPECT_EQ(morton::encode3(0, 0, 1, 1), 1u);
     EXPECT_EQ(morton::encode3(1, 1, 1, 1), 7u);
-}
-
-TEST(Morton, Encode2MatchesPaperConvention)
-{
-    // Fig. 5: bottom-left 00, top-left 01, bottom-right 10,
-    // top-right 11 (first bit X, second Y).
-    EXPECT_EQ(morton::encode2(0, 0, 1), 0b00u);
-    EXPECT_EQ(morton::encode2(0, 1, 1), 0b01u);
-    EXPECT_EQ(morton::encode2(1, 0, 1), 0b10u);
-    EXPECT_EQ(morton::encode2(1, 1, 1), 0b11u);
 }
 
 class MortonDepthTest : public ::testing::TestWithParam<int>

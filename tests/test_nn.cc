@@ -46,6 +46,25 @@ randomCloud(std::size_t n, std::uint64_t seed)
     return cloud;
 }
 
+/** a * b through the library's GEMM, b packed for it. */
+Tensor
+gemm(const Tensor &a, const Tensor &b)
+{
+    Tensor out(a.rows(), b.cols());
+    Tensor::matmulRowsInto(a, PackedPanels(b), out, 0, a.rows());
+    return out;
+}
+
+/** @p t + bias[j] in every row, one add per element. */
+Tensor
+plusRowBias(Tensor t, const std::vector<float> &bias)
+{
+    for (std::size_t i = 0; i < t.rows(); ++i)
+        for (std::size_t j = 0; j < t.cols(); ++j)
+            t.at(i, j) = t.at(i, j) + bias[j];
+    return t;
+}
+
 // --------------------------------------------------------------- Tensor
 
 TEST(Tensor, MatmulKnownValues)
@@ -59,7 +78,7 @@ TEST(Tensor, MatmulKnownValues)
     b.at(0, 1) = 6;
     b.at(1, 0) = 7;
     b.at(1, 1) = 8;
-    const Tensor c = Tensor::matmul(a, b);
+    const Tensor c = gemm(a, b);
     EXPECT_FLOAT_EQ(c.at(0, 0), 19);
     EXPECT_FLOAT_EQ(c.at(0, 1), 22);
     EXPECT_FLOAT_EQ(c.at(1, 0), 43);
@@ -74,7 +93,7 @@ TEST(Tensor, MatmulIdentity)
     Tensor eye(3, 3);
     for (int i = 0; i < 3; ++i)
         eye.at(i, i) = 1.0f;
-    const Tensor c = Tensor::matmul(a, eye);
+    const Tensor c = gemm(a, eye);
     for (int i = 0; i < 3; ++i)
         for (int j = 0; j < 3; ++j)
             EXPECT_FLOAT_EQ(c.at(i, j), a.at(i, j));
@@ -92,14 +111,6 @@ TEST(Tensor, ReluClampsNegatives)
     EXPECT_FLOAT_EQ(t.at(0, 2), 2.0f);
 }
 
-TEST(Tensor, AddRowBias)
-{
-    Tensor t(2, 2);
-    t.addRowBias({1.0f, -2.0f});
-    EXPECT_FLOAT_EQ(t.at(0, 0), 1.0f);
-    EXPECT_FLOAT_EQ(t.at(1, 1), -2.0f);
-}
-
 TEST(Tensor, MaxPoolGroupsTakesColumnwiseMax)
 {
     Tensor t(4, 2);
@@ -111,8 +122,8 @@ TEST(Tensor, MaxPoolGroupsTakesColumnwiseMax)
     t.at(1, 1) = -5;
     t.at(2, 1) = -3;
     t.at(3, 1) = -2;
-    const Tensor pooled = t.maxPoolGroups(2);
-    ASSERT_EQ(pooled.rows(), 2u);
+    Tensor pooled(2, 2);
+    t.maxPoolGroupsRowsInto(2, 0, 4, pooled, 0);
     EXPECT_FLOAT_EQ(pooled.at(0, 0), 5);
     EXPECT_FLOAT_EQ(pooled.at(0, 1), -1);
     EXPECT_FLOAT_EQ(pooled.at(1, 0), 3);
@@ -135,7 +146,9 @@ TEST(Mlp, OutputShapeFollowsWidths)
     ExecutionTrace trace;
     Tensor x(5, 8);
     x.randomize(rng, 1.0f);
-    const Tensor y = mlp.forward(x, "t", trace);
+    FrameWorkspace ws;
+    ws.beginFrame();
+    const Tensor &y = mlp.forwardArena(x, "t", trace, ws, 1);
     EXPECT_EQ(y.rows(), 5u);
     EXPECT_EQ(y.cols(), 32u);
     EXPECT_EQ(mlp.outWidth(), 32u);
@@ -147,7 +160,9 @@ TEST(Mlp, TraceRecordsEveryGemm)
     const Mlp mlp(4, {8, 8, 2}, rng);
     ExecutionTrace trace;
     Tensor x(10, 4);
-    mlp.forward(x, "net", trace);
+    FrameWorkspace ws;
+    ws.beginFrame();
+    mlp.forwardArena(x, "net", trace, ws, 1);
     ASSERT_EQ(trace.gemms.size(), 3u);
     EXPECT_EQ(trace.gemms[0].m, 10u);
     EXPECT_EQ(trace.gemms[0].k, 4u);
@@ -164,7 +179,9 @@ TEST(Mlp, FinalReluOptional)
     ExecutionTrace trace;
     Tensor x(20, 4);
     x.randomize(rng, 2.0f);
-    const Tensor y = mlp.forward(x, "t", trace);
+    FrameWorkspace ws;
+    ws.beginFrame();
+    const Tensor &y = mlp.forwardArena(x, "t", trace, ws, 1);
     bool has_negative = false;
     for (std::size_t r = 0; r < y.rows(); ++r)
         for (std::size_t c = 0; c < y.cols(); ++c)
@@ -179,8 +196,10 @@ TEST(Mlp, DeterministicGivenSeed)
     ExecutionTrace ta, tb;
     Tensor x(3, 4);
     x.at(0, 0) = 1.0f;
-    const Tensor ya = a.forward(x, "t", ta);
-    const Tensor yb = b.forward(x, "t", tb);
+    FrameWorkspace ws;
+    ws.beginFrame();
+    const Tensor &ya = a.forwardArena(x, "t", ta, ws, 1);
+    const Tensor &yb = b.forwardArena(x, "t", tb, ws, 1);
     for (std::size_t c = 0; c < ya.cols(); ++c)
         EXPECT_FLOAT_EQ(ya.at(0, c), yb.at(0, c));
 }
@@ -563,7 +582,7 @@ runnableVariants()
     return variants;
 }
 
-TEST(Tensor, MatmulIntoMatchesMatmulBitForBit)
+TEST(Tensor, GemmMatchesFusedScalarLoopBitForBit)
 {
     // Register tiling reorders memory access, never the floating-
     // point sums: every shape across the 3- and 6-row tile and
@@ -582,13 +601,11 @@ TEST(Tensor, MatmulIntoMatchesMatmulBitForBit)
                 const Tensor expect = naiveMatmul(a, b, Rounding::Fused);
                 unfused_differs += !sameBits(
                     naiveMatmul(a, b, Rounding::Separate), expect);
-                ASSERT_TRUE(sameBits(Tensor::matmul(a, b), expect))
-                    << m << "x" << k << "x" << n;
-                Tensor got = poisoned(3, 3);
-                Tensor::matmulInto(a, b, got);
+                const PackedPanels packed(b);
+                Tensor got = poisoned(m, n);
+                Tensor::matmulRowsInto(a, packed, got, 0, m);
                 ASSERT_TRUE(sameBits(got, expect))
                     << m << "x" << k << "x" << n;
-                const PackedPanels packed(b);
                 for (const auto isa : runnableVariants()) {
                     Tensor out = poisoned(m, n);
                     gemm_kernel::matmulRowsInto(isa, a, packed, out, 0,
@@ -616,7 +633,7 @@ TEST(Tensor, MatmulRowRangesComposeExactly)
     const std::size_t cuts[] = {0, 4, 9, 16, 17, 20};
     Tensor split = poisoned(20, 33);
     for (std::size_t c = 0; c + 1 < std::size(cuts); ++c)
-        Tensor::matmulRowsInto(a, b, split, cuts[c], cuts[c + 1]);
+        Tensor::matmulRowsInto(a, packed, split, cuts[c], cuts[c + 1]);
     EXPECT_TRUE(sameBits(split, whole));
     for (const auto isa : runnableVariants()) {
         Tensor out = poisoned(20, 33);
@@ -644,8 +661,8 @@ TEST(Tensor, FusedBiasReluMatchesSeparatePasses)
         std::vector<float> bias(n);
         for (float &v : bias)
             v = rng.uniform(-1.0f, 1.0f);
-        Tensor biased = naiveMatmul(a, b, Rounding::Fused);
-        biased.addRowBias(bias);
+        const Tensor biased =
+            plusRowBias(naiveMatmul(a, b, Rounding::Fused), bias);
         Tensor activated = biased;
         activated.reluInPlace();
         Tensor relu_only = naiveMatmul(a, b, Rounding::Fused);
@@ -723,8 +740,7 @@ TEST(Tensor, GemmSpecialValuesMatchReference)
         bias[j] = specials[j % 7];
 
     const Tensor plain = naiveMatmul(a, b, Rounding::Fused);
-    Tensor activated = plain;
-    activated.addRowBias(bias);
+    Tensor activated = plusRowBias(plain, bias);
     activated.reluInPlace();
     const PackedPanels packed(b);
     for (const auto isa : runnableVariants()) {
@@ -744,42 +760,6 @@ TEST(Tensor, GemmSpecialValuesMatchReference)
             EXPECT_FALSE(std::signbit(v));
         }
     }
-}
-
-TEST(Tensor, MaxPoolGroupsIntoReusesBuffer)
-{
-    Rng rng(7);
-    Tensor x(12, 5);
-    x.randomize(rng, 1.0f);
-    const Tensor expect = x.maxPoolGroups(4);
-    Tensor out(99, 2); // wrong shape on purpose: resized in place
-    x.maxPoolGroupsInto(4, out);
-    EXPECT_EQ(out.rows(), 3u);
-    EXPECT_EQ(out.data(), expect.data());
-}
-
-TEST(Mlp, ForwardArenaMatchesForwardBitForBit)
-{
-    Rng wr(42);
-    const Mlp mlp(6, {16, 16, 4}, wr, /*final_relu=*/false);
-    Rng xr(1);
-    Tensor x(37, 6);
-    x.randomize(xr, 1.0f);
-
-    ExecutionTrace ta, tb;
-    const Tensor plain = mlp.forward(x, "t", ta);
-    FrameWorkspace ws;
-    ws.beginFrame();
-    const Tensor &arena = mlp.forwardArena(x, "t", tb, ws, 1);
-    EXPECT_EQ(arena.data(), plain.data());
-    EXPECT_EQ(ta.gemms.size(), tb.gemms.size());
-
-    // Intra-op row splitting is bit-identical too (rows are
-    // independent; k-order accumulation per element is unchanged).
-    ExecutionTrace tc;
-    ws.beginFrame();
-    const Tensor &threaded = mlp.forwardArena(x, "t", tc, ws, 3);
-    EXPECT_EQ(threaded.data(), plain.data());
 }
 
 TEST(PointNet2, WorkspaceAndThreadsDoNotChangeOutputs)
@@ -1057,6 +1037,33 @@ refRow(const Tensor &t, std::size_t r)
     if (t.cols() == 0)
         return {};
     return {t.row(r), t.row(r) + t.cols()};
+}
+
+TEST(Mlp, ForwardArenaMatchesScalarReference)
+{
+    // Mlp and refMlp draw the same weights from one seed.
+    Rng wr(42), rr(42);
+    const Mlp mlp(6, {16, 16, 4}, wr, /*final_relu=*/false);
+    const RefMlp ref = refMlp(6, {16, 16, 4}, rr);
+    Rng xr(1);
+    Tensor x(37, 6);
+    x.randomize(xr, 1.0f);
+
+    // Intra-op row splitting is bit-identical too (rows are
+    // independent; k-order accumulation per element is unchanged).
+    FrameWorkspace ws;
+    for (const int threads : {1, 3}) {
+        ExecutionTrace trace;
+        ws.beginFrame();
+        const Tensor &y = mlp.forwardArena(x, "t", trace, ws, threads);
+        ASSERT_EQ(y.rows(), x.rows());
+        for (std::size_t r = 0; r < x.rows(); ++r)
+            EXPECT_EQ(refRow(y, r),
+                      refLayers(ref, 0, refRow(x, r), false,
+                                Rounding::Fused))
+                << "row " << r << ", " << threads << " threads";
+        EXPECT_EQ(trace.gemms.size(), 3u);
+    }
 }
 
 PointCloud

@@ -16,6 +16,7 @@
 #include "octree/octree.h"
 #include "octree/octree_table.h"
 #include "octree/voxel_grid.h"
+#include "oracles.h"
 #include "report_digest.h"
 
 namespace hgpcn
@@ -230,7 +231,7 @@ TEST_P(OctreeParamTest, VoxelRangeMatchesLeafRanges)
         cloud, config(depth, static_cast<std::uint32_t>(leaf_cap)));
     for (const OctreeNode &node : tree.nodes()) {
         const auto [first, last] =
-            tree.voxelRange(node.code, node.level);
+            oracle::voxelRange(tree, node.code, node.level);
         EXPECT_EQ(first, node.pointBegin);
         EXPECT_EQ(last, node.pointEnd);
     }
@@ -247,7 +248,7 @@ TEST(OctreeQuery, VoxelRangeOfRootIsWholeCloud)
 {
     const PointCloud cloud = randomCloud(200, 21);
     const Octree tree = Octree::build(cloud, config(6, 8));
-    const auto [first, last] = tree.voxelRange(0, 0);
+    const auto [first, last] = oracle::voxelRange(tree, 0, 0);
     EXPECT_EQ(first, 0u);
     EXPECT_EQ(last, 200u);
 }
@@ -266,7 +267,8 @@ TEST(OctreeQuery, VoxelRangeMatchesBruteForceCellCounts)
             tree.config().maxDepth, level)];
     }
     for (morton::Code code = 0; code < (1u << (3 * level)); ++code) {
-        const auto [first, last] = tree.voxelRange(code, level);
+        const auto [first, last] =
+            oracle::voxelRange(tree, code, level);
         const auto it = expected.find(code);
         const std::uint32_t want =
             it == expected.end() ? 0 : it->second;
@@ -281,7 +283,7 @@ TEST(OctreeQuery, VoxelRangeAtIntermediateLevelsIsConsistent)
     // The 8 children of the root partition the root range.
     std::size_t total = 0;
     for (unsigned oct = 0; oct < 8; ++oct) {
-        const auto [first, last] = tree.voxelRange(oct, 1);
+        const auto [first, last] = oracle::voxelRange(tree, oct, 1);
         total += last - first;
     }
     EXPECT_EQ(total, cloud.size());
@@ -495,9 +497,9 @@ scratchDigest(const PointCloud &cloud, const Octree::Config &cfg)
         fnv.value(n.pointBegin);
         fnv.value(n.pointEnd);
     }
-    std::vector<OccupiedCell> occ;
+    std::vector<OccupiedCell> occ, scratch;
     for (int level = 1; level <= cfg.maxDepth; ++level) {
-        buildOccupiedCells(tree, level, occ);
+        buildOccupiedCells(tree, level, occ, scratch);
         fnv.value(occ.size());
         for (const OccupiedCell &c : occ) {
             fnv.value(c.cell.x);

@@ -20,6 +20,7 @@
 #include "datasets/coherent_drive.h"
 #include "datasets/traffic_gen.h"
 #include "gather/brute_gatherers.h"
+#include "oracles.h"
 #include "serving/autoscaler.h"
 #include "gather/veg_gatherer.h"
 #include "sampling/approx_ois_sampler.h"
@@ -254,8 +255,8 @@ TEST_P(OctreeDistributionSweep, FindLeafConsistentWithVoxelRange)
         const Vec3 &p = tree.reorderedCloud().position(
             (i * 13) % static_cast<PointIndex>(cloud.size()));
         const NodeIndex leaf = tree.findLeaf(p);
-        const auto [first, last] = tree.voxelRange(
-            tree.node(leaf).code, tree.node(leaf).level);
+        const auto [first, last] = oracle::voxelRange(
+            tree, tree.node(leaf).code, tree.node(leaf).level);
         EXPECT_EQ(first, tree.node(leaf).pointBegin);
         EXPECT_EQ(last, tree.node(leaf).pointEnd);
     }

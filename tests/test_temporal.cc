@@ -113,6 +113,15 @@ expectTreesIdentical(const Octree &a, const Octree &b)
               b.buildStats().get("octree.host_writes"));
 }
 
+/** builder.update() with the frame's root voxel computed from it. */
+bool
+update(IncrementalOctreeBuilder &builder, const PointCloud &cloud,
+       const Octree *prev, const Octree::Config &cfg, Octree &out)
+{
+    return builder.update(cloud, cloud.bounds().cubified(), prev, cfg,
+                          out);
+}
+
 // ----------------------------------------- bottom-up builder oracle
 
 TEST(BottomUpBuild, MatchesRecursiveBuilderAcrossShapes)
@@ -179,30 +188,35 @@ TEST_P(IncrementalOverlapSweep, BitIdenticalToScratchAlongDrive)
     dc.churnFraction = GetParam();
     dc.seed = 11;
     const CoherentDrive drive(dc);
-    const Octree::Config ocfg = octreeConfig(10, 8);
+    // Both sorts: the incremental path charges the scratch build's
+    // sort_ops under either (expectTreesIdentical()).
+    for (const bool radix : {true, false}) {
+        Octree::Config ocfg = octreeConfig(10, 8);
+        ocfg.useRadixSort = radix;
 
-    Octree carried;
-    carried.rebuild(drive.generate(0).cloud, ocfg);
-    IncrementalOctreeBuilder builder;
-    for (std::size_t t = 1; t <= 5; ++t) {
-        const Frame frame = drive.generate(t);
-        Octree next;
-        const bool incremental =
-            builder.update(frame.cloud, &carried, ocfg, next);
-        // The drive pins the frame AABB, so the alignment guard
-        // always passes and the incremental path engages.
-        EXPECT_TRUE(incremental) << "frame " << t;
-        expectTreesIdentical(next, Octree::build(frame.cloud, ocfg));
-        if (incremental) {
-            const PointDelta &delta = builder.delta();
-            const double expected =
-                drive.overlapFraction(1) *
-                static_cast<double>(dc.points);
-            EXPECT_EQ(delta.retained(),
-                      static_cast<std::size_t>(expected + 0.5))
-                << "frame " << t;
+        Octree carried;
+        carried.rebuild(drive.generate(0).cloud, ocfg);
+        IncrementalOctreeBuilder builder;
+        for (std::size_t t = 1; t <= 5; ++t) {
+            const Frame frame = drive.generate(t);
+            Octree next;
+            const bool incremental =
+                update(builder, frame.cloud, &carried, ocfg, next);
+            // The drive pins the frame AABB, so the alignment guard
+            // always passes and the incremental path engages.
+            EXPECT_TRUE(incremental) << "frame " << t;
+            expectTreesIdentical(next, Octree::build(frame.cloud, ocfg));
+            if (incremental) {
+                const PointDelta &delta = builder.delta();
+                const double expected =
+                    drive.overlapFraction(1) *
+                    static_cast<double>(dc.points);
+                EXPECT_EQ(delta.retained(),
+                          static_cast<std::size_t>(expected + 0.5))
+                    << "frame " << t;
+            }
+            carried = std::move(next);
         }
-        carried = std::move(next);
     }
 }
 
@@ -225,7 +239,7 @@ TEST(IncrementalOctree, HandlesCoincidentPointsAcrossFrames)
     prev.rebuild(a, ocfg);
     IncrementalOctreeBuilder builder;
     Octree next;
-    builder.update(b, &prev, ocfg, next);
+    update(builder, b, &prev, ocfg, next);
     expectTreesIdentical(next, Octree::build(b, ocfg));
 }
 
@@ -246,7 +260,7 @@ TEST(IncrementalOctree, ReorderedRetainedPointsStayCorrect)
     prev.rebuild(a, ocfg);
     IncrementalOctreeBuilder builder;
     Octree next;
-    builder.update(b, &prev, ocfg, next);
+    update(builder, b, &prev, ocfg, next);
     expectTreesIdentical(next, Octree::build(b, ocfg));
 }
 
@@ -278,7 +292,7 @@ TEST(IncrementalOctree, FeaturesFollowTheirPoints)
         const PointCloud frame =
             with_features(drive.generate(t).cloud, 0.5f * t);
         Octree next;
-        ASSERT_TRUE(builder.update(frame, &prev, ocfg, next));
+        ASSERT_TRUE(update(builder, frame, &prev, ocfg, next));
         const Octree fresh = Octree::build(frame, ocfg);
         expectTreesIdentical(next, fresh);
         ASSERT_EQ(next.reorderedCloud().featureDim(), 2u);
@@ -300,7 +314,7 @@ TEST(IncrementalOctree, ConfigChangeFallsBackToScratch)
     IncrementalOctreeBuilder builder;
     Octree next;
     const bool incremental =
-        builder.update(cloud, &prev, octreeConfig(6, 8), next);
+        update(builder, cloud, &prev, octreeConfig(6, 8), next);
     EXPECT_FALSE(incremental);
     expectTreesIdentical(next,
                          Octree::build(cloud, octreeConfig(6, 8)));
@@ -333,7 +347,7 @@ TEST(CachedIndices, IncrementalKnnMatchesFreshOracle)
     IncrementalOctreeBuilder builder;
     const Frame f1 = drive.generate(1);
     Octree next;
-    ASSERT_TRUE(builder.update(f1.cloud, &prev, ocfg, next));
+    ASSERT_TRUE(update(builder, f1.cloud, &prev, ocfg, next));
 
     SpatialHashKnn inc;
     ASSERT_TRUE(inc.rebuildFrom(prev_knn,
@@ -361,15 +375,15 @@ void
 expectPatchMatchesFresh(const Octree &prev, const Octree &next,
                         const PointDelta &delta, int level)
 {
-    std::vector<OccupiedCell> prev_occ;
-    buildOccupiedCells(prev, level, prev_occ);
+    std::vector<OccupiedCell> prev_occ, scratch;
+    buildOccupiedCells(prev, level, prev_occ, scratch);
     std::vector<OccupiedCell> patched;
     std::vector<OccupiedCell> dirty;
     ASSERT_TRUE(patchOccupiedCells(next, level, prev, prev_occ, delta,
                                    patched, dirty))
         << "level " << level;
     std::vector<OccupiedCell> fresh;
-    buildOccupiedCells(next, level, fresh);
+    buildOccupiedCells(next, level, fresh, scratch);
     ASSERT_EQ(patched.size(), fresh.size()) << "level " << level;
     for (std::size_t i = 0; i < fresh.size(); ++i) {
         EXPECT_EQ(patched[i].cell, fresh[i].cell)
@@ -395,7 +409,7 @@ TEST(CachedIndices, PatchedOccupancyMatchesFreshOracle)
     IncrementalOctreeBuilder builder;
     const Frame f1 = drive.generate(1);
     Octree next;
-    ASSERT_TRUE(builder.update(f1.cloud, &prev, ocfg, next));
+    ASSERT_TRUE(update(builder, f1.cloud, &prev, ocfg, next));
 
     for (int level = 1; level <= std::min(4, next.depth()); ++level)
         expectPatchMatchesFresh(prev, next, builder.delta(), level);
@@ -439,15 +453,15 @@ TEST(CachedIndices, PatchedOccupancyEdgeCellsMatchFreshOracle)
     IncrementalOctreeBuilder builder;
     for (std::size_t t = 1; t < std::size(frames); ++t) {
         Octree next;
-        ASSERT_TRUE(builder.update(frames[t], &prev, ocfg, next))
+        ASSERT_TRUE(update(builder, frames[t], &prev, ocfg, next))
             << "frame " << t;
         for (int level = 1; level <= 5; ++level)
             expectPatchMatchesFresh(prev, next, builder.delta(), level);
         // The singletons own the extreme cells at level 3: the list
         // really gains or loses its first and last entries.
-        std::vector<OccupiedCell> before, after;
-        buildOccupiedCells(prev, 3, before);
-        buildOccupiedCells(next, 3, after);
+        std::vector<OccupiedCell> before, after, scratch;
+        buildOccupiedCells(prev, 3, before, scratch);
+        buildOccupiedCells(next, 3, after, scratch);
         const bool first_moved = !(before.front().cell ==
                                    after.front().cell);
         const bool last_moved = !(before.back().cell ==
@@ -465,7 +479,7 @@ TEST(CachedIndices, PatchedOccupancyWithNoDirtyCell)
     prev.rebuild(cloud, ocfg);
     IncrementalOctreeBuilder builder;
     Octree next;
-    ASSERT_TRUE(builder.update(cloud, &prev, ocfg, next));
+    ASSERT_TRUE(update(builder, cloud, &prev, ocfg, next));
     EXPECT_TRUE(builder.delta().insertedNew.empty());
     EXPECT_TRUE(builder.delta().evictedOld.empty());
     for (int level = 1; level <= 6; ++level)
@@ -488,13 +502,13 @@ TEST(CachedIndices, PatchedOccupancyWithEveryCellDirty)
     prev.rebuild(a, ocfg);
     IncrementalOctreeBuilder builder;
     Octree next;
-    ASSERT_TRUE(builder.update(b, &prev, ocfg, next));
+    ASSERT_TRUE(update(builder, b, &prev, ocfg, next));
     const PointDelta &delta = builder.delta();
     EXPECT_EQ(delta.retained(), 2u);
     for (int level = 1; level <= 3; ++level) {
-        std::vector<OccupiedCell> prev_occ, fresh;
-        buildOccupiedCells(prev, level, prev_occ);
-        buildOccupiedCells(next, level, fresh);
+        std::vector<OccupiedCell> prev_occ, fresh, scratch;
+        buildOccupiedCells(prev, level, prev_occ, scratch);
+        buildOccupiedCells(next, level, fresh, scratch);
         for (const OccupiedCell &c : fresh)
             EXPECT_TRUE(delta.rangeDirty(c.first, c.last))
                 << "level " << level;
@@ -591,8 +605,8 @@ TEST(TemporalState, CachedIndicesExposedAndCorrect)
     expectGatherIdentical(r1.rawKnn->gatherAt(queries.positions(), 8),
                           oracle.gatherAt(queries.positions(), 8));
 
-    std::vector<OccupiedCell> fresh;
-    buildOccupiedCells(*r1.tree, r1.rawOccLevel, fresh);
+    std::vector<OccupiedCell> fresh, scratch;
+    buildOccupiedCells(*r1.tree, r1.rawOccLevel, fresh, scratch);
     ASSERT_EQ(r1.rawOcc->size(), fresh.size());
     for (std::size_t i = 0; i < fresh.size(); ++i) {
         EXPECT_EQ((*r1.rawOcc)[i].cell, fresh[i].cell);
@@ -719,8 +733,8 @@ expectBundleMatchesScratch(const PreprocessBundle &bundle,
                           knn.gatherAt(queries.positions(), 8));
     const int level = VoxelGrid::autoLevel(cloud.size(), fresh.depth());
     ASSERT_EQ(bundle.rawOccLevel, level);
-    std::vector<OccupiedCell> occ;
-    buildOccupiedCells(fresh, level, occ);
+    std::vector<OccupiedCell> occ, scratch;
+    buildOccupiedCells(fresh, level, occ, scratch);
     ASSERT_EQ(bundle.rawOcc.size(), occ.size());
     for (std::size_t i = 0; i < occ.size(); ++i) {
         EXPECT_EQ(bundle.rawOcc[i].cell, occ[i].cell);
@@ -869,7 +883,7 @@ TEST(IncrementalOctree, TinyFramesStillBitIdentical)
     for (std::size_t t = 1; t <= 3; ++t) {
         const Frame frame = drive.generate(t);
         Octree next;
-        builder.update(frame.cloud, &prev, ocfg, next);
+        update(builder, frame.cloud, &prev, ocfg, next);
         expectTreesIdentical(next, Octree::build(frame.cloud, ocfg));
         prev = std::move(next);
     }
@@ -957,7 +971,7 @@ deltaDigest(const std::vector<PointCloud> &frames,
     prev.rebuild(frames.front(), ocfg);
     for (std::size_t t = 1; t < frames.size(); ++t) {
         const bool incremental =
-            builder.update(frames[t], &prev, ocfg, next);
+            update(builder, frames[t], &prev, ocfg, next);
         const Octree fresh = Octree::build(frames[t], ocfg);
         expectTreesIdentical(next, fresh);
         fnv.value(incremental);

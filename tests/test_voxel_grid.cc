@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "octree/voxel_grid.h"
+#include "oracles.h"
 
 namespace hgpcn
 {
@@ -183,9 +184,8 @@ TEST(VoxelGrid, Ring0IsTheCenterCell)
     const Octree tree = makeTree(100, 7);
     const VoxelGrid grid(tree, 3);
     std::vector<GridCell> cells;
-    grid.forEachRingCell({3, 3, 3}, 0, [&](const GridCell &c) {
-        cells.push_back(c);
-    });
+    oracle::forEachRingCell(grid, {3, 3, 3}, 0,
+                            [&](const GridCell &c) { cells.push_back(c); });
     ASSERT_EQ(cells.size(), 1u);
     EXPECT_EQ(cells[0], (GridCell{3, 3, 3}));
 }
@@ -194,8 +194,8 @@ TEST(VoxelGrid, Ring1Has26CellsInInterior)
 {
     const Octree tree = makeTree(100, 8);
     const VoxelGrid grid(tree, 3);
-    const std::size_t visited =
-        grid.forEachRingCell({3, 3, 3}, 1, [](const GridCell &) {});
+    const std::size_t visited = oracle::forEachRingCell(
+        grid, {3, 3, 3}, 1, [](const GridCell &) {});
     EXPECT_EQ(visited, 26u);
 }
 
@@ -211,8 +211,8 @@ TEST(VoxelGrid, RingCellCountMatchesShellFormula)
                                      (2 * r + 1)) -
             static_cast<std::size_t>((2 * r - 1) * (2 * r - 1) *
                                      (2 * r - 1));
-        EXPECT_EQ(grid.forEachRingCell(center, r,
-                                       [](const GridCell &) {}),
+        EXPECT_EQ(oracle::forEachRingCell(grid, center, r,
+                                          [](const GridCell &) {}),
                   expected);
     }
 }
@@ -223,7 +223,7 @@ TEST(VoxelGrid, RingCellsHaveExactChebyshevDistance)
     const VoxelGrid grid(tree, 5);
     const GridCell center{10, 12, 14};
     for (int r = 0; r <= 3; ++r) {
-        grid.forEachRingCell(center, r, [&](const GridCell &c) {
+        oracle::forEachRingCell(grid, center, r, [&](const GridCell &c) {
             const int dx = std::abs(c.x - center.x);
             const int dy = std::abs(c.y - center.y);
             const int dz = std::abs(c.z - center.z);
@@ -237,7 +237,8 @@ TEST(VoxelGrid, RingsClippedAtBorders)
     const Octree tree = makeTree(100, 11);
     const VoxelGrid grid(tree, 3); // 8 cells/axis
     // Corner cell: ring 1 has only 7 in-grid cells.
-    EXPECT_EQ(grid.forEachRingCell({0, 0, 0}, 1, [](const GridCell &) {}),
+    EXPECT_EQ(oracle::forEachRingCell(grid, {0, 0, 0}, 1,
+                                      [](const GridCell &) {}),
               7u);
 }
 
@@ -248,7 +249,7 @@ TEST(VoxelGrid, RingsNeverOverlap)
     const GridCell center{7, 7, 7};
     std::set<std::tuple<int, int, int>> seen;
     for (int r = 0; r <= 4; ++r) {
-        grid.forEachRingCell(center, r, [&](const GridCell &c) {
+        oracle::forEachRingCell(grid, center, r, [&](const GridCell &c) {
             const auto key = std::make_tuple(c.x, c.y, c.z);
             EXPECT_EQ(seen.count(key), 0u)
                 << "cell visited by two rings";
@@ -262,10 +263,10 @@ TEST(VoxelGrid, UnionOfAllRingsCoversGrid)
     const Octree tree = makeTree(500, 13);
     const VoxelGrid grid(tree, 3);
     const GridCell center{0, 0, 0};
-    std::uint64_t total = 0;
+    std::vector<PointIndex> pts;
     for (int r = 0; r <= grid.cellsPerAxis(); ++r)
-        total += grid.ringPointCount(center, r);
-    EXPECT_EQ(total, 500u);
+        grid.gatherRingPoints(center, r, pts);
+    EXPECT_EQ(pts.size(), 500u);
 }
 
 TEST(VoxelGrid, GatherRingPointsMatchesRingCount)
@@ -276,7 +277,12 @@ TEST(VoxelGrid, GatherRingPointsMatchesRingCount)
     for (int r = 0; r <= 3; ++r) {
         std::vector<PointIndex> pts;
         grid.gatherRingPoints(center, r, pts);
-        EXPECT_EQ(pts.size(), grid.ringPointCount(center, r));
+        // The shell's point count, cell by cell over the walk.
+        std::size_t walked = 0;
+        oracle::forEachRingCell(grid, center, r, [&](const GridCell &c) {
+            walked += grid.cellCount(c);
+        });
+        EXPECT_EQ(pts.size(), walked);
     }
 }
 
@@ -307,7 +313,7 @@ TEST(VoxelGrid, LevelZeroSingleCellHoldsAll)
 
 TEST(VoxelGrid, ShellCellCountMatchesEnumeration)
 {
-    // shellCellCount is the O(1) closed form of forEachRingCell's
+    // shellCellCount is the O(1) closed form of the shell walk's
     // visit count — the DSU's modeled table-lookup cost. Pin them
     // equal across interior, edge and corner centers, clipped and
     // unclipped rings.
@@ -324,8 +330,8 @@ TEST(VoxelGrid, ShellCellCountMatchesEnumeration)
         for (const GridCell &c : centers) {
             for (int r = 0; r <= n + 1; ++r) {
                 EXPECT_EQ(grid.shellCellCount(c, r),
-                          grid.forEachRingCell(
-                              c, r, [](const GridCell &) {}))
+                          oracle::forEachRingCell(grid, c, r,
+                                                  [](const GridCell &) {}))
                     << "level " << level << " ring " << r;
             }
         }
@@ -335,7 +341,7 @@ TEST(VoxelGrid, ShellCellCountMatchesEnumeration)
 // ------------------------------------------ binary-search ring oracle
 //
 // Independent of the occupied-row table, the occupied list and the
-// shell walk: every cell is resolved by Octree::voxelRange (two binary
+// shell walk: every cell is resolved by oracle::voxelRange (two binary
 // searches over the point codes) and shells are enumerated from the
 // full (2r+1)^3 box.
 
@@ -353,7 +359,7 @@ searchRange(const Octree &tree, int level, const GridCell &c)
                                      static_cast<morton::CellCoord>(c.y),
                                      static_cast<morton::CellCoord>(c.z),
                                      level);
-    return tree.voxelRange(code, level);
+    return oracle::voxelRange(tree, code, level);
 }
 
 int
@@ -401,7 +407,8 @@ searchOccupied(const Octree &tree, int level)
     std::vector<OccupiedCell> cells;
     for (std::size_t i = 0; i < codes.size();) {
         const morton::Code prefix = codes[i] >> shift;
-        const auto [first, last] = tree.voxelRange(prefix, level);
+        const auto [first, last] =
+            oracle::voxelRange(tree, prefix, level);
         morton::CellCoord x = 0, y = 0, z = 0;
         if (level > 0)
             morton::decode3(prefix, level, x, y, z);
@@ -529,8 +536,6 @@ TEST(VoxelGridOracle, RingsMatchBinarySearchAtEveryLevel)
                     ASSERT_EQ(got, want) << oc.name << " level "
                                          << level << " ring " << r;
                     ASSERT_EQ(lookups, grid.shellCellCount(center, r));
-                    ASSERT_EQ(grid.ringPointCount(center, r),
-                              want.size());
                     covered += want.size();
                     // Small shells: the full-box walk fixes the cell
                     // count and the per-cell order independently.
@@ -551,8 +556,8 @@ TEST(VoxelGridOracle, RingsMatchBinarySearchAtEveryLevel)
 
 TEST(VoxelGridOracle, ShellWalkVisitsTheBoxShellInOrder)
 {
-    // forEachRingCell against the (2r+1)^3 box filtered to the shell,
-    // clipped at every border, off-grid centres included.
+    // The oracle's shell walk against the (2r+1)^3 box filtered to
+    // the shell, clipped at every border, off-grid centres included.
     const Octree tree = makeTree(300, 61, /*depth=*/4);
     const VoxelGrid grid(tree, 3); // 8 cells/axis
     const std::int32_t n = grid.cellsPerAxis();
@@ -572,8 +577,8 @@ TEST(VoxelGridOracle, ShellWalkVisitsTheBoxShellInOrder)
                                     want.push_back(c);
                             }
                     std::vector<GridCell> got;
-                    const std::size_t visited = grid.forEachRingCell(
-                        center, r,
+                    const std::size_t visited = oracle::forEachRingCell(
+                        grid, center, r,
                         [&](const GridCell &c) { got.push_back(c); });
                     ASSERT_EQ(got, want)
                         << "center (" << cx << ", " << cy << ", " << cz
@@ -587,8 +592,8 @@ TEST(VoxelGridOracle, ShellWalkVisitsTheBoxShellInOrder)
 
 TEST(VoxelGrid, OccupiedScanMatchesPerCellWalk)
 {
-    // ringPointCount / gatherRingPoints switch between walking the
-    // shell's cells and scanning the occupied-cell list. Both paths
+    // gatherRingPoints switches between walking the shell's rows and
+    // scanning the occupied-cell list. Both paths
     // must yield identical points in identical order and identical
     // lookup counts; compare against the binary-search walk at deep
     // levels where the fast path engages.
@@ -604,7 +609,6 @@ TEST(VoxelGrid, OccupiedScanMatchesPerCellWalk)
             grid.gatherRingPoints(center, r, fast);
         EXPECT_EQ(fast, naive) << "ring " << r;
         EXPECT_EQ(lookups, visited) << "ring " << r;
-        EXPECT_EQ(grid.ringPointCount(center, r), naive.size());
     }
 }
 
