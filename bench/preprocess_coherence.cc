@@ -29,7 +29,7 @@
  * machines; wall-clock numbers are printed, not stored.
  * `--assert-coherence-speedup <x>` exits nonzero unless the
  * steady-state build-stage speedup reaches `x` (CI holds 2.0x
- * against a measured ~2.5-3x) and every frame matched the oracle.
+ * against a measured ~2.2-2.3x) and every frame matched the oracle.
  * Positionals: [frames] [points].
  */
 

@@ -28,6 +28,8 @@ write(const std::string &path, const Frame &frame)
     if (labelled)
         out << "property int label\n";
     out << "end_header\n";
+    // Enough digits that read() recovers every coordinate bit.
+    out.precision(std::numeric_limits<float>::max_digits10);
     for (std::size_t i = 0; i < frame.cloud.size(); ++i) {
         const Vec3 &p =
             frame.cloud.position(static_cast<PointIndex>(i));

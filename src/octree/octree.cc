@@ -154,7 +154,7 @@ Octree::rebuild(const PointCloud &cloud, const Config &config,
     root.pointEnd = static_cast<PointIndex>(n);
     node_store.push_back(root);
     if (config.bottomUpBuild)
-        erectBottomUp();
+        erectLevels();
     else
         processNode(0);
 
@@ -196,47 +196,46 @@ Octree::chargeScratchBuild(std::size_t n, const Config &config)
 }
 
 void
-Octree::erectBottomUp()
+Octree::erectLevels()
 {
-    const std::size_t n = codes.size();
     const int depth = cfg.maxDepth;
     auto &levels = scratch.levels;
     if (levels.size() < static_cast<std::size_t>(depth) + 1)
         levels.resize(depth + 1);
+    for (auto &lvl : levels)
+        lvl.clear();
 
-    // Deepest level: one run per distinct full-depth code.
-    auto &deep = levels[depth];
-    deep.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (deep.empty() || deep.back().code != codes[i]) {
-            deep.push_back({codes[i], static_cast<PointIndex>(i),
-                            static_cast<PointIndex>(i + 1), kNoNode, 0});
-        } else {
-            deep.back().end = static_cast<PointIndex>(i + 1);
-        }
-    }
-
-    // Agglomerate upwards: each level's runs are the distinct
-    // (code >> 3) prefixes of the level below, carrying the merged
-    // point range, the occupied-octant mask and the index of their
-    // first child run (the pointerless NavVolume layout).
-    for (int lvl = depth - 1; lvl >= 0; --lvl) {
-        const auto &child = levels[lvl + 1];
-        auto &cur = levels[lvl];
-        cur.clear();
-        for (std::size_t j = 0; j < child.size(); ++j) {
-            const morton::Code pc = child[j].code >> 3;
-            if (cur.empty() || cur.back().code != pc) {
-                cur.push_back({pc, child[j].begin, child[j].end,
-                               static_cast<std::int32_t>(j), 0});
-            } else {
-                cur.back().end = child[j].end;
+    // Top-down over the sorted codes: level 0 is the root run, and
+    // only a run that processNode() would subdivide is split into
+    // its octant runs on the level below, so the levels hold exactly
+    // the tree's nodes (the pointerless NavVolume layout).
+    levels[0].push_back(
+        {0, 0, static_cast<PointIndex>(codes.size()), kNoNode, 0});
+    for (int lvl = 0; lvl < depth && !levels[lvl].empty(); ++lvl) {
+        const int shift = 3 * (depth - lvl - 1);
+        auto &child = levels[lvl + 1];
+        for (auto &run : levels[lvl]) {
+            if (run.end - run.begin <= cfg.leafCapacity)
+                continue;
+            run.firstChild = static_cast<std::int32_t>(child.size());
+            // Each octant is a contiguous sub-range of the sorted
+            // run, found by binary search.
+            for (PointIndex cursor = run.begin; cursor < run.end;) {
+                const morton::Code prefix = codes[cursor] >> shift;
+                const PointIndex stop = static_cast<PointIndex>(
+                    std::partition_point(
+                        codes.begin() + cursor + 1,
+                        codes.begin() + run.end,
+                        [&](morton::Code c) {
+                            return (c >> shift) == prefix;
+                        }) -
+                    codes.begin());
+                child.push_back({prefix, cursor, stop, kNoNode, 0});
+                run.mask |= static_cast<std::uint8_t>(1u << (prefix & 7u));
+                cursor = stop;
             }
-            cur.back().mask |=
-                static_cast<std::uint8_t>(1u << (child[j].code & 7u));
         }
     }
-    HGPCN_ASSERT(levels[0].size() == 1, "agglomeration lost the root");
 
     // DFS emission reproduces processNode()'s exact node order:
     // siblings contiguous in ascending octant, then recurse in order.
@@ -250,10 +249,7 @@ Octree::emitRun(NodeIndex self, int level,
     if (level > max_level)
         max_level = level;
 
-    const std::uint32_t count = run.end - run.begin;
-    const bool subdivide =
-        level < cfg.maxDepth && count > cfg.leafCapacity;
-    if (!subdivide) {
+    if (run.mask == 0) {
         ++leaf_total;
         for (PointIndex i = run.begin; i < run.end; ++i)
             point_leaf[i] = self;

@@ -102,12 +102,13 @@ class Octree
          * builds on large frames. */
         bool useRadixSort = true;
 
-        /** Erect the nodes bottom-up from the sorted codes
-         * (NavVolume-style pointerless agglomeration: one linear
-         * pass per level) instead of top-down recursion with
-         * per-octant binary searches. Identical output — pinned by
-         * tests/test_temporal.cc; the recursive builder remains the
-         * oracle. */
+        /** Erect the nodes as level runs over the sorted codes
+         * (NavVolume-style pointerless layout: level by level from
+         * the root, splitting only the runs that subdivide) and emit
+         * them depth-first, instead of recursing node by node. Both
+         * find each octant by binary search over the sorted codes.
+         * Identical output — pinned by tests/test_temporal.cc; the
+         * recursive builder remains the oracle. */
         bool bottomUpBuild = true;
     };
 
@@ -271,7 +272,7 @@ class Octree
 
     /**
      * Build-time scratch retained across rebuild() calls so pooled
-     * trees sort and agglomerate with zero steady-state allocation.
+     * trees sort and erect with zero steady-state allocation.
      * Copying a tree deliberately does not copy its scratch.
      */
     struct BuildScratch
@@ -322,8 +323,9 @@ class Octree
     /** Recursively subdivide node @p self or finalize it as a leaf. */
     void processNode(NodeIndex self);
 
-    /** Pointerless bottom-up erection over the sorted codes. */
-    void erectBottomUp();
+    /** Pointerless top-down erection over the sorted codes: one
+     * level run per node, level by level, in scratch.levels. */
+    void erectLevels();
 
     /** Emit node @p self for @p run, recursing into its children. */
     void emitRun(NodeIndex self, int level,

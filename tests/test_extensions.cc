@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -136,6 +139,11 @@ TEST(PlyIo, RoundTripsPointsAndLabels)
                          rng.uniform(-2.0f, 2.0f)});
         frame.labels.push_back(static_cast<int>(rng.below(5)));
     }
+    // Values a 6-digit writer rounds, and the float edge cases.
+    frame.cloud.add({1.23456789f, -0.0f, FLT_MIN});
+    frame.cloud.add({FLT_MAX, -FLT_MAX, -FLT_MIN});
+    frame.labels.push_back(1);
+    frame.labels.push_back(2);
     const std::string path = "/tmp/hgpcn_test_roundtrip.ply";
     ASSERT_TRUE(ply::write(path, frame));
     const Frame loaded = ply::read(path);
@@ -146,9 +154,15 @@ TEST(PlyIo, RoundTripsPointsAndLabels)
             frame.cloud.position(static_cast<PointIndex>(i));
         const Vec3 &b =
             loaded.cloud.position(static_cast<PointIndex>(i));
-        EXPECT_NEAR(a.x, b.x, 1e-4f);
-        EXPECT_NEAR(a.y, b.y, 1e-4f);
-        EXPECT_NEAR(a.z, b.z, 1e-4f);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(a.x),
+                  std::bit_cast<std::uint32_t>(b.x))
+            << "point " << i;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(a.y),
+                  std::bit_cast<std::uint32_t>(b.y))
+            << "point " << i;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(a.z),
+                  std::bit_cast<std::uint32_t>(b.z))
+            << "point " << i;
         EXPECT_EQ(frame.labels[i], loaded.labels[i]);
     }
     std::remove(path.c_str());

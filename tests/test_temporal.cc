@@ -1,6 +1,6 @@
 /**
  * @file
- * Temporal-coherence preprocessing tests: the bottom-up Morton
+ * Temporal-coherence preprocessing tests: the level-run Morton
  * octree builder against the recursive oracle, the incremental
  * cross-frame builder against from-scratch builds, the cached KNN /
  * occupancy indices against fresh oracles, and the pooled
@@ -122,20 +122,28 @@ update(IncrementalOctreeBuilder &builder, const PointCloud &cloud,
                           out);
 }
 
-// ----------------------------------------- bottom-up builder oracle
+// ----------------------------------------- level-run builder oracle
+
+/** Level-run erection == the recursive oracle over @p cloud. */
+void
+expectErectionMatchesRecursive(const PointCloud &cloud, int depth,
+                               std::uint32_t leaf_capacity)
+{
+    Octree::Config up = octreeConfig(depth, leaf_capacity);
+    Octree::Config down = up;
+    up.bottomUpBuild = true;
+    down.bottomUpBuild = false;
+    expectTreesIdentical(Octree::build(cloud, up),
+                         Octree::build(cloud, down));
+}
 
 TEST(BottomUpBuild, MatchesRecursiveBuilderAcrossShapes)
 {
     const std::size_t sizes[] = {1, 2, 7, 64, 500, 3000};
     for (std::size_t n : sizes) {
         for (int depth : {2, 6, 12}) {
-            const PointCloud cloud = randomCloud(n, 17 * n + depth);
-            Octree::Config up = octreeConfig(depth, 8);
-            Octree::Config down = up;
-            up.bottomUpBuild = true;
-            down.bottomUpBuild = false;
-            expectTreesIdentical(Octree::build(cloud, up),
-                                 Octree::build(cloud, down));
+            expectErectionMatchesRecursive(
+                randomCloud(n, 17 * n + depth), depth, 8);
         }
     }
 }
@@ -154,12 +162,82 @@ TEST(BottomUpBuild, MatchesRecursiveOnCoincidentPoints)
     for (int i = 0; i < 30; ++i)
         cloud.add({rng.uniform(0.0f, 1.0f), rng.uniform(0.0f, 1.0f),
                    rng.uniform(0.0f, 1.0f)});
-    Octree::Config up = octreeConfig(6, 4);
-    Octree::Config down = up;
-    up.bottomUpBuild = true;
-    down.bottomUpBuild = false;
-    expectTreesIdentical(Octree::build(cloud, up),
-                         Octree::build(cloud, down));
+    expectErectionMatchesRecursive(cloud, 6, 4);
+}
+
+TEST(BottomUpBuild, MatchesRecursiveWhenChildSitsAtLeafCapacity)
+{
+    // Octant 0 of the root holds exactly leafCapacity points (a
+    // leaf) in the first cloud and one more (split again) in the
+    // second; octant 7 holds the rest.
+    for (const std::uint32_t in_octant : {8u, 9u}) {
+        PointCloud cloud;
+        Rng rng(41 + in_octant);
+        for (std::uint32_t i = 0; i < in_octant; ++i)
+            cloud.add({rng.uniform(0.0f, 0.4f),
+                       rng.uniform(0.0f, 0.4f),
+                       rng.uniform(0.0f, 0.4f)});
+        for (int i = 0; i < 20; ++i)
+            cloud.add({rng.uniform(0.6f, 1.0f),
+                       rng.uniform(0.6f, 1.0f),
+                       rng.uniform(0.6f, 1.0f)});
+        const Octree tree = Octree::build(cloud, octreeConfig(6, 8));
+        const NodeIndex low = tree.childAt(0, 0);
+        ASSERT_NE(low, kNoNode);
+        EXPECT_EQ(tree.node(low).count(), in_octant);
+        EXPECT_EQ(tree.node(low).isLeaf(), in_octant == 8u);
+        expectErectionMatchesRecursive(cloud, 6, 8);
+    }
+}
+
+TEST(BottomUpBuild, MatchesRecursiveAtExtremeDepths)
+{
+    const PointCloud cloud = randomCloud(700, 23);
+    for (int depth : {1, morton::kMaxDepth3d}) {
+        expectErectionMatchesRecursive(cloud, depth, 8);
+        expectErectionMatchesRecursive(cloud, depth, 1);
+    }
+}
+
+TEST(BottomUpBuild, CoincidentPileChainsDownToMaxDepth)
+{
+    PointCloud cloud;
+    for (int i = 0; i < 100; ++i)
+        cloud.add({0.3f, 0.6f, 0.1f});
+    cloud.add({0.0f, 0.0f, 0.0f});
+    cloud.add({1.0f, 1.0f, 1.0f});
+    for (int depth : {5, 12, morton::kMaxDepth3d}) {
+        const Octree tree =
+            Octree::build(cloud, octreeConfig(depth, 64));
+        EXPECT_EQ(tree.depth(), depth);
+        const OctreeNode &pile =
+            tree.node(tree.findLeaf({0.3f, 0.6f, 0.1f}));
+        EXPECT_EQ(pile.level, depth);
+        EXPECT_EQ(pile.count(), 100u);
+        expectErectionMatchesRecursive(cloud, depth, 64);
+    }
+}
+
+TEST(BottomUpBuild, MatchesRecursiveOnLargeRandomCloud)
+{
+    expectErectionMatchesRecursive(randomCloud(100000, 29), 12, 64);
+}
+
+TEST(BottomUpBuild, LevelScratchHoldsOnlyTheTreesNodes)
+{
+    // Level runs are erected only under runs that subdivide, so a
+    // fresh build's level scratch is bounded by the node count (up to
+    // vector growth), not by depth x points.
+    const Octree::Config cfg = octreeConfig(12, 64);
+    const Octree tree = Octree::build(randomCloud(100000, 31), cfg);
+    const std::vector<std::size_t> caps = tree.capacities();
+    // capacities() ends with one entry per build-scratch level.
+    ASSERT_GT(caps.size(), static_cast<std::size_t>(cfg.maxDepth) + 1);
+    std::size_t level_runs = 0;
+    for (auto it = caps.end() - (cfg.maxDepth + 1); it != caps.end();
+         ++it)
+        level_runs += *it;
+    EXPECT_LE(level_runs, 2 * tree.nodes().size());
 }
 
 TEST(BottomUpBuild, RebuildReusesStorageWithIdenticalOutput)
