@@ -1,8 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the core kernels: Morton
- * encoding, octree construction, the steady-state temporal build
- * stage, the scratch build stage and occupied-cell list, OIS
+ * encoding, an empty parallel region on a parked pool and on spawned
+ * threads, octree construction (fresh and warm trees), the
+ * steady-state temporal build stage (serial and on a two-helper
+ * pool), the scratch build stage and occupied-cell list, OIS
  * sampling, VEG gathering (Paper and Strict), the brute-force
  * baselines, the spatial-hash KNN index (src/knn), the
  * register-tiled GEMM (both variants), a whole SA level at 1-4
@@ -24,12 +26,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
 
 #include "bench/bench_util.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "core/frame_workspace.h"
 #include "core/preprocessing_engine.h"
@@ -90,6 +94,41 @@ BM_MortonEncode3(benchmark::State &state)
 }
 BENCHMARK(BM_MortonEncode3);
 
+/** An empty region of range(0) workers: the dispatch cost alone. */
+void
+emptyRegion(benchmark::State &state)
+{
+    const int workers = static_cast<int>(state.range(0));
+    std::atomic<std::size_t> ran{0};
+    for (auto _ : state) {
+        parallelBlocks(
+            static_cast<std::size_t>(workers), workers,
+            [](std::size_t w) { return w; },
+            [&ran](std::size_t, std::size_t) {
+                ran.fetch_add(1, std::memory_order_relaxed);
+            });
+    }
+    benchmark::DoNotOptimize(ran.load());
+}
+
+void
+BM_RegionDispatch(benchmark::State &state)
+{
+    // Through a pool whose helpers park between regions.
+    WorkerPool pool(static_cast<int>(state.range(0)) - 1);
+    WorkerPool::Install use(&pool);
+    emptyRegion(state);
+}
+BENCHMARK(BM_RegionDispatch)->Arg(3)->UseRealTime();
+
+void
+BM_RegionSpawn(benchmark::State &state)
+{
+    // No pool installed: each region spawns and joins its helpers.
+    emptyRegion(state);
+}
+BENCHMARK(BM_RegionSpawn)->Arg(3)->UseRealTime();
+
 void
 BM_OctreeBuild(benchmark::State &state)
 {
@@ -105,12 +144,38 @@ BM_OctreeBuild(benchmark::State &state)
 BENCHMARK(BM_OctreeBuild)->Arg(10000)->Arg(100000);
 
 void
-BM_TemporalBuildStage(benchmark::State &state)
+BM_OctreeRebuild(benchmark::State &state)
 {
-    // buildStage with a warmed carry on a 1 %-churn CoherentDrive:
-    // the incremental octree plus cached KNN and occupancy indices.
-    // Two consecutive frames alternate, so every timed update is one
-    // 1 %-churn step.
+    // The same build into one warm tree, as the pooled per-frame
+    // builds run it: BM_OctreeBuild's fresh tree also pays first
+    // touch of every buffer.
+    const PointCloud cloud =
+        randomCloud(static_cast<std::size_t>(state.range(0)));
+    Octree::Config cfg;
+    cfg.maxDepth = 12;
+    cfg.leafCapacity = 64;
+    Octree tree;
+    tree.rebuild(cloud, cfg);
+    for (auto _ : state) {
+        tree.rebuild(cloud, cfg);
+        benchmark::DoNotOptimize(tree.nodes().data());
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_OctreeRebuild)->Arg(100000);
+
+/**
+ * buildStage with a warmed carry on a 1 %-churn CoherentDrive: the
+ * incremental octree plus cached KNN and occupancy indices. Two
+ * consecutive frames alternate, so every timed update is one 1 %-churn
+ * step. With @p helpers > 0 the carry borrows an installed pool of
+ * that many helpers, as a stream's build stage does.
+ */
+void
+temporalBuildStage(benchmark::State &state, int helpers)
+{
+    WorkerPool pool(helpers);
+    WorkerPool::Install use(helpers > 0 ? &pool : nullptr);
     CoherentDrive::Config dc;
     dc.points = static_cast<std::size_t>(state.range(0));
     dc.churnFraction = 0.01;
@@ -130,7 +195,21 @@ BM_TemporalBuildStage(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+
+void
+BM_TemporalBuildStage(benchmark::State &state)
+{
+    temporalBuildStage(state, 0);
+}
 BENCHMARK(BM_TemporalBuildStage)->Arg(100000);
+
+/** BM_TemporalBuildStage/<points>/<helpers> on a pool. */
+void
+BM_TemporalBuildStagePool(benchmark::State &state)
+{
+    temporalBuildStage(state, static_cast<int>(state.range(1)));
+}
+BENCHMARK(BM_TemporalBuildStagePool)->Args({100000, 2})->UseRealTime();
 
 /** Random cloud @p i of an incoherent stream: offset so that no two
  * frames share root bounds. */

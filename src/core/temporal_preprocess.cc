@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "core/frame_workspace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -112,6 +113,88 @@ countFrame(TemporalPreprocessState::Stats &st, const FrameAttribution &fa)
     }
 }
 
+/** @return the level the occupancy list of @p tree is kept at. */
+int
+occupancyLevel(const Octree &tree)
+{
+    return VoxelGrid::autoLevel(tree.reorderedCloud().size(), tree.depth());
+}
+
+/** @return whether @p bundle's KNN buckets were patched from
+ * @p prev's through @p delta (false: they still need a rebuild). */
+bool
+patchKnn(PreprocessBundle &bundle, const PreprocessBundle &prev,
+         const PointDelta &delta)
+{
+    HGPCN_TRACE_WALL_SPAN(span, "carry:knn", "carry",
+                          WorkerPool::traceTrack());
+    return prev.rawKnnBuilt &&
+           bundle.rawKnn.rebuildFrom(
+               prev.rawKnn, bundle.tree.reorderedCloud().positions(),
+               delta);
+}
+
+/** @return whether @p bundle's occupancy list was patched at
+ * @p level from @p prev's through @p delta. Reads only the merged
+ * codes, so it may run before the tree is erected. */
+bool
+patchOcc(PreprocessBundle &bundle, const PreprocessBundle &prev,
+         const PointDelta &delta, int level)
+{
+    HGPCN_TRACE_WALL_SPAN(span, "carry:occ", "carry",
+                          WorkerPool::traceTrack());
+    return prev.rawOccLevel == level &&
+           patchOccupiedCells(bundle.tree, level, prev.tree, prev.rawOcc,
+                              delta, bundle.rawOcc, bundle.occScratch);
+}
+
+/** The occupancy storage's capacities before a frame's indices, to
+ * tell re-growth of warmed storage, which breaks the zero-alloc
+ * steady state like the octree's own. */
+struct OccCapacity
+{
+    explicit OccCapacity(const PreprocessBundle &bundle)
+        : out(bundle.rawOcc.capacity()),
+          scratch(bundle.occScratch.capacity())
+    {
+    }
+
+    void
+    noteGrowth(const PreprocessBundle &bundle) const
+    {
+        if ((out > 0 && bundle.rawOcc.capacity() > out) ||
+            (scratch > 0 && bundle.occScratch.capacity() > scratch))
+            FrameWorkspace::noteGrowth();
+    }
+
+    std::size_t out;
+    std::size_t scratch;
+};
+
+/**
+ * Finish @p bundle's indices over its erected tree: build from
+ * scratch whichever of the KNN buckets and the occupancy list (at
+ * @p level) was not patched, and record the outcome in @p fa.
+ */
+void
+finishIndices(PreprocessBundle &bundle, bool knn_patched, bool occ_patched,
+              int level, const SpatialHashKnn::Config &knn,
+              const OccCapacity &occ_cap, FrameAttribution &fa)
+{
+    if (!knn_patched)
+        bundle.rawKnn.rebuild(bundle.tree.reorderedCloud().positions(), knn);
+    bundle.rawKnnBuilt = true;
+    if (!occ_patched)
+        buildOccupiedCells(bundle.tree, level, bundle.rawOcc,
+                           bundle.occScratch);
+    occ_cap.noteGrowth(bundle);
+    bundle.rawOccLevel = level;
+
+    fa.indicesCached = true;
+    fa.knnIncremental = knn_patched;
+    fa.occIncremental = occ_patched;
+}
+
 /**
  * Build @p bundle's KNN buckets and occupancy list over its tree:
  * from @p prev through @p delta where they allow, from scratch
@@ -123,39 +206,73 @@ buildIndices(PreprocessBundle &bundle, const PreprocessBundle *prev,
              const PointDelta *delta, const SpatialHashKnn::Config &knn,
              FrameAttribution &fa)
 {
-    const Octree &tree = bundle.tree;
-    std::span<const Vec3> positions = tree.reorderedCloud().positions();
+    const OccCapacity occ_cap(bundle);
+    const bool knn_patched =
+        prev != nullptr && patchKnn(bundle, *prev, *delta);
+    const int level = occupancyLevel(bundle.tree);
+    const bool occ_patched =
+        prev != nullptr && patchOcc(bundle, *prev, *delta, level);
+    finishIndices(bundle, knn_patched, occ_patched, level, knn, occ_cap,
+                  fa);
+}
 
-    bool knn_incremental = false;
-    if (prev != nullptr && prev->rawKnnBuilt) {
-        knn_incremental =
-            bundle.rawKnn.rebuildFrom(prev->rawKnn, positions, *delta);
+/**
+ * The aligned path's second half on @p workers, after a successful
+ * builder.merge() into @p bundle: this thread erects the tree while
+ * two helpers patch the KNN buckets and the occupancy list. Each
+ * reads only the merged codes and positions, @p prev and the delta,
+ * and writes its own outputs, which this thread sized beforehand,
+ * so the bundle equals the serial path's. The patch runs at
+ * @p prev's level; when the erected depth moves the level, the
+ * list is built from scratch after all, as the serial path would.
+ */
+void
+erectAndPatchConcurrently(WorkerPool &workers,
+                          IncrementalOctreeBuilder &builder,
+                          const PointCloud &raw, PreprocessBundle &bundle,
+                          const PreprocessBundle &prev,
+                          const SpatialHashKnn::Config &knn,
+                          FrameAttribution &fa)
+{
+    const PointDelta &delta = builder.delta();
+    const OccCapacity occ_cap(bundle);
+    bundle.rawKnn.reserveFrom(prev.rawKnn, raw.size(), delta);
+    const std::size_t dirty =
+        delta.insertedNew.size() + delta.evictedOld.size();
+    bundle.occScratch.reserve(dirty);
+    bundle.rawOcc.reserve(prev.rawOcc.size() + dirty);
+
+    bool knn_patched = false;
+    bool occ_patched = false;
+    const auto patch = [&](std::size_t task, std::size_t) {
+        if (task == 0)
+            knn_patched = patchKnn(bundle, prev, delta);
+        else
+            occ_patched = patchOcc(bundle, prev, delta, prev.rawOccLevel);
+    };
+    WorkerPool::Job job(2, 2, patch);
+    workers.post(job);
+    builder.erect(raw, bundle.tree);
+    workers.join(job);
+
+    const int level = occupancyLevel(bundle.tree);
+    finishIndices(bundle, knn_patched, occ_patched && level == prev.rawOccLevel,
+                  level, knn, occ_cap, fa);
+}
+
+/** Raise @p high element-wise to @p caps. @return whether it rose. */
+bool
+raiseTo(std::vector<std::size_t> &high, const std::vector<std::size_t> &caps)
+{
+    bool rose = caps.size() > high.size();
+    high.resize(std::max(high.size(), caps.size()), 0);
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+        if (caps[i] > high[i]) {
+            high[i] = caps[i];
+            rose = true;
+        }
     }
-    if (!knn_incremental)
-        bundle.rawKnn.rebuild(positions, knn);
-    bundle.rawKnnBuilt = true;
-
-    const int level = VoxelGrid::autoLevel(positions.size(), tree.depth());
-    // Re-growth of warmed list or scratch storage breaks the
-    // zero-alloc steady state, like the octree's own.
-    const std::size_t out_cap = bundle.rawOcc.capacity();
-    const std::size_t scratch_cap = bundle.occScratch.capacity();
-    bool occ_incremental = false;
-    if (prev != nullptr && prev->rawOccLevel == level) {
-        occ_incremental = patchOccupiedCells(
-            tree, level, prev->tree, prev->rawOcc, *delta, bundle.rawOcc,
-            bundle.occScratch);
-    }
-    if (!occ_incremental)
-        buildOccupiedCells(tree, level, bundle.rawOcc, bundle.occScratch);
-    if ((out_cap > 0 && bundle.rawOcc.capacity() > out_cap) ||
-        (scratch_cap > 0 && bundle.occScratch.capacity() > scratch_cap))
-        FrameWorkspace::noteGrowth();
-    bundle.rawOccLevel = level;
-
-    fa.indicesCached = true;
-    fa.knnIncremental = knn_incremental;
-    fa.occIncremental = occ_incremental;
+    return rose;
 }
 
 } // namespace
@@ -168,17 +285,11 @@ TemporalPreprocessState::TemporalPreprocessState(const Config &config)
 void
 TemporalPreprocessState::BundlePool::absorb(const PreprocessBundle &built)
 {
-    const std::vector<std::size_t> caps = built.tree.capacities();
     const std::size_t occ_cap =
         std::max(built.rawOcc.capacity(), built.occScratch.capacity());
-    bool rose = caps.size() > treeHighWater.size() || occ_cap > occHighWater;
-    treeHighWater.resize(std::max(treeHighWater.size(), caps.size()), 0);
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-        if (caps[i] > treeHighWater[i]) {
-            treeHighWater[i] = caps[i];
-            rose = true;
-        }
-    }
+    bool rose = raiseTo(treeHighWater, built.tree.capacities());
+    rose = raiseTo(knnHighWater, built.rawKnn.capacities()) || rose;
+    rose = rose || occ_cap > occHighWater;
     occHighWater = std::max(occHighWater, occ_cap);
     if (rose)
         for (PreprocessBundle *idle : free_list)
@@ -189,6 +300,7 @@ void
 TemporalPreprocessState::BundlePool::fill(PreprocessBundle &bundle) const
 {
     bool grew = bundle.tree.reserveCapacities(treeHighWater);
+    grew = bundle.rawKnn.reserveCapacities(knnHighWater) || grew;
     for (std::vector<OccupiedCell> *occ :
          {&bundle.rawOcc, &bundle.occScratch}) {
         if (occ->capacity() < occHighWater) {
@@ -254,9 +366,24 @@ TemporalPreprocessState::processFrame(const PointCloud &raw)
         IncrementalOctreeBuilder::aligns(cube, &prev->tree, cfg.octree)) {
         // The incremental path reads the carry and the builder's
         // scratch, so it runs under the lock (and may still fall back
-        // to a scratch build when the diff cannot be proven).
-        fa.incremental = builder.update(raw, cube, &prev->tree,
-                                        cfg.octree, bundle->tree);
+        // to a scratch build when the diff cannot be proven). With a
+        // pool installed, the index patches overlap the erection.
+        WorkerPool *workers = WorkerPool::installed();
+        fa.incremental = builder.merge(raw, cube, &prev->tree, cfg.octree,
+                                       bundle->tree);
+        if (fa.incremental && cfg.cacheIndices && workers != nullptr &&
+            workers->helpers() > 0) {
+            erectAndPatchConcurrently(*workers, builder, raw, *bundle,
+                                      *prev, cfg.knn, fa);
+        } else {
+            if (fa.incremental)
+                builder.erect(raw, bundle->tree);
+            if (cfg.cacheIndices) {
+                buildIndices(*bundle, fa.incremental ? prev.get() : nullptr,
+                             fa.incremental ? &builder.delta() : nullptr,
+                             cfg.knn, fa);
+            }
+        }
         if (fa.incremental) {
             const PointDelta &delta = builder.delta();
             fa.retained = delta.retained();
@@ -264,11 +391,6 @@ TemporalPreprocessState::processFrame(const PointCloud &raw)
             fa.evicted = delta.evictedOld.size();
             fa.nodesReused = builder.nodesReused();
             fa.nodesErected = builder.nodesErected();
-        }
-        if (cfg.cacheIndices) {
-            buildIndices(*bundle, fa.incremental ? prev.get() : nullptr,
-                         fa.incremental ? &builder.delta() : nullptr,
-                         cfg.knn, fa);
         }
     } else {
         // A certain miss reads nothing shared: build from scratch

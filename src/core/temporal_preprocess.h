@@ -44,6 +44,17 @@
  * — unless a later-admitted frame has published already, or reset()
  * came after its admission. Frames arriving out of order only lower
  * the hit rate, never change outputs.
+ *
+ * An aligned frame whose thread has a WorkerPool installed (a
+ * stream's build stage, common/parallel_for.h) splits the update
+ * after the merge: the calling thread erects the tree while two
+ * helpers patch the KNN buckets and the occupancy list, each
+ * reading only the merged codes and positions, the delta and the
+ * carry, and writing its own outputs, which the calling thread
+ * sized first. The occupancy level depends on the erected depth, so
+ * the patch runs at the carry's level and is replaced by a scratch
+ * list when the two differ, as the serial path decides. Bundles are
+ * identical either way; misses stay serial.
  */
 
 #ifndef HGPCN_CORE_TEMPORAL_PREPROCESS_H
@@ -169,11 +180,13 @@ class TemporalPreprocessState
         std::mutex mu;
         std::vector<std::unique_ptr<PreprocessBundle>> owned;
         std::vector<PreprocessBundle *> free_list;
-        /** Element-wise maximum of every built bundle's octree
-         * capacities (Octree::capacities()) and occupancy-list /
+        /** Element-wise maximum of every built bundle's octree and
+         * KNN capacities (Octree::capacities(),
+         * SpatialHashKnn::capacities()) and occupancy-list /
          * occupancy-scratch capacity; every idle bundle is grown to
          * them. */
         std::vector<std::size_t> treeHighWater;
+        std::vector<std::size_t> knnHighWater;
         std::size_t occHighWater = 0;
 
         /** Raise the high water to a just-built bundle's capacities;

@@ -457,4 +457,41 @@ SpatialHashKnn::gather(std::span<const PointIndex> centrals,
     return gatherAt(*buf, k, acc);
 }
 
+std::vector<std::size_t>
+SpatialHashKnn::capacities() const
+{
+    return {own_start.capacity(), own_order.capacity(),
+            own_cell_of.capacity(), dirty_cells.capacity(),
+            cell_inserts.capacity()};
+}
+
+bool
+SpatialHashKnn::reserveCapacities(std::span<const std::size_t> caps)
+{
+    const std::vector<std::size_t> before = capacities();
+    const auto grow = [&caps](auto &v, std::size_t i) {
+        if (i < caps.size())
+            v.reserve(caps[i]);
+    };
+    grow(own_start, 0);
+    grow(own_order, 1);
+    grow(own_cell_of, 2);
+    grow(dirty_cells, 3);
+    grow(cell_inserts, 4);
+    return capacities() != before;
+}
+
+void
+SpatialHashKnn::reserveFrom(const SpatialHashKnn &prev, std::size_t n,
+                            const PointDelta &delta)
+{
+    // rebuildFrom() engages only on prev's grid, so it writes prev's
+    // cell count.
+    const std::size_t cells =
+        prev.own_start.empty() ? 0 : prev.own_start.size() - 1;
+    const std::size_t caps[] = {cells + 1, n, n, cells,
+                                delta.insertedNew.size()};
+    reserveCapacities(caps);
+}
+
 } // namespace hgpcn

@@ -113,6 +113,23 @@ class SpatialHashKnn
                      const PointDelta &delta);
 
     /**
+     * @return the capacities of the owned buffers rebuild() and
+     * rebuildFrom() write, in a fixed order (for pooled owners that
+     * keep idle indices grown to a high water).
+     */
+    std::vector<std::size_t> capacities() const;
+
+    /** Grow the owned buffers to at least @p caps (a capacities()
+     * vector, possibly another index's). @return true if any grew. */
+    bool reserveCapacities(std::span<const std::size_t> caps);
+
+    /** Grow the owned buffers so that rebuildFrom(@p prev, @p n
+     * positions, @p delta) allocates nothing: it may then run on a
+     * thread whose allocations should not touch the heap. */
+    void reserveFrom(const SpatialHashKnn &prev, std::size_t n,
+                     const PointDelta &delta);
+
+    /**
      * K nearest indexed points of every query position, each
      * query's neighbors in ascending (distSq, index) order — the
      * brute kernels' exact output. k is clamped to the cloud size

@@ -87,8 +87,15 @@ Mlp::macsPerRow() const
 {
     std::uint64_t macs = 0;
     for (const Linear &l : layers)
-        macs += static_cast<std::uint64_t>(l.inputs()) * l.weight.cols();
+        macs += static_cast<std::uint64_t>(l.weight.rows()) * l.weight.cols();
     return macs;
+}
+
+std::uint64_t
+Mlp::delayedMacsPerRow() const
+{
+    const PackedPanels &d = layers[0].delayed;
+    return static_cast<std::uint64_t>(d.rows()) * d.cols();
 }
 
 std::size_t

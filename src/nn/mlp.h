@@ -167,9 +167,15 @@ class Mlp
     void recordGemms(std::size_t rows, const std::string &name_prefix,
                      ExecutionTrace &trace) const;
 
-    /** @return multiply-accumulates per input row, all layers, as
-     * the spec counts them (layer 1 at its full width). */
+    /** @return multiply-accumulates the host runs per input row,
+     * all layers: layer 1's direct rows only, since its delayed rows
+     * run once per point in forwardDelayed(). The spec's count, which
+     * recordGemms() traces, is higher by the delayed rows. */
     std::uint64_t macsPerRow() const;
+
+    /** @return multiply-accumulates forwardDelayed() runs per row
+     * (0 without delayed rows). */
+    std::uint64_t delayedMacsPerRow() const;
 
     /** @return widest layer output. */
     std::size_t maxWidth() const;

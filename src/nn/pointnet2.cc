@@ -309,12 +309,12 @@ class Region
      * @param items Items per frame.
      * @param rows_per_item MLP rows per item (SA: k; FP: 1).
      * @param neighbors_per_item Gathered neighbors per item.
-     * @param macs_per_row Work per MLP row (the gate's measure).
+     * @param macs_per_item Host MACs per item (the gate's measure).
      * @param x_cols Width of a block's input rows.
      * @param mlp_cols Widest MLP activation.
      */
     Region(std::span<const std::size_t> items, std::size_t rows_per_item,
-           std::size_t neighbors_per_item, std::uint64_t macs_per_row,
+           std::size_t neighbors_per_item, std::uint64_t macs_per_item,
            std::size_t x_cols, std::size_t mlp_cols,
            const RunOptions &opts, FrameWorkspace &ws)
         : frames(items.size())
@@ -326,7 +326,7 @@ class Region
             largest = std::max(largest, n);
         }
         const std::size_t gated = static_cast<std::size_t>(gatedThreads(
-            total * rows_per_item * macs_per_row, opts.intraOpThreads));
+            total * macs_per_item, opts.intraOpThreads));
         std::size_t per = opts.blockPoints;
         if (per == 0) {
             per = std::max<std::size_t>(1, kBlockRows / rows_per_item);
@@ -611,7 +611,11 @@ PointNet2::runSaLevel(std::size_t layer, std::span<FrameRun> frames,
     // (Fig. 2, steps 2-3). A grouped row is its relative coordinates
     // plus, with features, the neighbor's layer-1 products. ---------
     const std::vector<std::size_t> items(frames.size(), spec.npoint);
-    Region region(items, k, k, mlp.macsPerRow(), 3, mlp.maxWidth(), opts,
+    // Host work per centroid: its k grouped rows, then its row of
+    // the next level's delayed products.
+    const std::uint64_t macs_per_item =
+        k * mlp.macsPerRow() + (next ? next->delayedMacsPerRow() : 0);
+    Region region(items, k, k, macs_per_item, 3, mlp.maxWidth(), opts,
                   ws);
     region.run([&](BlockScratch &bs, const Block &blk) {
         FrameLevel &l = lv[blk.frame];
@@ -770,10 +774,11 @@ PointNet2::runFpLevel(std::size_t layer, std::span<FrameRun> frames,
 
     const std::size_t mlp_cols =
         std::max(mlp.maxWidth(), head ? head->maxWidth() : 0);
-    const std::uint64_t macs_per_row =
-        mlp.macsPerRow() + (head ? head->macsPerRow() : 0);
+    const std::uint64_t macs_per_item =
+        mlp.macsPerRow() + (head ? head->macsPerRow() : 0) +
+        (next ? next->delayedMacsPerRow() : 0);
     // The head's first layer writes into the block's input buffer.
-    Region region(items, 1, 3, macs_per_row,
+    Region region(items, 1, 3, macs_per_item,
                   std::max(c_skip, head ? mlp_cols : 0), mlp_cols, opts,
                   ws);
     region.run([&](BlockScratch &bs, const Block &blk) {

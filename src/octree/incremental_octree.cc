@@ -5,7 +5,9 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "core/frame_workspace.h"
+#include "obs/trace.h"
 
 namespace hgpcn
 {
@@ -422,10 +424,10 @@ IncrementalOctreeBuilder::aligns(const Aabb &cube, const Octree *prev,
 }
 
 bool
-IncrementalOctreeBuilder::update(const PointCloud &cloud,
-                                 const Aabb &cube, const Octree *prev,
-                                 const Octree::Config &config,
-                                 Octree &out)
+IncrementalOctreeBuilder::merge(const PointCloud &cloud,
+                                const Aabb &cube, const Octree *prev,
+                                const Octree::Config &config,
+                                Octree &out)
 {
     HGPCN_ASSERT(prev != &out,
                  "incremental update cannot rebuild in place");
@@ -440,22 +442,46 @@ IncrementalOctreeBuilder::update(const PointCloud &cloud,
 
     const std::size_t cap_before =
         out.backingCapacity() + scratchCapacity();
-    const std::size_t n = cloud.size();
 
     old_tree = prev;
     new_tree = &out;
 
-    if (!matchBySlot(cloud))
-        hashJoin(cloud);
-    if (!mergeOrder(cloud)) {
+    {
+        HGPCN_TRACE_WALL_SPAN(span, "carry:match", "carry",
+                              WorkerPool::traceTrack());
+        if (!matchBySlot(cloud))
+            hashJoin(cloud);
+    }
+    bool merged;
+    {
+        HGPCN_TRACE_WALL_SPAN(span, "carry:merge", "carry",
+                              WorkerPool::traceTrack());
+        merged = mergeOrder(cloud);
+    }
+    if (!merged) {
         old_tree = nullptr;
         new_tree = nullptr;
         out.rebuild(cloud, config, cube);
         return false;
     }
-
     out.cfg = config;
     out.root_bounds = prev->root_bounds;
+
+    if (cap_before > 0 &&
+        out.backingCapacity() + scratchCapacity() > cap_before)
+        FrameWorkspace::noteGrowth();
+    return true;
+}
+
+void
+IncrementalOctreeBuilder::erect(const PointCloud &cloud, Octree &out)
+{
+    HGPCN_ASSERT(new_tree == &out, "erect() without a merged frame");
+    HGPCN_TRACE_WALL_SPAN(span, "carry:erect", "carry",
+                          WorkerPool::traceTrack());
+    const std::size_t cap_before = out.backingCapacity();
+    const std::size_t n = cloud.size();
+
     out.build_stats.clear();
     out.max_level = 0;
     out.leaf_total = 0;
@@ -464,7 +490,7 @@ IncrementalOctreeBuilder::update(const PointCloud &cloud,
     // model still reads, codes and sorts every point, so paper-model
     // numbers (octreeBuildSec) are unchanged by construction — only
     // host wall-clock moves.
-    out.chargeScratchBuild(n, config);
+    out.chargeScratchBuild(n, out.cfg);
 
     // The merge wrote the reordered positions; features, if any,
     // are gathered from the new frame.
@@ -502,10 +528,8 @@ IncrementalOctreeBuilder::update(const PointCloud &cloud,
     old_tree = nullptr;
     new_tree = nullptr;
 
-    if (cap_before > 0 &&
-        out.backingCapacity() + scratchCapacity() > cap_before)
+    if (cap_before > 0 && out.backingCapacity() > cap_before)
         FrameWorkspace::noteGrowth();
-    return true;
 }
 
 } // namespace hgpcn

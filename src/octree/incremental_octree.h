@@ -57,8 +57,12 @@ class IncrementalOctreeBuilder
 {
   public:
     /**
-     * Build @p out over @p cloud, reusing structure from @p prev
-     * when possible.
+     * An update's first phase: match @p cloud against @p prev and
+     * merge the new sorted order. On true, @p out holds the frame's
+     * codes, permutation, reordered positions, config and root
+     * bounds, delta() is final, and erect() must follow before
+     * @p out is used as a tree — a caller may meanwhile run work
+     * that reads only those, the delta and @p prev.
      *
      * @param cloud New frame (raw input order).
      * @param cube The frame's root voxel, cloud.bounds().cubified(),
@@ -70,18 +74,24 @@ class IncrementalOctreeBuilder
      *   the incremental path to engage.
      * @param out Rebuilt in place (capacity reused).
      * @return true when the incremental path ran; false when the
-     *   builder fell back to Octree::rebuild(). delta() is only
-     *   meaningful after a true return.
+     *   builder fell back to Octree::rebuild(), which leaves @p out
+     *   a finished tree. delta() is only meaningful after a true
+     *   return.
      */
-    bool update(const PointCloud &cloud, const Aabb &cube,
-                const Octree *prev, const Octree::Config &config,
-                Octree &out);
+    bool merge(const PointCloud &cloud, const Aabb &cube,
+               const Octree *prev, const Octree::Config &config,
+               Octree &out);
+
+    /** An update's second phase, after a true merge() into @p out:
+     * features, node erection and build stats. Writes neither the
+     * codes nor the reordered positions. */
+    void erect(const PointCloud &cloud, Octree &out);
 
     /**
      * @return true when a frame rooted at @p cube may update
      * incrementally from @p prev under @p config: @p prev is a
      * non-empty tree with bit-equal root bounds and the same depth
-     * and leaf capacity. When false, update() certainly rebuilds
+     * and leaf capacity. When false, merge() certainly rebuilds
      * from scratch — so a caller can tell a miss before it starts.
      */
     static bool aligns(const Aabb &cube, const Octree *prev,

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "obs/trace.h"
 
 namespace hgpcn
@@ -85,16 +86,31 @@ StagePipeline::run(std::vector<std::unique_ptr<FrameTask>> tasks,
         alive.push_back(std::make_unique<std::atomic<std::size_t>>(
             spec.workers));
     }
+    // Stage workers borrow the caller's pool, if it installed one,
+    // and name their wall tracks for it. The names are built here:
+    // a worker thread allocates nothing before its first frame.
+    WorkerPool *const pool = WorkerPool::installed();
+    std::vector<std::string> tracks;
+    for (const StageSpec &spec : specs) {
+        const bool batching = spec.batch != nullptr && spec.batch->maxBatch > 1;
+        for (std::size_t w = 0; w < spec.workers; ++w) {
+            tracks.push_back(batching ? "wall/" + spec.stage->name()
+                                      : "wall/" + spec.stage->name() + "#" +
+                                            std::to_string(w));
+        }
+    }
     std::vector<std::thread> workers;
     for (std::size_t s = 0; s < n_stages; ++s) {
         const bool batching = specs[s].batch != nullptr &&
                               specs[s].batch->maxBatch > 1;
         for (std::size_t w = 0; w < specs[s].workers; ++w) {
+            const std::string &track = tracks[workers.size()];
             if (batching) {
                 // Single coalescing worker (asserted in the ctor):
                 // assemble fixed admission-index groups, run each
                 // through processBatch, forward members in order.
-                workers.emplace_back([this, s, &alive] {
+                workers.emplace_back([this, s, &alive, pool, &track] {
+                    WorkerPool::Install use(pool, &track);
                     TaskQueue &in = *queues[s];
                     TaskQueue &out = *queues[s + 1];
                     BatchingStage assembler(specs[s].batch->maxBatch);
@@ -116,8 +132,7 @@ StagePipeline::run(std::vector<std::unique_ptr<FrameTask>> tasks,
                                     "host:" + specs[s].stage->name() +
                                         ":batch" +
                                         std::to_string(group.size()),
-                                    specs[s].stage->resource(),
-                                    "wall/" + specs[s].stage->name(),
+                                    specs[s].stage->resource(), track,
                                     ids);
                                 specs[s].stage->processBatch(ptrs,
                                                              costs);
@@ -163,7 +178,8 @@ StagePipeline::run(std::vector<std::unique_ptr<FrameTask>> tasks,
                 });
                 continue;
             }
-            workers.emplace_back([this, s, w, &alive] {
+            workers.emplace_back([this, s, &alive, pool, &track] {
+                WorkerPool::Install use(pool, &track);
                 TaskQueue &in = *queues[s];
                 TaskQueue &out = *queues[s + 1];
                 while (auto item = in.pop()) {
@@ -178,10 +194,7 @@ StagePipeline::run(std::vector<std::unique_ptr<FrameTask>> tasks,
                         HGPCN_TRACE_WALL_SPAN(
                             span,
                             "host:" + specs[s].stage->name(),
-                            specs[s].stage->resource(),
-                            "wall/" + specs[s].stage->name() + "#" +
-                                std::to_string(w),
-                            ids);
+                            specs[s].stage->resource(), track, ids);
                         task->stageCostSec[s] =
                             specs[s].stage->process(*task);
                     }

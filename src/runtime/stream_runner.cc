@@ -404,8 +404,15 @@ StreamRunner::run(const std::vector<Frame> &frames,
             task->fault = (*faults)[i];
         tasks.push_back(std::move(task));
     }
-    std::vector<std::unique_ptr<FrameTask>> completed =
-        pipeline.run(std::move(tasks), on_frame);
+    std::vector<std::unique_ptr<FrameTask>> completed;
+    {
+        // One pool per run, its helpers on this thread's cores: the
+        // stage workers borrow it for the carry's concurrent phases
+        // and the network's parallel regions.
+        WorkerPool workers(allowedCores() - 1);
+        WorkerPool::Install use(&workers);
+        completed = pipeline.run(std::move(tasks), on_frame);
+    }
 
     // Virtual-time schedule over the recorded cycle-model costs.
     const double t0 = frames.front().timestamp;

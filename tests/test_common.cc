@@ -8,10 +8,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/bounded_queue.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table_printer.h"
@@ -335,6 +338,192 @@ TEST(BoundedQueueCounters, EveryPushAfterCloseCountsClosed)
     EXPECT_EQ(c.closedPushes, 2u);
     EXPECT_EQ(c.blockedPushes, 0u);
     expectCounterInvariants(c, q.size());
+}
+
+// ------------------------------------------------------ worker pool
+
+/** Counts how often each chunk ran and which workers ran them. */
+struct ChunkLog
+{
+    explicit ChunkLog(std::size_t chunks) : runs(chunks), worker(chunks) {}
+
+    void
+    record(std::size_t chunk, std::size_t w)
+    {
+        runs[chunk].fetch_add(1);
+        worker[chunk].store(w);
+    }
+
+    std::vector<std::atomic<int>> runs;
+    std::vector<std::atomic<std::size_t>> worker;
+};
+
+TEST(WorkerPool, DispatchRunsEveryChunkOnceAtAnyHelperCount)
+{
+    for (int helpers = 0; helpers <= 4; ++helpers) {
+        WorkerPool pool(helpers);
+        EXPECT_EQ(pool.helpers(), helpers);
+        for (std::size_t max_helpers : {0u, 1u, 3u, 8u}) {
+            for (std::size_t chunks : {0u, 1u, 2u, 37u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "helpers " << helpers << " max "
+                             << max_helpers << " chunks " << chunks);
+                ChunkLog log(chunks);
+                pool.run(chunks, max_helpers,
+                         [&log](std::size_t c, std::size_t w) {
+                             log.record(c, w);
+                         });
+                for (std::size_t c = 0; c < chunks; ++c) {
+                    EXPECT_EQ(log.runs[c].load(), 1) << "chunk " << c;
+                    EXPECT_LE(log.worker[c].load(), max_helpers);
+                }
+            }
+        }
+    }
+}
+
+TEST(WorkerPool, CallerRunsChunksNoHelperStarted)
+{
+    // The only helper is held by one job; a second dispatch from
+    // the same thread must not wait for it: the caller runs every
+    // chunk as worker 0.
+    WorkerPool pool(1);
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    const auto hold = [&](std::size_t, std::size_t) {
+        started.store(true);
+        while (!release.load())
+            std::this_thread::yield();
+    };
+    WorkerPool::Job held(1, 1, hold);
+    pool.post(held);
+    while (!started.load())
+        std::this_thread::yield();
+
+    ChunkLog log(16);
+    pool.run(16, 1,
+             [&log](std::size_t c, std::size_t w) { log.record(c, w); });
+    for (std::size_t c = 0; c < 16; ++c) {
+        EXPECT_EQ(log.runs[c].load(), 1);
+        EXPECT_EQ(log.worker[c].load(), 0u);
+    }
+    release.store(true);
+    pool.join(held);
+}
+
+TEST(WorkerPool, PostedJobRunsWhileTheCallerWorks)
+{
+    // post() returns at once; join() runs whatever no helper took.
+    for (int helpers : {0, 1, 2}) {
+        WorkerPool pool(helpers);
+        ChunkLog log(2);
+        const auto body = [&log](std::size_t c, std::size_t w) {
+            log.record(c, w);
+        };
+        WorkerPool::Job job(2, 2, body);
+        pool.post(job);
+        std::uint64_t busy = 0;
+        for (int i = 0; i < 1000; ++i)
+            busy += static_cast<std::uint64_t>(i);
+        pool.join(job);
+        EXPECT_EQ(busy, 499500u);
+        EXPECT_EQ(log.runs[0].load(), 1);
+        EXPECT_EQ(log.runs[1].load(), 1);
+    }
+}
+
+TEST(WorkerPool, TwoThreadsDispatchAtOnce)
+{
+    // Two threads share one pool, as a stream's build and inference
+    // stages do: every region of each must complete exactly.
+    WorkerPool pool(2);
+    constexpr std::size_t kRegions = 200;
+    constexpr std::size_t kChunks = 16;
+    std::vector<std::uint64_t> sums[2];
+    std::thread dispatchers[2];
+    for (int d = 0; d < 2; ++d) {
+        dispatchers[d] = std::thread([&pool, &sums, d] {
+            WorkerPool::Install use(&pool);
+            for (std::size_t r = 0; r < kRegions; ++r) {
+                std::vector<std::uint64_t> out(kChunks * 64, 0);
+                parallelFor(out.size(), 3,
+                            [&out, r](std::size_t begin, std::size_t end) {
+                                for (std::size_t i = begin; i < end; ++i)
+                                    out[i] = i * r;
+                            });
+                sums[d].push_back(
+                    std::accumulate(out.begin(), out.end(), std::uint64_t{0}));
+            }
+        });
+    }
+    for (std::thread &t : dispatchers)
+        t.join();
+    const std::uint64_t n = kChunks * 64;
+    for (int d = 0; d < 2; ++d) {
+        ASSERT_EQ(sums[d].size(), kRegions);
+        for (std::size_t r = 0; r < kRegions; ++r)
+            EXPECT_EQ(sums[d][r], r * n * (n - 1) / 2) << "region " << r;
+    }
+}
+
+TEST(WorkerPool, RegionScopedFallbackMatchesInstalledPool)
+{
+    // With no pool installed, a region gets a pool of its own; the
+    // results match the installed pool's, and Install restores the
+    // previous pool on exit.
+    const auto blocks = [](int threads) {
+        std::vector<std::size_t> owner(50, 99);
+        std::vector<int> ran(50, 0);
+        std::atomic<std::size_t> max_worker{0};
+        parallelBlocks(
+            50, threads,
+            [&max_worker](std::size_t w) {
+                std::size_t seen = max_worker.load();
+                while (w > seen && !max_worker.compare_exchange_weak(seen, w)) {
+                }
+                return w;
+            },
+            [&](std::size_t w, std::size_t b) {
+                owner[b] = w;
+                ++ran[b];
+            });
+        EXPECT_LT(max_worker.load(), static_cast<std::size_t>(threads));
+        for (std::size_t b = 0; b < 50; ++b) {
+            EXPECT_EQ(ran[b], 1);
+            EXPECT_LT(owner[b], static_cast<std::size_t>(threads));
+        }
+    };
+    const auto rows = [](int threads) {
+        std::vector<int> hits(1000, 0);
+        parallelFor(hits.size(), threads,
+                    [&hits](std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i)
+                            ++hits[i];
+                    });
+        for (int h : hits)
+            EXPECT_EQ(h, 1);
+    };
+    ASSERT_EQ(WorkerPool::installed(), nullptr);
+    for (int threads : {1, 2, 3, 5}) {
+        blocks(threads);
+        rows(threads);
+    }
+    WorkerPool pool(2);
+    {
+        WorkerPool::Install use(&pool);
+        EXPECT_EQ(WorkerPool::installed(), &pool);
+        for (int threads : {1, 2, 3, 5}) {
+            blocks(threads);
+            rows(threads);
+        }
+        {
+            WorkerPool::Install none(nullptr);
+            EXPECT_EQ(WorkerPool::installed(), nullptr);
+            blocks(3);
+        }
+        EXPECT_EQ(WorkerPool::installed(), &pool);
+    }
+    EXPECT_EQ(WorkerPool::installed(), nullptr);
 }
 
 } // namespace

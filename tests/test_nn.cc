@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "core/frame_workspace.h"
 #include "core/preprocessing_engine.h"
@@ -1341,7 +1342,8 @@ struct FrameDigest
 /**
  * Run every cloud solo and all of them as one batch, at every
  * intra-op thread count and block size (1, 7, 64, whole level),
- * through one shared workspace; each frame's logits and full trace
+ * through one shared workspace, on region-scoped pools and on an
+ * installed two-helper pool; each frame's logits and full trace
  * must equal @p expect. The logits digests come from the scalar
  * reference (refRun(), delayed order, fused rounding); the trace
  * digests were recorded from the serial execution that ran each level
@@ -1358,28 +1360,33 @@ expectInvariant(const PointNet2 &net, const std::vector<PointCloud> &clouds,
         ptrs.push_back(&c);
     FrameWorkspace ws;
     opts.workspace = &ws;
-    for (const int threads : {1, 2, 3, 4}) {
-        for (const std::size_t block :
-             {std::size_t{1}, std::size_t{7}, std::size_t{64},
-              std::numeric_limits<std::size_t>::max()}) {
-            SCOPED_TRACE(testing::Message() << "threads " << threads
-                                            << " block " << block);
-            opts.intraOpThreads = threads;
-            opts.blockPoints = block;
-            for (std::size_t i = 0; i < clouds.size(); ++i) {
-                const RunOutput solo = net.run(clouds[i], opts);
-                EXPECT_EQ(logitsDigest(solo.logits), expect[i].logits)
-                    << "solo frame " << i;
-                EXPECT_EQ(traceDigest(solo.trace), expect[i].trace)
-                    << "solo frame " << i;
-            }
-            const std::vector<RunOutput> batch = net.runBatch(ptrs, opts);
-            ASSERT_EQ(batch.size(), clouds.size());
-            for (std::size_t i = 0; i < clouds.size(); ++i) {
-                EXPECT_EQ(logitsDigest(batch[i].logits), expect[i].logits)
-                    << "batched frame " << i;
-                EXPECT_EQ(traceDigest(batch[i].trace), expect[i].trace)
-                    << "batched frame " << i;
+    WorkerPool pool(2);
+    for (const bool installed : {false, true}) {
+        WorkerPool::Install use(installed ? &pool : nullptr);
+        for (const int threads : {1, 2, 3, 4}) {
+            for (const std::size_t block :
+                 {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                  std::numeric_limits<std::size_t>::max()}) {
+                SCOPED_TRACE(testing::Message() << "threads " << threads
+                                                << " block " << block
+                                                << " pool " << installed);
+                opts.intraOpThreads = threads;
+                opts.blockPoints = block;
+                for (std::size_t i = 0; i < clouds.size(); ++i) {
+                    const RunOutput solo = net.run(clouds[i], opts);
+                    EXPECT_EQ(logitsDigest(solo.logits), expect[i].logits)
+                        << "solo frame " << i;
+                    EXPECT_EQ(traceDigest(solo.trace), expect[i].trace)
+                        << "solo frame " << i;
+                }
+                const std::vector<RunOutput> batch = net.runBatch(ptrs, opts);
+                ASSERT_EQ(batch.size(), clouds.size());
+                for (std::size_t i = 0; i < clouds.size(); ++i) {
+                    EXPECT_EQ(logitsDigest(batch[i].logits), expect[i].logits)
+                        << "batched frame " << i;
+                    EXPECT_EQ(traceDigest(batch[i].trace), expect[i].trace)
+                        << "batched frame " << i;
+                }
             }
         }
     }

@@ -19,6 +19,7 @@
 #include <map>
 #include <thread>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "core/frame_workspace.h"
 #include "core/preprocessing_engine.h"
@@ -113,13 +114,16 @@ expectTreesIdentical(const Octree &a, const Octree &b)
               b.buildStats().get("octree.host_writes"));
 }
 
-/** builder.update() with the frame's root voxel computed from it. */
+/** A whole incremental update (merge, then erect) with the frame's
+ * root voxel computed from it. @return whether it was incremental. */
 bool
 update(IncrementalOctreeBuilder &builder, const PointCloud &cloud,
        const Octree *prev, const Octree::Config &cfg, Octree &out)
 {
-    return builder.update(cloud, cloud.bounds().cubified(), prev, cfg,
-                          out);
+    if (!builder.merge(cloud, cloud.bounds().cubified(), prev, cfg, out))
+        return false;
+    builder.erect(cloud, out);
+    return true;
 }
 
 // ----------------------------------------- level-run builder oracle
@@ -1268,6 +1272,185 @@ TEST(DeltaDigest, FramesGrowAndShrinkAtTheEnd)
     shrunk.add({0.5f, 0.5f, 0.5f});
     frames.push_back(shrunk);
     EXPECT_EQ(deltaDigest(frames, octreeConfig(10, 8)), 0xf53d53e294230361ull);
+}
+
+// ------------------------------------- concurrent carry phases
+
+/** Every frame's bundle and the carry's stats after each frame. */
+struct CarryRun
+{
+    std::vector<std::shared_ptr<PreprocessBundle>> bundles;
+    std::vector<std::array<std::uint64_t, 12>> stats;
+};
+
+/** @p frames through one carry; with @p helpers > 0 on an installed
+ * pool of that many helpers (the concurrent path), else serially. */
+CarryRun
+runCarry(const std::vector<PointCloud> &frames,
+         const TemporalPreprocessState::Config &tc, int helpers)
+{
+    WorkerPool pool(helpers);
+    WorkerPool::Install use(helpers > 0 ? &pool : nullptr);
+    TemporalPreprocessState carry(tc);
+    CarryRun run;
+    for (const PointCloud &frame : frames) {
+        run.bundles.push_back(carry.processFrame(frame));
+        run.stats.push_back(statsFields(carry.stats()));
+    }
+    return run;
+}
+
+/** Two bundles of one frame: tree, KNN gathers and occupancy. */
+void
+expectBundlesIdentical(const PreprocessBundle &a, const PreprocessBundle &b)
+{
+    expectTreesIdentical(a.tree, b.tree);
+    ASSERT_TRUE(a.rawKnnBuilt);
+    ASSERT_TRUE(b.rawKnnBuilt);
+    EXPECT_EQ(a.rawKnn.usesGrid(), b.rawKnn.usesGrid());
+    const PointCloud queries = randomCloud(24, 17);
+    expectGatherIdentical(a.rawKnn.gatherAt(queries.positions(), 8),
+                          b.rawKnn.gatherAt(queries.positions(), 8));
+    const std::span<const PointIndex> members(a.tree.permutation().data(),
+                                              8);
+    expectGatherIdentical(a.rawKnn.gather(members, 6),
+                          b.rawKnn.gather(members, 6));
+    ASSERT_EQ(a.rawOccLevel, b.rawOccLevel);
+    ASSERT_EQ(a.rawOcc.size(), b.rawOcc.size());
+    for (std::size_t i = 0; i < a.rawOcc.size(); ++i) {
+        EXPECT_EQ(a.rawOcc[i].cell, b.rawOcc[i].cell);
+        EXPECT_EQ(a.rawOcc[i].first, b.rawOcc[i].first);
+        EXPECT_EQ(a.rawOcc[i].last, b.rawOcc[i].last);
+    }
+}
+
+/** The concurrent path at 1, 2 and 3 helpers == the serial path,
+ * bundle by bundle and counter by counter. @return the serial run. */
+CarryRun
+expectConcurrentMatchesSerial(const std::vector<PointCloud> &frames,
+                              const TemporalPreprocessState::Config &tc)
+{
+    CarryRun serial = runCarry(frames, tc, 0);
+    for (int helpers : {1, 2, 3}) {
+        const CarryRun pooled = runCarry(frames, tc, helpers);
+        for (std::size_t f = 0; f < frames.size(); ++f) {
+            SCOPED_TRACE(testing::Message()
+                         << "helpers " << helpers << " frame " << f);
+            expectBundlesIdentical(*pooled.bundles[f], *serial.bundles[f]);
+            EXPECT_EQ(pooled.stats[f], serial.stats[f]);
+        }
+    }
+    return serial;
+}
+
+/** Counter @p field's growth at frame @p f of @p run. */
+std::uint64_t
+grewAt(const CarryRun &run, std::size_t f, std::size_t field)
+{
+    return run.stats[f][field] - (f > 0 ? run.stats[f - 1][field] : 0);
+}
+
+// statsFields() positions.
+constexpr std::size_t kHits = 1;
+constexpr std::size_t kMisses = 2;
+constexpr std::size_t kKnnIncremental = 8;
+constexpr std::size_t kKnnScratch = 9;
+constexpr std::size_t kOccIncremental = 10;
+constexpr std::size_t kOccScratch = 11;
+
+TEST(TemporalConcurrency, DriveMatchesSerialAtEveryHelperCount)
+{
+    CoherentDrive::Config dc;
+    dc.points = 3000;
+    dc.churnFraction = 0.01;
+    dc.seed = 131;
+    const CoherentDrive drive(dc);
+    std::vector<PointCloud> frames;
+    for (std::size_t t = 0; t < 6; ++t)
+        frames.push_back(drive.generate(t).cloud);
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(10, 16);
+    const CarryRun serial = expectConcurrentMatchesSerial(frames, tc);
+    for (std::size_t f = 1; f < frames.size(); ++f) {
+        EXPECT_EQ(grewAt(serial, f, kHits), 1u) << "frame " << f;
+        EXPECT_EQ(grewAt(serial, f, kKnnIncremental), 1u) << "frame " << f;
+        EXPECT_EQ(grewAt(serial, f, kOccIncremental), 1u) << "frame " << f;
+    }
+}
+
+TEST(TemporalConcurrency, LevelChangeDeclinedGridAndMergeFallback)
+{
+    // Anchored frames keep the root voxel, so every frame aligns:
+    //  1. 1 % churn: both indices patch;
+    //  2. a tight cluster deepens the tree, which moves the
+    //     occupancy level: the patch made at the carried level is
+    //     discarded for a scratch list;
+    //  3. 400 more points change the KNN grid's resolution, so
+    //     rebuildFrom() declines and the buckets rebuild;
+    //  4. the frame reversed: the merge falls back to a scratch tree;
+    //  5. 1 % churn on the scratch-built carry.
+    std::vector<PointCloud> frames;
+    frames.push_back(anchoredCloud(1000, 141));
+    frames.push_back(frames.back());
+    churn(frames.back(), 100, 10, 142);
+    frames.push_back(frames.back());
+    Rng rng(143);
+    for (int i = 0; i < 100; ++i) {
+        frames.back().add({0.5f + rng.uniform(0.0f, 1e-3f),
+                           0.5f + rng.uniform(0.0f, 1e-3f),
+                           0.5f + rng.uniform(0.0f, 1e-3f)});
+    }
+    frames.push_back(frames.back());
+    const PointCloud more = randomCloud(400, 144);
+    for (PointIndex i = 0; i < more.size(); ++i)
+        frames.back().add(more.position(i));
+    PointCloud reversed;
+    for (std::size_t i = frames.back().size(); i-- > 0;)
+        reversed.add(frames.back().position(static_cast<PointIndex>(i)));
+    frames.push_back(reversed);
+    frames.push_back(frames.back());
+    churn(frames.back(), 200, 15, 145);
+
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(10, 16);
+    const CarryRun serial = expectConcurrentMatchesSerial(frames, tc);
+    // Each frame took the branch it was built for.
+    EXPECT_EQ(grewAt(serial, 1, kOccIncremental), 1u);
+    EXPECT_EQ(grewAt(serial, 1, kKnnIncremental), 1u);
+    EXPECT_EQ(grewAt(serial, 2, kHits), 1u);
+    EXPECT_EQ(grewAt(serial, 2, kOccScratch), 1u);
+    EXPECT_EQ(grewAt(serial, 2, kKnnIncremental), 1u);
+    EXPECT_NE(serial.bundles[2]->rawOccLevel, serial.bundles[1]->rawOccLevel);
+    EXPECT_EQ(grewAt(serial, 3, kHits), 1u);
+    EXPECT_EQ(grewAt(serial, 3, kKnnScratch), 1u);
+    EXPECT_EQ(grewAt(serial, 3, kOccIncremental), 1u);
+    EXPECT_EQ(grewAt(serial, 4, kMisses), 1u);
+    EXPECT_EQ(grewAt(serial, 5, kHits), 1u);
+    EXPECT_EQ(grewAt(serial, 5, kKnnIncremental), 1u);
+}
+
+TEST(TemporalConcurrency, SteadyStateGrowsNothingOnThePool)
+{
+    // The caller sizes what the helpers write, and the pool's high
+    // water covers the KNN buffers too: once warm, nothing grows.
+    CoherentDrive::Config dc;
+    dc.points = 1000;
+    dc.churnFraction = 0.1;
+    dc.seed = 71;
+    const CoherentDrive drive(dc);
+    TemporalPreprocessState::Config tc;
+    tc.octree = octreeConfig(10, 16);
+    WorkerPool pool(2);
+    WorkerPool::Install use(&pool);
+    TemporalPreprocessState carry(tc);
+    for (std::size_t t = 0; t < 6; ++t)
+        carry.processFrame(drive.generate(t).cloud);
+    const std::uint64_t warm = FrameWorkspace::backingGrowths();
+    for (std::size_t t = 6; t < 14; ++t)
+        carry.processFrame(drive.generate(t).cloud);
+    EXPECT_EQ(FrameWorkspace::backingGrowths(), warm)
+        << "steady-state pooled frames grew an arena";
+    EXPECT_EQ(carry.stats().octreeHits, 13u);
 }
 
 } // namespace
