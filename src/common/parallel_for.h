@@ -18,12 +18,14 @@
  * no helper has started, so a region never waits on a helper that
  * is busy elsewhere: two threads may dispatch into one pool at once
  * (a stream's build and inference stages do). A StreamRunner creates
- * one pool per run and installs it for its stage workers
- * (WorkerPool::Install); a caller with no installed pool — the
- * closed loop, tests, benches — gets a region-scoped pool whose
- * helpers are spawned for the region and joined after it, at tens of
- * microseconds each. Pool tasks run leaf work only: a region started
- * inside one gets a region-scoped pool of its own.
+ * one pool per run, with helpers only when some network region earns
+ * more than one thread (PointNet2::maxRegionThreads), and installs it
+ * for its stage workers (WorkerPool::Install); a caller with no
+ * installed pool — the closed loop, tests, benches — gets a
+ * region-scoped pool whose helpers are spawned for the region and
+ * joined after it, at tens of microseconds each. Pool tasks run leaf
+ * work only: a region started inside one gets a region-scoped pool
+ * of its own.
  *
  * gatedThreads() caps a region's threads by its work: one thread per
  * kMinMacsPerThread multiply-accumulates (about a millisecond of

@@ -105,7 +105,8 @@ class TemporalPreprocessState
          * Off = every frame builds from scratch (still pooled). */
         bool temporalCache = true;
         /** Maintain the raw-cloud KNN buckets and occupancy list
-         * across frames alongside the octree. */
+         * across frames alongside the octree (a StreamRunner's carry
+         * turns this off: no stage reads them). */
         bool cacheIndices = true;
         /** KNN index parameters for the cached buckets. */
         SpatialHashKnn::Config knn;

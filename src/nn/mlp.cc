@@ -37,9 +37,7 @@ Linear::forwardIntoUntraced(const Tensor &x, Tensor &out, bool relu,
                             int threads, bool accumulate) const
 {
     out.resizeUninit(x.rows(), weight.cols());
-    const std::uint64_t macs =
-        static_cast<std::uint64_t>(x.rows()) * x.cols() *
-        weight.cols();
+    const std::uint64_t macs = x.rows() * macsPerRow();
     parallelFor(x.rows(), gatedThreads(macs, threads),
                 [&](std::size_t begin, std::size_t end) {
                     Tensor::matmulRowsInto(x, weight, out, begin, end,
@@ -66,8 +64,7 @@ Mlp::forwardDelayed(const Tensor &x, Tensor &out, int threads) const
 {
     const PackedPanels &w = layers[0].delayed;
     out.resizeUninit(x.rows(), w.cols());
-    const std::uint64_t macs =
-        static_cast<std::uint64_t>(x.rows()) * w.rows() * w.cols();
+    const std::uint64_t macs = x.rows() * delayedMacsPerRow();
     parallelFor(x.rows(), gatedThreads(macs, threads),
                 [&](std::size_t begin, std::size_t end) {
                     forwardDelayedRows(x, out, begin, end);
@@ -87,7 +84,7 @@ Mlp::macsPerRow() const
 {
     std::uint64_t macs = 0;
     for (const Linear &l : layers)
-        macs += static_cast<std::uint64_t>(l.weight.rows()) * l.weight.cols();
+        macs += l.macsPerRow();
     return macs;
 }
 
@@ -96,6 +93,15 @@ Mlp::delayedMacsPerRow() const
 {
     const PackedPanels &d = layers[0].delayed;
     return static_cast<std::uint64_t>(d.rows()) * d.cols();
+}
+
+std::uint64_t
+Mlp::widestLayerMacsPerRow() const
+{
+    std::uint64_t macs = 0;
+    for (const Linear &l : layers)
+        macs = std::max(macs, l.macsPerRow());
+    return macs;
 }
 
 std::size_t

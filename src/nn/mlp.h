@@ -66,6 +66,14 @@ struct Linear
     /** @return the spec's input width: direct plus delayed rows. */
     std::size_t inputs() const { return weight.rows() + delayed.rows(); }
 
+    /** @return multiply-accumulates forwardIntoUntraced() runs per
+     * input row (direct rows only). */
+    std::uint64_t
+    macsPerRow() const
+    {
+        return static_cast<std::uint64_t>(weight.rows()) * weight.cols();
+    }
+
     /**
      * out = x * W + b (+ ReLU when @p relu), rows split over
      * @p threads, recording nothing: the batch-stacked path records
@@ -176,6 +184,10 @@ class Mlp
     /** @return multiply-accumulates forwardDelayed() runs per row
      * (0 without delayed rows). */
     std::uint64_t delayedMacsPerRow() const;
+
+    /** @return the most multiply-accumulates one layer runs per
+     * input row: forwardArena()'s largest per-layer region. */
+    std::uint64_t widestLayerMacsPerRow() const;
 
     /** @return widest layer output. */
     std::size_t maxWidth() const;

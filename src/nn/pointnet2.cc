@@ -492,6 +492,55 @@ PointNet2::delayedConsumer(std::size_t step) const
     return next != nullptr && next->hasDelayed() ? next : nullptr;
 }
 
+std::uint64_t
+PointNet2::saItemMacs(std::size_t layer) const
+{
+    const Mlp *next = delayedConsumer(layer);
+    return arch.sa[layer].k * sa_mlps[layer].macsPerRow() +
+           (next ? next->delayedMacsPerRow() : 0);
+}
+
+std::uint64_t
+PointNet2::fpItemMacs(std::size_t layer) const
+{
+    const Mlp *next = delayedConsumer(2 * arch.sa.size() - 1 - layer);
+    return fp_mlps[layer].macsPerRow() +
+           (layer == 0 ? head_mlp->macsPerRow() : 0) +
+           (next ? next->delayedMacsPerRow() : 0);
+}
+
+int
+PointNet2::maxRegionThreads(std::size_t points, std::size_t batch,
+                            int threads) const
+{
+    int most = 1;
+    const auto gate = [&](std::uint64_t macs) {
+        most = std::max(most, gatedThreads(macs, threads));
+    };
+    // Each level's points per frame, as runFrames() meets them.
+    std::vector<std::size_t> size{points};
+    for (std::size_t i = 0; i < arch.sa.size(); ++i) {
+        const std::size_t npoint = arch.sa[i].npoint;
+        if (npoint == 0) {
+            gate(batch * size[i] * sa_mlps[i].widestLayerMacsPerRow());
+            size.push_back(1);
+            continue;
+        }
+        // SA0's input features get a delayed pass of their own.
+        if (i == 0 && sa_mlps[0].hasDelayed())
+            gate(size[0] * sa_mlps[0].delayedMacsPerRow());
+        gate(batch * npoint * saItemMacs(i));
+        size.push_back(npoint);
+    }
+    if (arch.segmentation) {
+        for (std::size_t t = 0; t < arch.sa.size(); ++t)
+            gate(batch * size[t] * fpItemMacs(t));
+    } else {
+        gate(batch * size.back() * head_mlp->widestLayerMacsPerRow());
+    }
+    return most;
+}
+
 void
 PointNet2::runSaLevel(std::size_t layer, std::span<FrameRun> frames,
                       const RunOptions &opts, FrameWorkspace &ws,
@@ -611,11 +660,7 @@ PointNet2::runSaLevel(std::size_t layer, std::span<FrameRun> frames,
     // (Fig. 2, steps 2-3). A grouped row is its relative coordinates
     // plus, with features, the neighbor's layer-1 products. ---------
     const std::vector<std::size_t> items(frames.size(), spec.npoint);
-    // Host work per centroid: its k grouped rows, then its row of
-    // the next level's delayed products.
-    const std::uint64_t macs_per_item =
-        k * mlp.macsPerRow() + (next ? next->delayedMacsPerRow() : 0);
-    Region region(items, k, k, macs_per_item, 3, mlp.maxWidth(), opts,
+    Region region(items, k, k, saItemMacs(layer), 3, mlp.maxWidth(), opts,
                   ws);
     region.run([&](BlockScratch &bs, const Block &blk) {
         FrameLevel &l = lv[blk.frame];
@@ -774,11 +819,8 @@ PointNet2::runFpLevel(std::size_t layer, std::span<FrameRun> frames,
 
     const std::size_t mlp_cols =
         std::max(mlp.maxWidth(), head ? head->maxWidth() : 0);
-    const std::uint64_t macs_per_item =
-        mlp.macsPerRow() + (head ? head->macsPerRow() : 0) +
-        (next ? next->delayedMacsPerRow() : 0);
     // The head's first layer writes into the block's input buffer.
-    Region region(items, 1, 3, macs_per_item,
+    Region region(items, 1, 3, fpItemMacs(layer),
                   std::max(c_skip, head ? mlp_cols : 0), mlp_cols, opts,
                   ws);
     region.run([&](BlockScratch &bs, const Block &blk) {

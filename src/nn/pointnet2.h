@@ -207,6 +207,16 @@ class PointNet2
         std::span<const PointCloud *const> inputs,
         const RunOptions &opts = {}) const;
 
+    /**
+     * @return the most threads any parallel region of a run over
+     * @p batch frames of @p points points each takes at @p threads
+     * intra-op threads: the largest gatedThreads() over the host-MAC
+     * counts the levels gate on. 1 means every region runs on the
+     * calling thread, so a pool's helpers would have nothing to run.
+     */
+    int maxRegionThreads(std::size_t points, std::size_t batch,
+                         int threads) const;
+
   private:
     PointNet2Spec arch;
     std::vector<Mlp> sa_mlps;
@@ -256,6 +266,16 @@ class PointNet2
      * run-order step @p step (SA levels, then FP levels top-down), or
      * null. */
     const Mlp *delayedConsumer(std::size_t step) const;
+
+    /** @return host MACs per centroid of sampling SA level @p layer:
+     * its k grouped rows, then its row of the next level's delayed
+     * products. */
+    std::uint64_t saItemMacs(std::size_t layer) const;
+
+    /** @return host MACs per fine point of FP level @p layer: its
+     * MLP row, the head's at level 0, and its row of the next
+     * level's delayed products. */
+    std::uint64_t fpItemMacs(std::size_t layer) const;
 
     /** Classification head over each frame's last level. */
     void runHead(std::span<FrameRun> frames, const RunOptions &opts,

@@ -54,14 +54,11 @@ DownSampleStage::process(FrameTask &task) const
         k_eff = task.fault.samplePoints;
     PreprocessResult &pr = task.result.preprocess;
     pre.sampleStage(pr, k_eff);
-    // Nothing downstream reads the frame's octree or cached indices:
-    // release them now, so a carry's pooled bundle returns once the
-    // carry moves on and the pool stays bounded by the frames in
-    // flight, not by the frames in the run.
+    // Nothing downstream reads the frame's octree: release it now,
+    // so a carry's pooled bundle returns once the carry moves on and
+    // the pool stays bounded by the frames in flight, not by the
+    // frames in the run.
     pr.tree.reset();
-    pr.rawKnn.reset();
-    pr.rawOcc.reset();
-    pr.rawOccLevel = -1;
     // preprocess.stats is complete here (build + sampler counters);
     // merge the frame into the stream aggregate from this worker.
     if (workload != nullptr)

@@ -164,6 +164,8 @@ makeCarry(const PreprocessingEngine &preprocess,
         return nullptr;
     TemporalPreprocessState::Config tc;
     tc.octree = preprocess.config().octree;
+    // No stage reads the raw-cloud KNN buckets or occupancy list.
+    tc.cacheIndices = false;
     return std::make_shared<TemporalPreprocessState>(tc);
 }
 
@@ -390,8 +392,9 @@ StreamRunner::run(const std::vector<Frame> &frames,
                                       cfg.fpgaUnits;
         carry->reserveBundles(std::min(frames.size(), in_flight) + 1);
     }
-    infer.setIntraOpThreads(cfg.intraOpThreads > 0 ? cfg.intraOpThreads
-                                                   : allowedCores());
+    const int intra_op =
+        cfg.intraOpThreads > 0 ? cfg.intraOpThreads : allowedCores();
+    infer.setIntraOpThreads(intra_op);
 
     // Real concurrent execution of the functional work.
     std::vector<std::unique_ptr<FrameTask>> tasks;
@@ -407,9 +410,14 @@ StreamRunner::run(const std::vector<Frame> &frames,
     std::vector<std::unique_ptr<FrameTask>> completed;
     {
         // One pool per run, its helpers on this thread's cores: the
-        // stage workers borrow it for the carry's concurrent phases
-        // and the network's parallel regions.
-        WorkerPool workers(allowedCores() - 1);
+        // stage workers borrow it for the network's parallel regions.
+        // Helpers start only when some region can get more than one
+        // thread; without them the installed pool runs every region
+        // on its caller.
+        const bool parallel = backend().model().maxRegionThreads(
+                                  cfg.inputPoints, cfg.maxBatch,
+                                  intra_op) > 1;
+        WorkerPool workers(parallel ? allowedCores() - 1 : 0);
         WorkerPool::Install use(&workers);
         completed = pipeline.run(std::move(tasks), on_frame);
     }

@@ -97,7 +97,8 @@ struct RuntimeReport : FrameCounts, LatencySummary, BatchStats
 
     // Temporal-cache attribution, read back from the run's metrics
     // registry ("temporal.*" counters). -1 = not applicable (cache
-    // off or no frames); percentages in [0, 100] otherwise.
+    // off, no frames, or, for the KNN rate, no KNN index cached: a
+    // runner's carry builds none); percentages in [0, 100] otherwise.
     double temporalSubtreeReusePct = -1;
     double temporalKnnHitPct = -1;
 

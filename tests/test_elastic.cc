@@ -818,7 +818,7 @@ TEST(ElasticRunner, SheddingServeDigest)
     ASSERT_FALSE(result.events.empty());
     EXPECT_EQ(digest::servingDigest(result.serving), 0x3b180af5450f99f9ull);
     EXPECT_EQ(digest::metricsDigest(result.serving.metrics),
-              0x4e287a108ecc7ce3ull);
+              0x84498ca057f9b0b9ull);
     EXPECT_EQ(result.serving.metrics.countOf("frames.failed"), 0u);
     EXPECT_EQ(result.serving.metrics.countOf("frames.retried"), 0u);
     EXPECT_EQ(result.serving.metrics.countOf("frames.degraded"), 0u);

@@ -740,7 +740,7 @@ TEST(FaultServing, ElasticFaultedServeDigest)
               0u);
     EXPECT_EQ(digest::servingDigest(r1.serving), 0x32c991d5e973bd2cull);
     EXPECT_EQ(digest::metricsDigest(r1.serving.metrics),
-              0x141dc1be7ddb5715ull);
+              0xe09d1d3526f72043ull);
 }
 
 // ------------------------------------------------------------ Traces

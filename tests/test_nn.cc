@@ -27,6 +27,7 @@
 #include "nn/mlp.h"
 #include "nn/pointnet2.h"
 #include "nn/tensor.h"
+#include "obs/trace.h"
 #include "octree/octree.h"
 
 namespace hgpcn
@@ -1468,6 +1469,58 @@ TEST(ThreadInvariance, ParallelRegionsStopGrowingTheWorkspace)
     for (int i = 0; i < 3; ++i)
         (void)net.run(cloud, opts);
     EXPECT_EQ(FrameWorkspace::backingGrowths(), warm);
+}
+
+// ------------------------------------------- region threads
+
+/** @return "pool:dispatch" spans recorded while @p net runs @p batch
+ * copies of @p cloud at @p threads intra-op threads: one per region
+ * that got more than one thread. */
+std::size_t
+dispatchesOf(const PointNet2 &net, const PointCloud &cloud,
+             std::size_t batch, int threads)
+{
+    const std::vector<const PointCloud *> inputs(batch, &cloud);
+    RunOptions opts;
+    opts.intraOpThreads = threads;
+    Tracer &tracer = Tracer::global();
+    tracer.setEnabled(false);
+    tracer.clear();
+    tracer.setEnabled(true);
+    (void)net.runBatch(inputs, opts);
+    tracer.setEnabled(false);
+    std::size_t dispatches = 0;
+    for (const TraceEvent &ev : tracer.snapshot())
+        dispatches += ev.name == "pool:dispatch";
+    tracer.clear();
+    return dispatches;
+}
+
+// What a StreamRunner reads to decide whether its pool starts
+// helpers: the edge classifier stays under the work gate even
+// micro-batched, Pointnet++(s) at K = 4096 earns every thread
+// offered. Where tracing is compiled in, the runs agree: regions
+// dispatch exactly when the plan says some region gets threads.
+TEST(RegionThreads, EdgeClassifierBatchOfFourGetsNoHelpers)
+{
+    const PointNet2 net(PointNet2Spec::edgeClassification(), 42);
+    EXPECT_EQ(net.maxRegionThreads(256, 4, 4), 1);
+    EXPECT_EQ(net.maxRegionThreads(256, 4, 64), 1);
+#ifndef HGPCN_TRACING_DISABLED
+    EXPECT_EQ(dispatchesOf(net, randomCloud(256, 60), 4, 4), 0u);
+#endif
+}
+
+TEST(RegionThreads, SemanticSegmentationGetsHelpers)
+{
+    const PointNet2 net(PointNet2Spec::semanticSegmentation(), 42);
+    EXPECT_EQ(net.maxRegionThreads(4096, 1, 1), 1);
+    EXPECT_EQ(net.maxRegionThreads(4096, 1, 2), 2);
+    EXPECT_EQ(net.maxRegionThreads(4096, 1, 4), 4);
+#ifndef HGPCN_TRACING_DISABLED
+    EXPECT_EQ(dispatchesOf(net, randomCloud(4096, 61), 1, 1), 0u);
+    EXPECT_GT(dispatchesOf(net, randomCloud(4096, 61), 1, 2), 0u);
+#endif
 }
 
 // ------------------------------------- delayed aggregation, fused GEMM

@@ -595,9 +595,10 @@ TEST(StreamRunner, SteadyStateIsArenaAllocationFree)
 
 TEST(StreamRunner, ResultsDropPreprocessingIndices)
 {
-    // The down-sample stage releases each frame's octree and cached
-    // indices once sampled, returning the carry's pooled bundle
-    // while the stream runs; results keep only the sampled cloud.
+    // The down-sample stage releases each frame's octree once
+    // sampled, returning the carry's pooled bundle while the stream
+    // runs, and the carry builds no raw-cloud index; results keep
+    // only the sampled cloud.
     const std::vector<Frame> frames = smallKittiStream(3);
     HgPcnSystem::Config cfg;
     const HgPcnSystem system(cfg, tinyClassifier());
